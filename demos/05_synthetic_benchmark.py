@@ -26,7 +26,6 @@ config = RunConfig(
     method="bams",
     m1=10, m_b=5, batches=3, S=4, eta=1.0,
     seed=0,
-    sweep_dtype="float32",
 )
 result = run_experiment(pool, config, oracle)
 levels = [i.level for i in result.log.inputs]

@@ -2,13 +2,13 @@
 rate estimation over a finite pool of embedding points."""
 
 from .acquisition import (PendingSet, acquisition_J, forward_point_variance,
-                          point_variance_beta, select_batch, select_next)
+                          point_variance_beta, select_batch)
 from .baselines import (CeState, gaussian_pdf_scores, mc_scores, random_acquisition,
                         run_cross_entropy, scores_from_csv)
 from .clustering import (ClusterAssignment, cluster_with_merges, hausdorff_distance,
                          kmeans, scale_points)
 from .driver import (BatchRecord, ExperimentResult, RunConfig, run_bams_batch,
-                     run_experiment, run_initial_batch)
+                     run_experiment, run_initial_batch, run_random_batch)
 from .errors import (ConfigError, EmptySelectionError, InvalidInputError,
                      NumericalError, OracleError, RareSamplerError)
 from .estimator import (FailureField, bivariate_normal_cdf, estimator_variance_exact,
@@ -22,6 +22,6 @@ from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
 from .oracles import CsvOracle, ExternalOracle
 from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig
 from .synthetic import (SyntheticOracle, SyntheticSpec, generate_pool,
-                        ground_truth_labels, metric_level0, synthetic_oracle)
+                        ground_truth_labels, metric_level0)
 
 __version__ = "0.1.0"

@@ -133,7 +133,7 @@ class PendingSet:
     """
 
     def __init__(self, state: PosteriorState, pool: EmbeddingPool, targets,
-                 candidates, costs, sweep_dtype=np.float64):
+                 candidates, costs):
         if len(candidates) == 0:
             raise EmptySelectionError("no candidates to select from")
         self.state = state
@@ -143,8 +143,6 @@ class PendingSet:
         self.costs = np.asarray(costs, dtype=np.float64)
         if self.costs.shape != (len(self.candidates),) or np.any(self.costs <= 0):
             raise InvalidInputError("costs must be positive, one per candidate")
-        self._dt = np.dtype(sweep_dtype)
-        self._f32 = self._dt == np.float32
         hyper = state.hyper
 
         tp, tl = gather_points(pool, self.targets)
@@ -183,19 +181,17 @@ class PendingSet:
         self.that_T = np.ones(int(act.sum()))
 
         base = matern25_matrix(tp[act], pool.points[upts], hyper.lengthscales,
-                               hyper.signal_var).astype(self._dt, copy=False)
-        # assemble scaled rows chunk-wise straight into the sweep dtype: the
-        # rows are divided by sigma_t so projection increments come out
-        # already divided by the target variance
-        TC = np.empty((int(act.sum()), len(self.candidates)), dtype=self._dt)
-        inv_sd = (1.0 / np.sqrt(self.var_T)).astype(self._dt)[:, None]
-        VaT = Va[:, act].T.astype(self._dt) if Va is not None else None
-        Vc_d = Vc.astype(self._dt) if Va is not None else None
+                               hyper.signal_var)
+        # assemble scaled rows chunk-wise: the rows are divided by sigma_t so
+        # projection increments come out already divided by the target variance
+        TC = np.empty((int(act.sum()), len(self.candidates)))
+        inv_sd = (1.0 / np.sqrt(self.var_T))[:, None]
+        VaT = Va[:, act].T if Va is not None else None
         for s0 in range(0, TC.shape[1], 2048):
             sl = slice(s0, min(s0 + 2048, TC.shape[1]))
             chunk = base[:, inv[sl]]
             if VaT is not None:
-                chunk = chunk - VaT @ Vc_d[:, sl]
+                chunk = chunk - VaT @ Vc[:, sl]
             chunk *= inv_sd
             TC[:, sl] = chunk
         for l in range(1, hyper.n_levels):
@@ -205,8 +201,7 @@ class PendingSet:
                 disc = matern25_matrix(tp[act][rows], cp[cols],
                                        hyper.fid_lengthscales[l - 1],
                                        hyper.fid_signal_var[l - 1])
-                TC[np.ix_(rows, cols)] += (disc * inv_sd[rows]
-                                           ).astype(self._dt, copy=False)
+                TC[np.ix_(rows, cols)] += disc * inv_sd[rows]
         self.TCs = TC
 
         self.var_C = var_c
@@ -217,8 +212,7 @@ class PendingSet:
         self._cp, self._cl = cp, cl
         # per-target Chebyshev coefficients of a -> beta; s_T is fixed for the
         # lifetime of the selection, so this is a one-time fit
-        self._cheb = (_CHEB_M @ (2.0 * owens_t(self.s_T[None, :], _CHEB_A[:, None]))
-                      ).astype(self._dt)
+        self._cheb = _CHEB_M @ (2.0 * owens_t(self.s_T[None, :], _CHEB_A[:, None]))
         self._bT: list[np.ndarray] = []   # scaled target rows of the recursion
         self._bC: list[np.ndarray] = []
         self._mask = np.zeros(len(self.candidates), dtype=bool)
@@ -236,12 +230,9 @@ class PendingSet:
 
     # -- internals -------------------------------------------------------------
 
-    def _stacks(self, f32: bool):
+    def _stacks(self):
         if not self._bT:
             return None, None
-        if f32:
-            return (np.asarray(self._bT, dtype=np.float32),
-                    np.asarray(self._bC, dtype=np.float32))
         return np.asarray(self._bT), np.asarray(self._bC)
 
     def _cov_to_candidates(self, idx: int) -> np.ndarray:
@@ -275,16 +266,14 @@ class PendingSet:
 
     def _exact_columns(self, cols: np.ndarray) -> np.ndarray:
         """Gains (sum over targets of beta decrease) for candidate columns."""
-        bT, bC = self._stacks(self._f32)
-        dt = np.float32 if self._f32 else np.float64
+        bT, bC = self._stacks()
         E = self.TCs[:, cols]
         if bT is not None:
             E = E - bT.T @ bC[:, cols]
         np.square(E, out=E)
-        E /= self.h_C[cols].astype(dt)[None, :]
-        that_new = np.clip(self.that_T.astype(dt)[:, None] - E, 0.0, 1.0)
-        gains = self._beta_cur().sum() - self._beta_block(that_new).sum(axis=0,
-                                                                        dtype=np.float64)
+        E /= self.h_C[cols][None, :]
+        that_new = np.clip(self.that_T[:, None] - E, 0.0, 1.0)
+        gains = self._beta_cur().sum() - self._beta_block(that_new).sum(axis=0)
         return np.maximum(gains, 0.0)
 
     def select_next(self):
@@ -307,20 +296,17 @@ class PendingSet:
         slope = _beta_slope(self.s_T, self.that_T)
         uw = beta / np.maximum(self.that_T, 1e-20)
 
-        # certified bound stage (optionally single precision); small column
-        # chunks keep the working set cache-resident
-        dt = np.float32 if self._f32 else np.float64
-        bT, bC = self._stacks(self._f32)
+        # certified bound stage; small column chunks keep the working set
+        # cache-resident
+        bT, bC = self._stacks()
         TCs = self.TCs
-        h = np.maximum(self.h_C, self._h_floor).astype(dt)
-        that = self.that_T.astype(dt)[:, None]
-        slope_v = slope.astype(dt)
-        uw_v = uw.astype(dt)
+        h = np.maximum(self.h_C, self._h_floor)
+        that = self.that_T[:, None]
         n_cand = len(self.candidates)
         Lg = np.empty(n_cand)
         Ug = np.empty(n_cand)
         chunk = 512
-        buf = np.empty((TCs.shape[0], chunk), dtype=dt)
+        buf = np.empty((TCs.shape[0], chunk))
         for s0 in range(0, n_cand, chunk):
             sl = slice(s0, min(s0 + chunk, n_cand))
             E = buf[:, :sl.stop - s0]
@@ -332,8 +318,8 @@ class PendingSet:
             np.square(E, out=E)
             E /= h[None, sl]
             np.minimum(E, that, out=E)
-            Lg[sl] = slope_v @ E
-            Ug[sl] = uw_v @ E
+            Lg[sl] = slope @ E
+            Ug[sl] = uw @ E
         scale = float(Ug[feas_idx].max(initial=0.0))
         if scale == 0.0:
             # nothing can improve J; fall back to deterministic tie-break
@@ -374,8 +360,8 @@ class PendingSet:
         return min(keys)[2]
 
     def _apply(self, idx: int) -> None:
-        bT, bC = self._stacks(False)
-        e_t = self.TCs[:, idx].astype(np.float64)
+        bT, bC = self._stacks()
+        e_t = self.TCs[:, idx].copy()
         cov_c = self._cov_to_candidates(idx)
         if bT is not None:
             by = bC[:, idx]
@@ -395,13 +381,8 @@ class PendingSet:
         self._last_cost = float(self.costs[idx])
 
 
-def select_next(pending: PendingSet):
-    """Greedy step on an existing selection state; see PendingSet.select_next."""
-    return pending.select_next()
-
-
 def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
-                 targets, budget: float, sweep_dtype=np.float64):
+                 targets, budget: float):
     """Repeat greedy selection until the accumulated cost reaches the budget.
 
     Returns [(input, deltaJ, cost)] in selection order.  Exhausting the
@@ -410,8 +391,7 @@ def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
     """
     if budget <= 0:
         raise InvalidInputError("budget must be positive")
-    pending = PendingSet(state, pool, targets, candidates, costs,
-                         sweep_dtype=sweep_dtype)
+    pending = PendingSet(state, pool, targets, candidates, costs)
     out = []
     while pending.total_cost < budget:
         try:

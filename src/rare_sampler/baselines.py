@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OracleError
+from .errors import InvalidInputError
 from .evaluation import ScoreVector
 from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig
 
@@ -94,10 +94,7 @@ def run_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, m_b: i
 
     first = rng.choice(pool.n_points, size=min(m1, pool.n_points), replace=False)
     for i in first:
-        try:
-            log.append(AugmentedInput(int(i), 0), oracle(int(i), 0), 1)
-        except OracleError:
-            raise
+        log.evaluate(oracle, AugmentedInput(int(i), 0), 1)
     pts = pool.points[first]
     vals = log.value_array
     mean, var = _fit_elite_gaussian(pts, vals, elites, var_floor)
@@ -115,12 +112,8 @@ def run_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, m_b: i
             batch_idx.append(int(np.argmin(d2)))
         if not batch_idx:
             break
-        batch_vals = []
-        for i in batch_idx:
-            v = oracle(i, 0)
-            log.append(AugmentedInput(i, 0), v, b)
-            batch_vals.append(v)
-            evaluated.add(i)
+        batch_vals = [log.evaluate(oracle, AugmentedInput(i, 0), b) for i in batch_idx]
+        evaluated.update(batch_idx)
         mean, var = _fit_elite_gaussian(pool.points[batch_idx],
                                         np.asarray(batch_vals), elites, var_floor)
         state = CeState(mean=mean, var=var, elites=elites)

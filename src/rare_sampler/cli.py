@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import mc_scores, random_acquisition, run_cross_entropy, scores_from_csv
-from .driver import ExperimentResult, RunConfig, run_experiment
+from .baselines import mc_scores, run_cross_entropy, scores_from_csv
+from .driver import RunConfig, run_experiment, run_random_batch
 from .errors import ConfigError, InvalidInputError, RareSamplerError
-from .evaluation import (RateReport, ScoreVector, importance_scores,
-                         repeated_is_trials, retention_recall_curve, splitting_bound)
+from .evaluation import (ScoreVector, importance_scores, repeated_is_trials,
+                         retention_recall_curve, splitting_bound)
 from .gp import TrainOptions
 from .oracles import CsvOracle, ExternalOracle
-from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig
+from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, write_csv
 from .synthetic import (SyntheticOracle, SyntheticSpec, export_pool_csv,
                         generate_pool, ground_truth_labels, metric_level0)
 
@@ -174,37 +174,18 @@ def _build_oracle(cfg: _Config, pool, spec):
                       f"oracle kind must be synthetic, csv, or command; got {kind!r}")
 
 
-def _write_retention_csv(path, curve):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["retention_multiple", "recall"])
-        for t, r in curve:
-            w.writerow([format(t, ".17g"), format(r, ".17g")])
-
-
-def _write_rate_report_csv(path, method, report: RateReport):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "p_hat_mean", "rv", "recall", "se_rv", "se_recall"])
-        w.writerow([method, format(report.p_hat_mean, ".17g"), format(report.rv, ".17g"),
-                    format(report.recall, ".17g"), format(report.se_rv, ".17g"),
-                    format(report.se_recall, ".17g")])
-
-
-def _write_plain_log(out_dir, log: EvaluationLog):
-    with open(os.path.join(out_dir, "log.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point_index", "level", "f", "batch"])
-        for inp, v, b in zip(log.inputs, log.values, log.batches):
-            w.writerow([inp.point_index, inp.level, format(v, ".17g"), b])
-
-
-def _write_scores_csv(out_dir, scores: ScoreVector):
-    with open(os.path.join(out_dir, "scores_final.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point_index", "score"])
-        for i, s in enumerate(scores.scores):
-            w.writerow([i, format(s, ".17g")])
+def _report(out_dir, method, scores: ScoreVector, truth, K, trials, seed) -> None:
+    """Write rate_report.csv and retention_recall.csv and print the summary."""
+    report = repeated_is_trials(scores, truth, K, trials, seed=seed)
+    write_csv(os.path.join(out_dir, "rate_report.csv"),
+              ("method", "p_hat_mean", "rv", "recall", "se_rv", "se_recall"),
+              [(method, report.p_hat_mean, report.rv, report.recall, report.se_rv,
+                report.se_recall)])
+    write_csv(os.path.join(out_dir, "retention_recall.csv"),
+              ("retention_multiple", "recall"),
+              retention_recall_curve(scores, truth).tolist())
+    print(f"{method}: p_hat={report.p_hat_mean:.6g} 100rv={100 * report.rv:.4g} "
+          f"recall@K={report.recall:.4g}")
 
 
 def cmd_run(args) -> int:
@@ -219,19 +200,40 @@ def cmd_run(args) -> int:
     truth = truth_f <= gamma if truth_f is not None else None
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
+
+    oracle = None if method == "external-scores" else _build_oracle(cfg, pool, spec)
+    try:
+        scores = _run_method(cfg, method, pool, oracle, gamma, out_dir)
+    finally:
+        if isinstance(oracle, ExternalOracle):
+            oracle.close()
+
+    if truth is not None and truth.any():
+        K = cfg.getint("is", "k", default=None)
+        if K is None:
+            K = int(round(cfg.getfloat("is", "k_multiple", default=5.0)
+                          * int(truth.sum())))
+        _report(out_dir, method, scores, truth, K,
+                cfg.getint("is", "trials", default=200),
+                cfg.getint("seeds", "trials",
+                           default=cfg.getint("seeds", "run", default=0) + 1))
+    else:
+        print(f"{method}: no ground truth available; skipped rate_report.csv "
+              f"and retention_recall.csv", file=sys.stderr)
+    return 0
+
+
+def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVector:
+    """Run the configured method, write its artifacts, and return its scores."""
     seed = cfg.getint("seeds", "run", default=0)
     alpha = cfg.getfloat("is", "alpha", default=2.5)
     m1 = cfg.getfloat("budget", "m1", default=20.0)
     m_b = cfg.getfloat("budget", "m_b", default=15.0)
     batches = cfg.getint("budget", "batches", default=3)
-
-    scores: ScoreVector
     if method in ("bams", "bas", "mc-gp", "mcm-gp"):
-        oracle = _build_oracle(cfg, pool, spec)
-        fidelities = _build_fidelities(cfg)
         run_cfg = RunConfig(
             gamma=gamma,
-            fidelities=fidelities,
+            fidelities=_build_fidelities(cfg),
             method=method,
             m1=m1, m_b=m_b, batches=batches,
             S=cfg.getint("method", "clusters", default=6),
@@ -245,54 +247,28 @@ def cmd_run(args) -> int:
             ),
             budget_rule=cfg.getstr("method", "budget_rule", default="strict"),
             merge_rule=cfg.getstr("method", "merge_rule", default="cost_normalized"),
-            sweep_dtype=cfg.getstr("method", "sweep_precision", default="float64"),
         )
         result = run_experiment(pool, run_cfg, oracle)
         result.save(out_dir)
-        scores = importance_scores(result.final_field(), alpha)
-    elif method == "mc":
+        return importance_scores(result.final_field(), alpha)
+    if method == "mc":
         log = EvaluationLog()
-        oracle = _build_oracle(cfg, pool, spec)
-        evaluated: set[tuple[int, int]] = set()
         for b in range(1, batches + 1):
-            budget = m1 if b == 1 else m_b
-            picks = random_acquisition(pool, FidelityConfig((1.0,)), budget,
-                                       seed=[seed, b], exclude=evaluated)
-            for inp in picks:
-                log.append(inp, oracle(inp.point_index, inp.level), b)
-                evaluated.add((inp.point_index, inp.level))
-        _write_plain_log(out_dir, log)
+            run_random_batch(pool, FidelityConfig((1.0,)), m1 if b == 1 else m_b,
+                             oracle, log, b, seed=[seed, b])
+        log.write_csv(os.path.join(out_dir, "log.csv"))
         scores = mc_scores(pool.n_points, seed=[seed, 1])
-        _write_scores_csv(out_dir, scores)
     elif method == "ce":
-        oracle = _build_oracle(cfg, pool, spec)
         _, scores, log = run_cross_entropy(
             pool, oracle, batches=batches, m1=int(m1), m_b=int(m_b), seed=[seed, 1],
         )
-        _write_plain_log(out_dir, log)
-        _write_scores_csv(out_dir, scores)
+        log.write_csv(os.path.join(out_dir, "log.csv"))
     else:  # external-scores
         scores = scores_from_csv(cfg.getstr("method", "scores_path", required=True),
                                  pool.n_points)
-        _write_scores_csv(out_dir, scores)
-
-    if truth is not None and truth.any():
-        n_fail = int(truth.sum())
-        K = cfg.getint("is", "k", default=None)
-        if K is None:
-            K = int(round(cfg.getfloat("is", "k_multiple", default=5.0) * n_fail))
-        trials = cfg.getint("is", "trials", default=200)
-        report = repeated_is_trials(scores, truth, K, trials,
-                                    seed=cfg.getint("seeds", "trials", default=seed + 1))
-        _write_rate_report_csv(os.path.join(out_dir, "rate_report.csv"), method, report)
-        _write_retention_csv(os.path.join(out_dir, "retention_recall.csv"),
-                             retention_recall_curve(scores, truth))
-        print(f"{method}: p_hat={report.p_hat_mean:.6g} 100rv={100 * report.rv:.4g} "
-              f"recall@K={report.recall:.4g}")
-    else:
-        print(f"{method}: no ground truth available; skipped rate_report.csv "
-              f"and retention_recall.csv", file=sys.stderr)
-    return 0
+    write_csv(os.path.join(out_dir, "scores_final.csv"), ("point_index", "score"),
+              enumerate(scores.scores.tolist()))
+    return scores
 
 
 def cmd_splitting_bound(args) -> int:
@@ -314,12 +290,9 @@ def cmd_gen_synthetic(args) -> int:
     export_pool_csv(pool, spec, args.out)
     if args.oracle_out:
         oracle = SyntheticOracle(pool, spec, noise_seed=args.noise_seed)
-        with open(args.oracle_out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["point_index", "level", "f"])
-            for i in range(pool.n_points):
-                w.writerow([i, 0, format(oracle(i, 0), ".17g")])
-                w.writerow([i, 1, format(oracle(i, 1), ".17g")])
+        write_csv(args.oracle_out, ("point_index", "level", "f"),
+                  ((i, level, oracle(i, level))
+                   for i in range(pool.n_points) for level in (0, 1)))
     labels = ground_truth_labels(pool, spec)
     print(f"wrote {pool.n_points} points to {args.out}; "
           f"failure rate {labels.mean():.6g}")
@@ -335,14 +308,8 @@ def cmd_score_report(args) -> int:
         raise InvalidInputError("no failures below gamma in the pool CSV")
     scores = scores_from_csv(args.scores, pool.n_points)
     K = args.k if args.k else int(round(args.k_multiple * int(truth.sum())))
-    report = repeated_is_trials(scores, truth, K, args.trials, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    _write_rate_report_csv(os.path.join(args.out, "rate_report.csv"),
-                           "external-scores", report)
-    _write_retention_csv(os.path.join(args.out, "retention_recall.csv"),
-                         retention_recall_curve(scores, truth))
-    print(f"external-scores: p_hat={report.p_hat_mean:.6g} "
-          f"100rv={100 * report.rv:.4g} recall@K={report.recall:.4g}")
+    _report(args.out, "external-scores", scores, truth, K, args.trials, args.seed)
     return 0
 
 

@@ -18,11 +18,11 @@ import numpy as np
 from .acquisition import select_batch
 from .baselines import random_acquisition
 from .clustering import cluster_with_merges
-from .errors import EmptySelectionError, InvalidInputError, OracleError
+from .errors import EmptySelectionError, InvalidInputError
 from .estimator import FailureField, failure_prob
 from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
                  train_hyperparameters)
-from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig
+from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig, write_csv
 
 _ADAPTIVE_METHODS = ("bams", "bas")
 _RANDOM_METHODS = ("mc-gp", "mcm-gp")
@@ -57,7 +57,6 @@ class RunConfig:
     init_hyper: GpHyperparams | None = None
     budget_rule: str = "strict"       # "strict": cost stays < m_b; "lenient": <=
     merge_rule: str = "cost_normalized"  # or "raw"
-    sweep_dtype: str = "float64"      # "float32" halves selection-sweep cost
     workers: int | None = None        # cluster parallelism; None reads RARE_SAMPLER_THREADS
 
     def __post_init__(self):
@@ -84,34 +83,31 @@ class RunConfig:
     def s_hat_effective(self) -> int:
         return self.S_hat if self.S_hat is not None else 2 * self.S
 
-    @property
-    def np_sweep_dtype(self):
-        return np.float32 if self.sweep_dtype == "float32" else np.float64
+
+def run_random_batch(pool: EmbeddingPool, fidelities: FidelityConfig, budget: float,
+                     oracle, log: EvaluationLog, batch_index: int, seed):
+    """Evaluate uniformly random unevaluated inputs until the cost reaches budget.
+
+    Returns the selected list [(input, NaN deltaJ, cost)] in draw order;
+    the evaluations are appended to the log under batch_index.
+    """
+    picks = random_acquisition(pool, fidelities, budget, seed=seed, exclude=log.inputs)
+    for inp in picks:
+        log.evaluate(oracle, inp, batch_index)
+    return [(inp, float("nan"), fidelities.cost(inp.level)) for inp in picks]
 
 
 def run_initial_batch(pool: EmbeddingPool, fidelities: FidelityConfig,
                       config: RunConfig, oracle) -> EvaluationLog:
     """Uniformly random distinct augmented inputs until the cost reaches m1."""
-    picks = random_acquisition(pool, fidelities, config.m1, seed=[config.seed, 0])
     log = EvaluationLog()
-    for inp in picks:
-        log.append(inp, _call_oracle(oracle, inp), 1)
+    run_random_batch(pool, fidelities, config.m1, oracle, log, 1, seed=[config.seed, 0])
     return log
-
-
-def _call_oracle(oracle, inp: AugmentedInput) -> float:
-    try:
-        return float(oracle(inp.point_index, inp.level))
-    except OracleError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - surface the offending input
-        raise OracleError(f"oracle failed at point {inp.point_index} "
-                          f"level {inp.level}: {exc}") from exc
 
 
 def _cluster_queue(args):
     """Build one cluster's ranked queue; runs in a worker process."""
-    (state, pool, members, evaluated, costs_by_level, budget, sweep_dtype) = args
+    (state, pool, members, evaluated, costs_by_level, budget) = args
     n_levels = len(costs_by_level)
     targets = [AugmentedInput(int(i), 0) for i in members]
     candidates = [AugmentedInput(int(i), l) for i in members for l in range(n_levels)
@@ -120,8 +116,7 @@ def _cluster_queue(args):
         return []
     costs = np.array([costs_by_level[c.level] for c in candidates])
     try:
-        return select_batch(state, pool, candidates, costs, targets, budget,
-                            sweep_dtype=sweep_dtype)
+        return select_batch(state, pool, candidates, costs, targets, budget)
     except EmptySelectionError:
         return []
 
@@ -144,8 +139,7 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
     for cid in range(assign.n_clusters):
         members = assign.members(cid)
         budget = float(np.ceil(config.eta * config.m_b * len(members) / n))
-        jobs.append((state, pool, members, evaluated, config.fidelities.costs,
-                     budget, config.np_sweep_dtype))
+        jobs.append((state, pool, members, evaluated, config.fidelities.costs, budget))
         weights.append(len(members) / n)
 
     workers = config.workers if config.workers is not None else default_workers()
@@ -161,11 +155,7 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
               for q, w in zip(queues, weights)]
 
     selected = _merge_queues(queues, config)
-    new_inputs = []
-    for inp, dj, cost in selected:
-        value = _call_oracle(oracle, inp)
-        log.append(inp, value, batch_index)
-        new_inputs.append((inp, value))
+    new_inputs = [(inp, log.evaluate(oracle, inp, batch_index)) for inp, _, _ in selected]
     return selected, new_inputs
 
 
@@ -233,29 +223,19 @@ class ExperimentResult:
 
     def save(self, out_dir) -> None:
         """Write the documented artifact layout into a directory."""
-        import csv as _csv
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "log.csv"), "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["point_index", "level", "f", "batch"])
-            for inp, v, b in zip(self.log.inputs, self.log.values, self.log.batches):
-                w.writerow([inp.point_index, inp.level, format(v, ".17g"), b])
+        self.log.write_csv(os.path.join(out_dir, "log.csv"))
         for rec in self.batches:
             k = rec.index
-            with open(os.path.join(out_dir, f"selected_batch{k}.csv"), "w",
-                      newline="") as fh:
-                w = _csv.writer(fh)
-                w.writerow(["point_index", "level", "deltaJ", "cost"])
-                for inp, dj, cost in rec.selected:
-                    w.writerow([inp.point_index, inp.level, format(dj, ".17g"),
-                                format(cost, ".17g")])
+            write_csv(os.path.join(out_dir, f"selected_batch{k}.csv"),
+                      ("point_index", "level", "deltaJ", "cost"),
+                      ((inp.point_index, inp.level, dj, cost)
+                       for inp, dj, cost in rec.selected))
             if rec.field is not None:
-                with open(os.path.join(out_dir, f"scores_batch{k}.csv"), "w",
-                          newline="") as fh:
-                    w = _csv.writer(fh)
-                    w.writerow(["point_index", "p_n", "h_n"])
-                    for i, (p, h) in enumerate(zip(rec.field.p, rec.field.h)):
-                        w.writerow([i, format(p, ".17g"), format(h, ".17g")])
+                write_csv(os.path.join(out_dir, f"scores_batch{k}.csv"),
+                          ("point_index", "p_n", "h_n"),
+                          zip(range(len(rec.field.p)), rec.field.p.tolist(),
+                              rec.field.h.tolist()))
             if rec.hyper is not None:
                 with open(os.path.join(out_dir, f"hyperparams_batch{k}.txt"), "w") as fh:
                     fh.write(rec.hyper.to_text())
@@ -264,15 +244,16 @@ class ExperimentResult:
 def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> ExperimentResult:
     """Initialization batch, then adaptive or random batches with retraining."""
     fidelities = config.fidelities
-    log = run_initial_batch(pool, fidelities, config, oracle)
+    log = EvaluationLog()
+    selected = run_random_batch(pool, fidelities, config.m1, oracle, log, 1,
+                                seed=[config.seed, 0])
     hyper = config.init_hyper or GpHyperparams.defaults(pool, fidelities.n_levels)
     if len(log) >= 2:
         hyper = train_hyperparameters(pool, log, hyper, config.train)
     state = fit_posterior(pool, log, hyper, config.gamma)
     records = [BatchRecord(
         index=1,
-        selected=[(inp, float("nan"), fidelities.cost(inp.level))
-                  for inp in log.inputs],
+        selected=selected,
         mean_f=float(log.batch_values(1).mean()),
         field=failure_prob(state, pool.points),
         hyper=hyper,
@@ -282,13 +263,8 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
         if config.method in _ADAPTIVE_METHODS:
             selected, _ = run_bams_batch(pool, state, config, oracle, log, b)
         else:
-            evaluated = {(i.point_index, i.level) for i in log.inputs}
-            picks = random_acquisition(pool, fidelities, config.m_b,
-                                       seed=[config.seed, b], exclude=evaluated)
-            selected = []
-            for inp in picks:
-                log.append(inp, _call_oracle(oracle, inp), b)
-                selected.append((inp, float("nan"), fidelities.cost(inp.level)))
+            selected = run_random_batch(pool, fidelities, config.m_b, oracle, log, b,
+                                        seed=[config.seed, b])
         hyper = train_hyperparameters(pool, log, hyper, config.train)
         state = fit_posterior(pool, log, hyper, config.gamma)
         vals = log.batch_values(b)

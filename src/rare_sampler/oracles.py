@@ -4,7 +4,8 @@ child process speaking a line protocol.
 The external protocol is one request per line on the child's stdin,
 ``EVAL <point_index> <level>``, answered on stdout with ``OK <float>`` or
 ``ERR <message>``.  Requests are serialized per child; a configurable
-timeout (default 300 s) guards each response.
+timeout (default 300 s) guards each response, and a timeout kills the
+child, so every later request fails instead of reading a stale reply.
 """
 
 from __future__ import annotations
@@ -78,8 +79,12 @@ class ExternalOracle:
             try:
                 line = self._lines.get(timeout=self.timeout)
             except queue.Empty:
+                # a late reply would answer the next request: end the child
+                self._proc.kill()
+                self._proc.wait()
                 raise OracleError(
-                    f"oracle timed out after {self.timeout}s on {request!r}"
+                    f"oracle timed out after {self.timeout}s on {request!r}; "
+                    f"oracle process killed"
                 ) from None
         if line is None:
             code = self._proc.wait()

@@ -1,4 +1,5 @@
-"""Core data containers: candidate pools, fidelity costs, and evaluation logs.
+"""Core data containers: candidate pools, fidelity costs, and evaluation logs,
+plus the CSV format that every artifact shares.
 
 The empirical distribution lives on a finite pool of N embedding points.
 Every evaluation target is an ``AugmentedInput``: a (point index, fidelity
@@ -8,12 +9,14 @@ higher levels are cheaper, noisier proxies.
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, OracleError
 
 
 class AugmentedInput(NamedTuple):
@@ -109,6 +112,31 @@ class EvaluationLog:
         self.values.append(float(value))
         self.batches.append(int(batch_index))
 
+    def evaluate(self, oracle, inp: AugmentedInput, batch_index: int) -> float:
+        """Query the oracle at one input and record the value.
+
+        Any oracle failure, including a non-finite value, raises OracleError
+        naming the point and level.
+        """
+        inp = AugmentedInput(int(inp[0]), int(inp[1]))
+        where = f"point {inp.point_index} level {inp.level}"
+        try:
+            value = float(oracle(inp.point_index, inp.level))
+        except OracleError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - surface the offending input
+            raise OracleError(f"oracle failed at {where}: {exc}") from exc
+        if not math.isfinite(value):
+            raise OracleError(f"oracle returned non-finite value {value!r} at {where}")
+        self.append(inp, value, batch_index)
+        return value
+
+    def write_csv(self, path) -> None:
+        """The log.csv artifact: one point_index,level,f,batch row per evaluation."""
+        write_csv(path, ("point_index", "level", "f", "batch"),
+                  ((inp.point_index, inp.level, v, b)
+                   for inp, v, b in zip(self.inputs, self.values, self.batches)))
+
     def extend(self, inputs, values, batch_index: int) -> None:
         for inp, v in zip(inputs, values):
             self.append(inp, v, batch_index)
@@ -158,3 +186,13 @@ def gather_points(pool: EmbeddingPool, inputs) -> tuple[np.ndarray, np.ndarray]:
     if idx.min() < 0 or idx.max() >= pool.n_points:
         raise InvalidInputError("point index out of pool bounds")
     return pool.points[idx], lvl
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV artifact: a header row, then floats at 17 significant digits
+    (exact round trip) and every other value as str."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                    for row in rows)

@@ -8,13 +8,12 @@ metric plus Gaussian noise at a tenth of the cost.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .pool import EmbeddingPool, FidelityConfig
+from .pool import EmbeddingPool, FidelityConfig, write_csv
 
 
 @dataclass(frozen=True)
@@ -71,18 +70,6 @@ class SyntheticOracle:
         raise InvalidInputError(f"synthetic oracle has levels {{0, 1}}, got {level}")
 
 
-def synthetic_oracle(x, level: int, spec: SyntheticSpec, noise_seed: int = 0,
-                     point_index: int = 0) -> float:
-    """Metric value for a raw coordinate pair at the given level."""
-    f0 = float(metric_level0(np.asarray(x, dtype=np.float64)[None, :], spec)[0])
-    if level == 0:
-        return f0
-    if level == 1:
-        noise = np.random.default_rng([noise_seed, point_index]).standard_normal()
-        return f0 + spec.noise_std * float(noise)
-    raise InvalidInputError(f"synthetic oracle has levels {{0, 1}}, got {level}")
-
-
 def ground_truth_labels(pool: EmbeddingPool, spec: SyntheticSpec) -> np.ndarray:
     """Failure indicator 1{f0(x) <= gamma} per pool point."""
     return metric_level0(pool.points, spec) <= spec.gamma
@@ -90,9 +77,6 @@ def ground_truth_labels(pool: EmbeddingPool, spec: SyntheticSpec) -> np.ndarray:
 
 def export_pool_csv(pool: EmbeddingPool, spec: SyntheticSpec, path) -> None:
     f0 = metric_level0(pool.points, spec)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "x0", "x1", "truth_f_level0"])
-        for i, (x, fx) in enumerate(zip(pool.points, f0)):
-            w.writerow([i, format(x[0], ".17g"), format(x[1], ".17g"),
-                        format(fx, ".17g")])
+    write_csv(path, ("index", "x0", "x1", "truth_f_level0"),
+              ((i, x0, x1, fx) for i, ((x0, x1), fx)
+               in enumerate(zip(pool.points.tolist(), f0.tolist()))))

@@ -5,7 +5,7 @@ from rare_sampler import (AugmentedInput, CeState, EmbeddingPool, FidelityConfig
                           gaussian_pdf_scores, mc_scores, random_acquisition,
                           run_cross_entropy)
 from rare_sampler.baselines import scores_from_csv
-from rare_sampler.errors import InvalidInputError
+from rare_sampler.errors import InvalidInputError, OracleError
 
 
 class TestRandomAcquisition:
@@ -112,6 +112,20 @@ class TestCrossEntropy:
         _, _, log = run_cross_entropy(pool, oracle, batches=3, m1=15, m_b=8, seed=6)
         inputs = [i.point_index for i in log.inputs]
         assert len(inputs) == len(set(inputs))
+
+    @pytest.mark.parametrize("good_calls", [0, 15], ids=["first-batch", "later-batch"])
+    def test_oracle_failure_names_the_input(self, good_calls):
+        pool, metric = self.blob_pool_and_oracle(seed=3)
+        calls = []
+
+        def oracle(i, level):
+            if len(calls) == good_calls:
+                raise RuntimeError("simulator crashed")
+            calls.append(i)
+            return metric(i, level)
+
+        with pytest.raises(OracleError, match=r"point \d+ level 0: simulator crashed"):
+            run_cross_entropy(pool, oracle, batches=3, m1=15, m_b=8, seed=6)
 
 
 class TestGaussianScores:

@@ -1,14 +1,17 @@
 import csv
+import os
+import re
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rare_sampler import ConfigError, OracleError
-from rare_sampler.cli import main, parse_config
+from rare_sampler.cli import METHODS, main, parse_config
 from rare_sampler.oracles import CsvOracle, ExternalOracle
 
 ECHO_ORACLE = textwrap.dedent("""\
@@ -24,6 +27,19 @@ ECHO_ORACLE = textwrap.dedent("""\
             print("ERR boom")
         else:
             print(f"OK {idx * 0.5 + level}")
+        sys.stdout.flush()
+""")
+
+# answers every request with `OK <answer>`, or a finite value when the answer
+# argument is "value"; writes its pid first so a test can check it has exited
+PID_ORACLE = textwrap.dedent("""\
+    import os, sys
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    for line in sys.stdin:
+        idx, level = (int(v) for v in line.split()[1:])
+        answer = f"{idx * 0.01 + level * 0.1}" if sys.argv[2] == "value" else sys.argv[2]
+        print(f"OK {answer}")
         sys.stdout.flush()
 """)
 
@@ -121,12 +137,22 @@ class TestRunCommand:
                      "hyperparams_batch2.txt"):
             assert (out / name).exists(), name
 
-    def test_seeded_reruns_are_byte_identical(self, tmp_path):
-        cfg = synthetic_config(tmp_path, method="mcm-gp")
+    @pytest.mark.parametrize("method", METHODS)
+    def test_seeded_reruns_are_byte_identical(self, tmp_path, method):
+        cfg = synthetic_config(tmp_path, method=method)
+        if method == "external-scores":
+            scores = tmp_path / "scores.csv"
+            scores.write_text("point_index,score\n"
+                              + "".join(f"{i},{1.0 + i % 7}\n" for i in range(300)))
+            cfg.write_text(cfg.read_text().replace(
+                "[budget]", f"scores_path = {scores}\n\n[budget]"))
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["run", str(cfg), "--out", str(out1)]) == 0
         assert main(["run", str(cfg), "--out", str(out2)]) == 0
-        for name in ("log.csv", "rate_report.csv", "retention_recall.csv"):
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert "rate_report.csv" in names
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_mc_and_ce_paths(self, tmp_path):
@@ -163,6 +189,38 @@ class TestRunCommand:
         out = tmp_path / "ext"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert (out / "rate_report.csv").exists()
+
+
+class TestCommandOracleRun:
+    @staticmethod
+    def config(tmp_path, method, answer):
+        script = tmp_path / "pid_oracle.py"
+        script.write_text(PID_ORACLE)
+        pid_file = tmp_path / "oracle.pid"
+        cfg = synthetic_config(tmp_path, method=method)
+        cfg.write_text(cfg.read_text().replace(
+            "kind = synthetic",
+            f"kind = command\ncommand = {sys.executable} -u {script} {pid_file} {answer}"))
+        return cfg, pid_file
+
+    @staticmethod
+    def assert_exited(pid_file):
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+
+    @pytest.mark.parametrize("method", ["bams", "mc", "ce"])
+    def test_oracle_child_is_closed(self, tmp_path, method):
+        cfg, pid_file = self.config(tmp_path, method, "value")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        self.assert_exited(pid_file)
+
+    @pytest.mark.parametrize("method", ["bams", "mc", "ce"])
+    def test_non_finite_value_names_the_point(self, tmp_path, capsys, method):
+        cfg, pid_file = self.config(tmp_path, method, "nan")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"non-finite value nan at point \d+ level [01]", err), err
+        self.assert_exited(pid_file)
 
 
 class TestSplittingBoundCommand:
@@ -303,6 +361,25 @@ class TestExternalOracle:
                 oracle(0, 0)
         finally:
             oracle._proc.kill()
+
+    def test_timeout_kills_child_so_late_reply_is_never_read(self, tmp_path):
+        script = tmp_path / "late.py"
+        script.write_text(textwrap.dedent("""\
+            import sys, time
+            for line in sys.stdin:
+                idx = int(line.split()[1])
+                if idx == 1:
+                    time.sleep(1)
+                print(f"OK {float(idx)}")
+                sys.stdout.flush()
+        """))
+        with ExternalOracle(f"{sys.executable} -u {script}", timeout=0.3) as oracle:
+            assert oracle(0, 0) == 0.0
+            with pytest.raises(OracleError, match="timed out.*EVAL 1 0"):
+                oracle(1, 0)
+            time.sleep(1.2)  # past the moment the late reply would arrive
+            with pytest.raises(OracleError, match="EVAL 2 0"):
+                oracle(2, 0)
 
     def test_child_exit_reported(self, tmp_path):
         script = tmp_path / "dead.py"

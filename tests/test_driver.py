@@ -228,7 +228,7 @@ class TestExperiment:
             budget = float(np.ceil(config.eta * config.m_b * len(members) /
                                    pool.n_points))
             queue = _cluster_queue((state, pool, members, evaluated,
-                                    config.fidelities.costs, budget, np.float64))
+                                    config.fidelities.costs, budget))
             n_cands = sum(1 for i in members for l in range(2)
                           if (int(i), l) not in evaluated)
             assert sum(q[2] for q in queue) >= budget or len(queue) == n_cands

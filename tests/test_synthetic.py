@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rare_sampler import (InvalidInputError, SyntheticOracle, SyntheticSpec,
-                          generate_pool, ground_truth_labels, metric_level0,
-                          synthetic_oracle)
+                          generate_pool, ground_truth_labels, metric_level0)
 
 
 class TestPoolGeneration:
@@ -29,12 +28,12 @@ class TestPoolGeneration:
 class TestOracle:
     def test_diamond_center_is_zero(self):
         spec = SyntheticSpec()
-        assert synthetic_oracle([1.95, 1.95], 0, spec) == 0.0
-        assert synthetic_oracle([-1.95, 1.95], 0, spec) == 0.0
+        assert metric_level0([1.95, 1.95], spec)[0] == 0.0
+        assert metric_level0([-1.95, 1.95], spec)[0] == 0.0
 
     def test_origin_value(self):
         spec = SyntheticSpec()
-        assert synthetic_oracle([0.0, 0.0], 0, spec) == pytest.approx(3.9)
+        assert metric_level0([0.0, 0.0], spec)[0] == pytest.approx(3.9)
 
     def test_level1_noise_is_deterministic_per_index(self):
         spec = SyntheticSpec(seed=1)
@@ -79,6 +78,6 @@ class TestLabels:
         spec = SyntheticSpec(seed=6)
         pool = generate_pool(spec)
         labels = ground_truth_labels(pool, spec)
-        direct = np.array([synthetic_oracle(x, 0, spec) <= spec.gamma
+        direct = np.array([metric_level0(x, spec)[0] <= spec.gamma
                            for x in pool.points[:100]])
         np.testing.assert_array_equal(labels[:100], direct)
