@@ -8,7 +8,7 @@ from .baselines import (CeState, gaussian_pdf_scores, mc_scores, random_acquisit
 from .clustering import (ClusterAssignment, cluster_with_merges, hausdorff_distance,
                          kmeans, scale_points)
 from .driver import (BatchRecord, ExperimentResult, RunConfig, run_bams_batch,
-                     run_experiment, run_initial_batch, run_random_batch)
+                     run_experiment, run_random_batch)
 from .errors import (ConfigError, EmptySelectionError, InvalidInputError,
                      NumericalError, OracleError, RareSamplerError)
 from .estimator import (FailureField, bivariate_normal_cdf, estimator_variance_exact,

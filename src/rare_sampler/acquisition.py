@@ -23,9 +23,9 @@ optimistic bound can still win.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, owens_t
+from scipy.special import owens_t
 
-from .errors import EmptySelectionError, InvalidInputError
+from .errors import EmptySelectionError, InvalidInputError, NumericalError
 from .estimator import SIGMA_FLOOR
 from .gp import (PosteriorState, matern25_matrix, mf_kernel_matrix,
                  noise_variances, prior_variances)
@@ -70,7 +70,12 @@ def _pending_solve(state: PosteriorState, pool: EmbeddingPool, pending):
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         A[np.diag_indices_from(A)] += 1e-10 * max(state.hyper.signal_var, 1.0)
-        L = np.linalg.cholesky(A)
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"pending-set covariance of {len(pending)} inputs is not positive "
+                f"definite even with 1e-10 extra jitter") from exc
     return mp, ml, L
 
 
@@ -137,7 +142,6 @@ class PendingSet:
         if len(candidates) == 0:
             raise EmptySelectionError("no candidates to select from")
         self.state = state
-        self.pool = pool
         self.targets = list(targets)
         self.candidates = [AugmentedInput(int(c[0]), int(c[1])) for c in candidates]
         self.costs = np.asarray(costs, dtype=np.float64)
@@ -175,7 +179,6 @@ class PendingSet:
         self._Vc = Vc
 
         act = var_t >= SIGMA_FLOOR**2
-        self._act = act
         self.s_T = (state.gamma_norm - mu_t[act]) / np.sqrt(var_t[act])
         self.var_T = var_t[act]
         self.that_T = np.ones(int(act.sum()))
@@ -204,10 +207,8 @@ class PendingSet:
                 TC[np.ix_(rows, cols)] += disc * inv_sd[rows]
         self.TCs = TC
 
-        self.var_C = var_c
-        self.g_C = var_c + noise_variances(cl, hyper)
-        self.h_C = self.g_C.copy()
-        self._h_floor = H_FLOOR_REL * max(float(self.g_C.max()), 1e-300)
+        self.h_C = var_c + noise_variances(cl, hyper)
+        self._h_floor = H_FLOOR_REL * max(float(self.h_C.max()), 1e-300)
 
         self._cp, self._cl = cp, cl
         # per-target Chebyshev coefficients of a -> beta; s_T is fixed for the

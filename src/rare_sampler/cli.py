@@ -42,7 +42,8 @@ def parse_config(path) -> dict[str, dict[str, ConfigValue]]:
     sections: dict[str, dict[str, ConfigValue]] = {}
     current = None
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for no, raw in enumerate(lines, start=1):
@@ -107,9 +108,9 @@ class _Config:
 def _build_fidelities(cfg: _Config) -> FidelityConfig:
     levels = cfg.getint("fidelity", "levels", default=1)
     costs = [1.0]
-    cv0 = cfg.get("fidelity", "cost.0")
-    if cv0 is not None and float(cv0.value) != 1.0:
-        raise ConfigError(f"line {cv0.line}: level-0 cost must be exactly 1")
+    if cfg.getfloat("fidelity", "cost.0", default=1.0) != 1.0:
+        raise ConfigError(f"line {cfg.line_of('fidelity', 'cost.0')}: "
+                          f"level-0 cost must be exactly 1")
     for l in range(1, levels):
         c = cfg.getfloat("fidelity", f"cost.{l}", required=True)
         ln = cfg.line_of("fidelity", f"cost.{l}")
@@ -239,7 +240,6 @@ def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVect
             S=cfg.getint("method", "clusters", default=6),
             S_hat=cfg.getint("method", "initial_clusters", default=None),
             eta=cfg.getfloat("method", "eta", default=2.0),
-            alpha=alpha,
             seed=seed,
             train=TrainOptions(
                 lr=cfg.getfloat("method", "train_lr", default=0.05),

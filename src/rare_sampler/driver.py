@@ -10,7 +10,6 @@ retrained after every batch, warm-started from the previous values.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,16 +27,6 @@ _ADAPTIVE_METHODS = ("bams", "bas")
 _RANDOM_METHODS = ("mc-gp", "mcm-gp")
 
 
-def default_workers() -> int:
-    env = os.environ.get("RARE_SAMPLER_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidInputError(f"RARE_SAMPLER_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Experiment settings; defaults mirror the reference experimental setup."""
@@ -51,13 +40,10 @@ class RunConfig:
     S: int = 6
     S_hat: int | None = None          # defaults to 2 * S
     eta: float = 2.0
-    alpha: float = 2.5
     seed: int = 0
     train: TrainOptions = field(default_factory=TrainOptions)
-    init_hyper: GpHyperparams | None = None
     budget_rule: str = "strict"       # "strict": cost stays < m_b; "lenient": <=
     merge_rule: str = "cost_normalized"  # or "raw"
-    workers: int | None = None        # cluster parallelism; None reads RARE_SAMPLER_THREADS
 
     def __post_init__(self):
         if self.m1 <= 0 or self.m_b <= 0:
@@ -97,17 +83,9 @@ def run_random_batch(pool: EmbeddingPool, fidelities: FidelityConfig, budget: fl
     return [(inp, float("nan"), fidelities.cost(inp.level)) for inp in picks]
 
 
-def run_initial_batch(pool: EmbeddingPool, fidelities: FidelityConfig,
-                      config: RunConfig, oracle) -> EvaluationLog:
-    """Uniformly random distinct augmented inputs until the cost reaches m1."""
-    log = EvaluationLog()
-    run_random_batch(pool, fidelities, config.m1, oracle, log, 1, seed=[config.seed, 0])
-    return log
-
-
-def _cluster_queue(args):
-    """Build one cluster's ranked queue; runs in a worker process."""
-    (state, pool, members, evaluated, costs_by_level, budget) = args
+def _cluster_queue(state: PosteriorState, pool: EmbeddingPool, members, evaluated,
+                   costs_by_level, budget: float):
+    """Build one cluster's ranked queue: [(input, cluster-local deltaJ, cost)]."""
     n_levels = len(costs_by_level)
     targets = [AugmentedInput(int(i), 0) for i in members]
     candidates = [AugmentedInput(int(i), l) for i in members for l in range(n_levels)
@@ -134,29 +112,20 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
                                  seed=[config.seed, batch_index])
     evaluated = {(i.point_index, i.level) for i in log.inputs}
     n = pool.n_points
-    jobs = []
-    weights = []
+    queues = []
     for cid in range(assign.n_clusters):
         members = assign.members(cid)
         budget = float(np.ceil(config.eta * config.m_b * len(members) / n))
-        jobs.append((state, pool, members, evaluated, config.fidelities.costs, budget))
-        weights.append(len(members) / n)
-
-    workers = config.workers if config.workers is not None else default_workers()
-    workers = max(1, min(workers, len(jobs)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            queues = list(ex.map(_cluster_queue, jobs))
-    else:
-        queues = [_cluster_queue(j) for j in jobs]
-
-    # scale cluster-local deltaJ (a mean over N_s targets) to the pool objective
-    queues = [[(inp, dj * w, cost) for inp, dj, cost in q]
-              for q, w in zip(queues, weights)]
+        queue = _cluster_queue(state, pool, members, evaluated,
+                               config.fidelities.costs, budget)
+        # scale cluster-local deltaJ (a mean over N_s targets) to the pool objective
+        w = len(members) / n
+        queues.append([(inp, dj * w, cost) for inp, dj, cost in queue])
 
     selected = _merge_queues(queues, config)
-    new_inputs = [(inp, log.evaluate(oracle, inp, batch_index)) for inp, _, _ in selected]
-    return selected, new_inputs
+    for inp, _, _ in selected:
+        log.evaluate(oracle, inp, batch_index)
+    return selected
 
 
 def _merge_queues(queues, config: RunConfig):
@@ -247,7 +216,7 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
     log = EvaluationLog()
     selected = run_random_batch(pool, fidelities, config.m1, oracle, log, 1,
                                 seed=[config.seed, 0])
-    hyper = config.init_hyper or GpHyperparams.defaults(pool, fidelities.n_levels)
+    hyper = GpHyperparams.defaults(pool, fidelities.n_levels)
     if len(log) >= 2:
         hyper = train_hyperparameters(pool, log, hyper, config.train)
     state = fit_posterior(pool, log, hyper, config.gamma)
@@ -261,7 +230,7 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
 
     for b in range(2, config.batches + 1):
         if config.method in _ADAPTIVE_METHODS:
-            selected, _ = run_bams_batch(pool, state, config, oracle, log, b)
+            selected = run_bams_batch(pool, state, config, oracle, log, b)
         else:
             selected = run_random_batch(pool, fidelities, config.m_b, oracle, log, b,
                                         seed=[config.seed, b])

@@ -434,36 +434,36 @@ def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
     return mll, grad
 
 
+# Box constraints on the log parameters during training.  Lengthscale bounds
+# are factors of the per-dimension pool spread; with a handful of
+# observations the unconstrained MLL routinely drifts to near-flat kernels
+# whose overconfident extrapolation poisons the failure probabilities, so
+# the optimizer projects onto these intervals after every step.
+_LENGTHSCALE_FACTOR_BOUNDS = (0.05, 2.0)
+_VAR_BOUNDS = (1e-6, 1e3)
+_JITTER_BOUNDS = (1e-10, 1e-1)
+
+
 @dataclass(frozen=True)
 class TrainOptions:
-    """Adam schedule plus box constraints on the log parameters.
-
-    Lengthscale bounds are factors of the per-dimension pool spread; with a
-    handful of observations the unconstrained MLL routinely drifts to
-    near-flat kernels whose overconfident extrapolation poisons the failure
-    probabilities, so the optimizer projects onto these intervals after
-    every step.
-    """
+    """Adam schedule for hyperparameter training."""
 
     lr: float = 0.05
     iters: int = 200
-    lengthscale_factor_bounds: tuple[float, float] = (0.05, 2.0)
-    var_bounds: tuple[float, float] = (1e-6, 1e3)
-    jitter_bounds: tuple[float, float] = (1e-10, 1e-1)
 
 
-def _log_bounds(pool: EmbeddingPool, template: GpHyperparams, opts: TrainOptions):
+def _log_bounds(pool: EmbeddingPool, template: GpHyperparams):
     scale = pool.points.std(axis=0)
     scale = np.where(scale > 1e-8, scale, 1.0)
-    lo_ls = np.log(opts.lengthscale_factor_bounds[0] * scale)
-    hi_ls = np.log(opts.lengthscale_factor_bounds[1] * scale)
-    lo_v, hi_v = np.log(opts.var_bounds)
+    lo_ls = np.log(_LENGTHSCALE_FACTOR_BOUNDS[0] * scale)
+    hi_ls = np.log(_LENGTHSCALE_FACTOR_BOUNDS[1] * scale)
+    lo_v, hi_v = np.log(_VAR_BOUNDS)
     lo, hi = [lo_ls, [lo_v]], [hi_ls, [hi_v]]
     for _ in range(template.fid_signal_var.size):
         lo += [lo_ls, [lo_v], [lo_v]]
         hi += [hi_ls, [hi_v], [hi_v]]
-    lo.append([np.log(opts.jitter_bounds[0])])
-    hi.append([np.log(opts.jitter_bounds[1])])
+    lo.append([np.log(_JITTER_BOUNDS[0])])
+    hi.append([np.log(_JITTER_BOUNDS[1])])
     return np.concatenate(lo), np.concatenate(hi)
 
 
@@ -475,7 +475,7 @@ def train_hyperparameters(pool: EmbeddingPool, log: EvaluationLog,
         raise InvalidInputError("training needs at least 2 observations")
     if opts.iters == 0:
         return init
-    lo, hi = _log_bounds(pool, init, opts)
+    lo, hi = _log_bounds(pool, init)
     theta = np.clip(init.to_vector(), lo, hi)  # every iterate lives in the box
     best_theta = theta.copy()
     best_mll = -np.inf

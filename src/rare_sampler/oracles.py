@@ -50,10 +50,15 @@ class ExternalOracle:
         self.command = command
         self.timeout = timeout
         self._lock = threading.Lock()
-        self._proc = subprocess.Popen(
-            shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1,
-        )
+        try:
+            argv = shlex.split(command)
+            if not argv:
+                raise ValueError("empty command")
+            self._proc = subprocess.Popen(
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1,
+            )
+        except (OSError, ValueError) as exc:
+            raise OracleError(f"cannot start oracle command {command!r}: {exc}") from exc
         self._lines: queue.Queue[str | None] = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
@@ -102,15 +107,25 @@ class ExternalOracle:
         raise OracleError(f"malformed oracle response {line!r} for {request!r}")
 
     def close(self):
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except Exception:
-                pass
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
+        """Close stdin, reap the child (killed after 5 s) and close its stdout.
+
+        Safe to call more than once, and after the child has exited or been
+        killed on a timeout.
+        """
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        # the reader thread owns stdout until EOF, which a grandchild that
+        # inherited the pipe can hold back; closing under it would race
+        self._reader.join(timeout=5)
+        if not self._reader.is_alive():
+            self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -137,23 +137,11 @@ class EvaluationLog:
                   ((inp.point_index, inp.level, v, b)
                    for inp, v, b in zip(self.inputs, self.values, self.batches)))
 
-    def extend(self, inputs, values, batch_index: int) -> None:
-        for inp, v in zip(inputs, values):
-            self.append(inp, v, batch_index)
-
     def __len__(self) -> int:
         return len(self.inputs)
 
     def __contains__(self, inp: AugmentedInput) -> bool:
         return AugmentedInput(int(inp[0]), int(inp[1])) in self._seen
-
-    @property
-    def point_indices(self) -> np.ndarray:
-        return np.array([i.point_index for i in self.inputs], dtype=np.intp)
-
-    @property
-    def levels(self) -> np.ndarray:
-        return np.array([i.level for i in self.inputs], dtype=np.intp)
 
     @property
     def value_array(self) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .pool import EmbeddingPool, FidelityConfig, write_csv
+from .pool import EmbeddingPool, write_csv
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,6 @@ class SyntheticSpec:
     noise_std: float = 0.1
     level1_cost: float = 0.10
     seed: int = 0
-
-    def fidelities(self, multifidelity: bool = True) -> FidelityConfig:
-        if multifidelity:
-            return FidelityConfig((1.0, self.level1_cost))
-        return FidelityConfig((1.0,))
 
 
 def generate_pool(spec: SyntheticSpec) -> EmbeddingPool:

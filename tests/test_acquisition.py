@@ -3,7 +3,8 @@ import pytest
 from scipy.special import ndtr
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EmptySelectionError,
-                          EvaluationLog, GpHyperparams, PendingSet, acquisition_J,
+                          EvaluationLog, GpHyperparams, NumericalError, PendingSet,
+                          acquisition_J,
                           failure_prob, fit_posterior, forward_point_variance,
                           select_batch, variance_upper_bound)
 from rare_sampler.acquisition import point_variance_beta
@@ -88,6 +89,21 @@ class TestAcquisitionJ:
         j_all = acquisition_J(state, pool, targets, targets)
         assert j_all <= 1e-5
         assert j_all <= 1e-3 * acquisition_J(state, pool, [], targets)
+
+    def test_failed_jitter_rescue_raises_numerical_error(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pool, _, _, state = random_problem(rng, n_points=8, n_train=3)
+        targets = [AugmentedInput(i, 0) for i in range(8)]
+        calls = []
+
+        def singular(A):
+            calls.append(A.shape)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        with pytest.raises(NumericalError, match="pending-set covariance of 2 inputs"):
+            acquisition_J(state, pool, targets[:2], targets)
+        assert calls == [(2, 2), (2, 2)]  # the plain attempt, then the one rescue
 
     def test_matches_per_point_computation(self):
         rng = np.random.default_rng(9)

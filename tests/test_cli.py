@@ -114,12 +114,15 @@ class TestConfigParsing:
         rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_level0_cost_must_be_one(self, tmp_path):
-        cfg = synthetic_config(tmp_path, extra="")
-        text = cfg.read_text().replace("levels = 2", "levels = 2\ncost.0 = 0.9")
-        cfg.write_text(text)
-        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 2
+    def test_level0_cost_must_be_one(self, tmp_path, capsys):
+        for value in ("0.9", "abc"):
+            cfg = synthetic_config(tmp_path, extra="")
+            text = cfg.read_text().replace("levels = 2", f"levels = 2\ncost.0 = {value}")
+            cfg.write_text(text)
+            rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == 2, value
+            line = text.splitlines().index(f"cost.0 = {value}") + 1
+            assert f"config error: line {line}:" in capsys.readouterr().err
 
     def test_unknown_method_rejected(self, tmp_path):
         cfg = synthetic_config(tmp_path, method="bogus")
@@ -214,6 +217,15 @@ class TestCommandOracleRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         self.assert_exited(pid_file)
 
+    @pytest.mark.parametrize("command", ["/nonexistent/oracle-binary", ""])
+    def test_unstartable_command_is_named(self, tmp_path, capsys, command):
+        cfg = synthetic_config(tmp_path, method="mc")
+        cfg.write_text(cfg.read_text().replace(
+            "kind = synthetic", f"kind = command\ncommand = {command}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot start oracle command {command!r}"), err
+
     @pytest.mark.parametrize("method", ["bams", "mc", "ce"])
     def test_non_finite_value_names_the_point(self, tmp_path, capsys, method):
         cfg, pid_file = self.config(tmp_path, method, "nan")
@@ -250,7 +262,8 @@ class TestGenSynthetic:
         oracle_csv = tmp_path / "oracle.csv"
         assert main(["gen-synthetic", "--n", "500", "--seed", "1",
                      "--out", str(pool_csv), "--oracle-out", str(oracle_csv)]) == 0
-        rows = list(csv.DictReader(open(pool_csv)))
+        with open(pool_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 500
         oracle = CsvOracle(oracle_csv)
         assert oracle(3, 0) == float(rows[3]["truth_f_level0"])
@@ -304,7 +317,8 @@ class TestScoreReport:
         pool_csv = tmp_path / "pool.csv"
         main(["gen-synthetic", "--n", "600", "--seed", "3", "--out", str(pool_csv)])
         scores = tmp_path / "scores.csv"
-        rows = list(csv.DictReader(open(pool_csv)))
+        with open(pool_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         with open(scores, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["point_index", "score"])
@@ -355,12 +369,9 @@ class TestExternalOracle:
     def test_timeout_names_request(self, tmp_path):
         script = tmp_path / "slow.py"
         script.write_text("import sys, time\nfor line in sys.stdin:\n    time.sleep(5)\n")
-        oracle = ExternalOracle(f"{sys.executable} -u {script}", timeout=0.2)
-        try:
+        with ExternalOracle(f"{sys.executable} -u {script}", timeout=0.2) as oracle:
             with pytest.raises(OracleError, match="timed out.*EVAL 0 0"):
                 oracle(0, 0)
-        finally:
-            oracle._proc.kill()
 
     def test_timeout_kills_child_so_late_reply_is_never_read(self, tmp_path):
         script = tmp_path / "late.py"
@@ -384,8 +395,7 @@ class TestExternalOracle:
     def test_child_exit_reported(self, tmp_path):
         script = tmp_path / "dead.py"
         script.write_text("import sys\nsys.exit(3)\n")
-        oracle = ExternalOracle(f"{sys.executable} -u {script}", timeout=5.0)
-        import time
-        time.sleep(0.3)
-        with pytest.raises(OracleError):
-            oracle(0, 0)
+        with ExternalOracle(f"{sys.executable} -u {script}", timeout=5.0) as oracle:
+            time.sleep(0.3)
+            with pytest.raises(OracleError):
+                oracle(0, 0)

@@ -5,7 +5,7 @@ from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
                           FidelityConfig, GpHyperparams, RunConfig, SyntheticOracle,
                           SyntheticSpec, cluster_with_merges, fit_posterior,
                           generate_pool, run_bams_batch, run_experiment,
-                          run_initial_batch)
+                          run_random_batch)
 from rare_sampler.driver import _merge_queues
 from rare_sampler.gp import TrainOptions
 
@@ -37,18 +37,26 @@ def base_config(**kw):
     return RunConfig(**args)
 
 
+def initial_log(pool, config, oracle):
+    """The initialization batch exactly as run_experiment draws it."""
+    log = EvaluationLog()
+    run_random_batch(pool, config.fidelities, config.m1, oracle, log, 1,
+                     seed=[config.seed, 0])
+    return log
+
+
 class TestInitialBatch:
     def test_single_fidelity_exact_count(self):
         spec, pool, oracle = small_synthetic(n=100)
         config = base_config(fidelities=FidelityConfig((1.0,)), method="bas", m1=20.0)
-        log = run_initial_batch(pool, config.fidelities, config, oracle)
+        log = initial_log(pool, config, oracle)
         assert len(log) == 20
         assert all(b == 1 for b in log.batches)
 
     def test_multifidelity_cheap_picks_can_multiply(self):
         spec, pool, oracle = small_synthetic(n=500)
         config = base_config(m1=10.0)
-        log = run_initial_batch(pool, config.fidelities, config, oracle)
+        log = initial_log(pool, config, oracle)
         costs = [config.fidelities.cost(i.level) for i in log.inputs]
         assert sum(costs) >= 10.0
         assert len(log) > 10  # cheap level stretches the budget
@@ -56,8 +64,8 @@ class TestInitialBatch:
     def test_seeded_determinism(self):
         spec, pool, oracle = small_synthetic(n=80)
         config = base_config(m1=5.0)
-        a = run_initial_batch(pool, config.fidelities, config, oracle)
-        b = run_initial_batch(pool, config.fidelities, config, oracle)
+        a = initial_log(pool, config, oracle)
+        b = initial_log(pool, config, oracle)
         assert a.inputs == b.inputs
         assert a.values == b.values
 
@@ -112,11 +120,11 @@ class TestBamsBatch:
     def test_matches_reference_trace(self, seed):
         spec, pool, oracle = small_synthetic(n=40, seed=seed)
         config = base_config(seed=seed, S=2, S_hat=4, m1=5.0, m_b=3.0)
-        log = run_initial_batch(pool, config.fidelities, config, oracle)
+        log = initial_log(pool, config, oracle)
         hyper = GpHyperparams.defaults(pool, 2)
         state = fit_posterior(pool, log, hyper, config.gamma)
         expected = reference_bams_batch(pool, state, config, log)
-        got, _ = run_bams_batch(pool, state, config, oracle, log, batch_index=2)
+        got = run_bams_batch(pool, state, config, oracle, log, batch_index=2)
         assert [g[0] for g in got] == [e[0] for e in expected]
         np.testing.assert_allclose([g[1] for g in got], [e[1] for e in expected],
                                    atol=1e-8)
@@ -125,10 +133,10 @@ class TestBamsBatch:
     def test_strict_budget_rule(self):
         spec, pool, oracle = small_synthetic(n=50, seed=3)
         config = base_config(seed=3, m_b=2.0)
-        log = run_initial_batch(pool, config.fidelities, config, oracle)
+        log = initial_log(pool, config, oracle)
         hyper = GpHyperparams.defaults(pool, 2)
         state = fit_posterior(pool, log, hyper, config.gamma)
-        selected, _ = run_bams_batch(pool, state, config, oracle, log, 2)
+        selected = run_bams_batch(pool, state, config, oracle, log, 2)
         assert sum(s[2] for s in selected) < config.m_b
 
     def test_lenient_budget_rule_allows_equality(self):
@@ -216,7 +224,7 @@ class TestExperiment:
         # each cluster queue reaches its proportional budget unless exhausted
         spec, pool, oracle = small_synthetic(n=60, seed=10)
         config = base_config(seed=10, eta=1.5)
-        log = run_initial_batch(pool, config.fidelities, config, oracle)
+        log = initial_log(pool, config, oracle)
         hyper = GpHyperparams.defaults(pool, 2)
         state = fit_posterior(pool, log, hyper, config.gamma)
         assign = cluster_with_merges(pool, state.hyper, config.S,
@@ -227,8 +235,8 @@ class TestExperiment:
             members = assign.members(cid)
             budget = float(np.ceil(config.eta * config.m_b * len(members) /
                                    pool.n_points))
-            queue = _cluster_queue((state, pool, members, evaluated,
-                                    config.fidelities.costs, budget))
+            queue = _cluster_queue(state, pool, members, evaluated,
+                                   config.fidelities.costs, budget)
             n_cands = sum(1 for i in members for l in range(2)
                           if (int(i), l) not in evaluated)
             assert sum(q[2] for q in queue) >= budget or len(queue) == n_cands
