@@ -123,19 +123,40 @@ def _build_fidelities(cfg: _Config) -> FidelityConfig:
 
 
 def _load_pool_csv(path):
-    pts = []
-    truth_f = []
-    with open(path, newline="") as fh:
+    """Read a pool CSV in the gen-synthetic layout: coordinates from the
+    columns x0..x<d-1> and the optional truth_f_level0, all by name."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read pool CSV {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        ncoord = sum(1 for h in header if h.startswith("x"))
-        has_truth = "truth_f_level0" in header
+        header = next(reader, [])
+        dims = sorted(int(h[1:]) for h in header if h[:1] == "x" and h[1:].isdigit())
+        if not dims or dims != list(range(len(dims))):
+            raise ConfigError(f"{path} line 1: coordinate columns must be exactly "
+                              f"x0..x<d-1>, got {header}")
+        cols = [header.index(f"x{j}") for j in dims]
+        if "truth_f_level0" in header:
+            cols.append(header.index("truth_f_level0"))
+        rows = []
         for row in reader:
-            pts.append([float(v) for v in row[1:1 + ncoord]])
-            if has_truth:
-                truth_f.append(float(row[1 + ncoord]))
-    pool = EmbeddingPool(np.asarray(pts))
-    return pool, (np.asarray(truth_f) if truth_f else None)
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigError(f"{where}: {len(row)} cells, header has {len(header)}")
+            try:
+                vals = [float(row[c]) for c in cols]
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError
+            except ValueError:
+                raise ConfigError(f"{where}: non-numeric or non-finite cell among "
+                                  f"{[row[c] for c in cols]}") from None
+            rows.append(vals)
+        if not rows:
+            raise ConfigError(f"{path} line {reader.line_num}: no data rows")
+    table = np.array(rows)
+    pool = EmbeddingPool(np.ascontiguousarray(table[:, :len(dims)]))
+    return pool, (table[:, len(dims)] if len(cols) > len(dims) else None)
 
 
 def _build_pool(cfg: _Config):

@@ -105,11 +105,10 @@ def kmeans(points: np.ndarray, k: int, seed) -> ClusterAssignment:
 
 def _relabel(labels: np.ndarray) -> np.ndarray:
     """Dense labels, numbered by first appearance in point order."""
-    out = np.empty_like(labels)
-    mapping: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        out[i] = mapping.setdefault(int(lab), len(mapping))
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def hausdorff_distance(A: np.ndarray, B: np.ndarray) -> float:

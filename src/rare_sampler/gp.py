@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .errors import InvalidInputError, NumericalError
 from .pool import EmbeddingPool, EvaluationLog, gather_points
@@ -319,8 +320,8 @@ def _solve_chol(K_noisy: np.ndarray, signal_var: float):
     """Cholesky with an escalating diagonal rescue; raises NumericalError at the cap."""
     for extra in _JITTER_LADDER:
         try:
-            L = cholesky(K_noisy + extra * signal_var * np.eye(K_noisy.shape[0]),
-                         lower=True)
+            L = cholesky(K_noisy + extra * signal_var * np.eye(len(K_noisy)) if extra
+                         else K_noisy, lower=True)
             return L, extra * signal_var
         except np.linalg.LinAlgError:
             continue
@@ -370,43 +371,24 @@ def posterior_cross_cov(state: PosteriorState, pa, la, pb, lb) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_gradients(pts, lvls, hyper: GpHyperparams):
-    """Yield (name, dK/dlog-param) in to_vector() order."""
-    n = pts.shape[0]
-
-    def matern_parts(P, ls, sig):
-        u = ((P[:, None, :] - P[None, :, :]) / ls) ** 2
-        r = np.sqrt(np.maximum(u.sum(axis=2), 0.0))
-        e = np.exp(-SQRT5 * r)
-        k = sig * (1.0 + SQRT5 * r + 5.0 * r * r / 3.0) * e
-        # d k / d log lengthscale_j  =  (5/3) sig (1 + sqrt5 r) e^{-sqrt5 r} u_j
-        slope = (5.0 / 3.0) * sig * (1.0 + SQRT5 * r) * e
-        return k, slope, u
-
-    k0, slope0, u0 = matern_parts(pts, hyper.lengthscales, hyper.signal_var)
-    for j in range(hyper.dim):
-        yield slope0 * u0[:, :, j]
-    yield k0
-
-    for l in range(1, hyper.n_levels):
-        mask = np.flatnonzero(lvls == l)
-        kl = np.zeros((n, n))
-        if mask.size:
-            k_s, slope_s, u_s = matern_parts(pts[mask], hyper.fid_lengthscales[l - 1],
-                                             hyper.fid_signal_var[l - 1])
-        for j in range(hyper.dim):
-            g = np.zeros((n, n))
-            if mask.size:
-                g[np.ix_(mask, mask)] = slope_s * u_s[:, :, j]
-            yield g
-        if mask.size:
-            kl[np.ix_(mask, mask)] = k_s
-        yield kl
-        g = np.zeros((n, n))
-        g[mask, mask] = hyper.fid_noise_var[l - 1]
-        yield g
-
-    yield hyper.jitter * np.eye(n)
+def _matern_parts(P: np.ndarray, ls: np.ndarray, sig: float):
+    """One Matern-5/2 pass over a block: k and its log-lengthscale derivatives
+    dk_j = (5/3) sig (1 + sqrt5 r) e^{-sqrt5 r} u_j with u_j = ((x_i - x_k)_j
+    / ls_j)^2, all contiguous (n, n) arrays, mostly updated in place (a fresh
+    n x n temporary can cost more than the arithmetic on it)."""
+    dk = [np.square(np.subtract.outer(q, q)) for q in (P / ls).T]
+    r2 = sum(dk)
+    t = np.sqrt(r2)
+    t *= SQRT5
+    e = sig * np.exp(-t)
+    t += 1.0
+    k = (5.0 / 3.0) * r2
+    k += t
+    k *= e
+    t *= (5.0 / 3.0) * e
+    for u_j in dk:
+        u_j *= t
+    return k, dk
 
 
 def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
@@ -414,7 +396,11 @@ def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
     """Gaussian MLL of the standardized targets and its log-space gradient.
 
     Gradient entries follow ``GpHyperparams.to_vector()`` order and use the
-    closed-form trace identity d = 0.5 * (a a^T - K^{-1}) : dK.
+    closed-form trace identity d = 0.5 * M : dK with M = a a^T - K^{-1}
+    (K^{-1} from LAPACK potri).  One Matern pass per level yields K and all
+    dK: the base block spans every observation, level l >= 1's only its own.
+    Each entry is then a dot product of M's block with dk_j or k, or for the
+    noise and jitter the variance times a trace of M.
     """
     if len(log) < 2:
         raise InvalidInputError("marginal likelihood needs at least 2 observations")
@@ -422,16 +408,30 @@ def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
     y_mean, y_std = log.normalization()
     y = (log.value_array - y_mean) / y_std
     n = len(y)
-    K = mf_kernel_matrix(pts, lvls, pts, lvls, hyper)
-    K[np.diag_indices_from(K)] += noise_variances(lvls, hyper)
-    L, extra = _solve_chol(K, hyper.signal_var)
+    k, dk = _matern_parts(pts, hyper.lengthscales, hyper.signal_var)
+    K, blocks = k.copy(), [(slice(None), k, dk)]
+    for l in range(1, hyper.n_levels):
+        idx = np.flatnonzero(lvls == l)
+        k, dk = _matern_parts(pts[idx], hyper.fid_lengthscales[l - 1],
+                              hyper.fid_signal_var[l - 1])
+        blocks.append((idx, k, dk))
+        K[np.ix_(idx, idx)] += k
+    K[np.diag_indices(n)] += noise_variances(lvls, hyper)
+    L, _ = _solve_chol(K, hyper.signal_var)
     alpha = cho_solve((L, True), y)
     mll = -0.5 * float(y @ alpha) - float(np.log(np.diag(L)).sum()) \
         - 0.5 * n * np.log(2.0 * np.pi)
-    Kinv = cho_solve((L, True), np.eye(n))
-    M = np.outer(alpha, alpha) - Kinv
-    grad = np.array([0.5 * np.sum(M * dK) for dK in _kernel_gradients(pts, lvls, hyper)])
-    return mll, grad
+    C, _ = dpotri(L, lower=1)  # K^{-1} in the lower triangle; L's upper one is zero
+    M = np.outer(alpha, alpha) - C - C.T
+    M[np.diag_indices(n)] += np.diag(C)
+    grad = []
+    for l, (idx, k, dk) in enumerate(blocks):
+        M_l = M[idx][:, idx]
+        grad += [np.vdot(M_l, g) for g in (*dk, k)]
+        if l:
+            grad.append(hyper.fid_noise_var[l - 1] * np.trace(M_l))
+    grad.append(hyper.jitter * np.trace(M))
+    return mll, 0.5 * np.array(grad)
 
 
 # Box constraints on the log parameters during training.  Lengthscale bounds

@@ -6,7 +6,7 @@ import numpy as np
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig,
                           GpHyperparams, acquisition_J, fit_posterior)
-from rare_sampler.gp import mf_kernel_matrix, noise_variances
+from rare_sampler.gp import SQRT5, mf_kernel_matrix, noise_variances
 from rare_sampler.pool import gather_points
 
 
@@ -47,6 +47,47 @@ def dense_posterior_oracle(pool, log, hyper, q_points, q_levels):
     mu = Kq @ Kinv @ y
     var = prior - np.einsum("ij,jk,ik->i", Kq, Kinv, Kq)
     return mu * y_std + y_mean, np.maximum(var, 0.0) * y_std**2
+
+
+def dense_mll_reference(pool, log, hyper):
+    """Marginal log likelihood and log-space gradient by the textbook formula:
+    K from ``mf_kernel_matrix``, ``np.linalg.inv``, and one explicit dense,
+    zero-padded dK per parameter in ``to_vector()`` order."""
+    pts, lvls = gather_points(pool, log.inputs)
+    y_mean, y_std = log.normalization()
+    y = (log.value_array - y_mean) / y_std
+    n = len(y)
+    K = mf_kernel_matrix(pts, lvls, pts, lvls, hyper)
+    K[np.diag_indices_from(K)] += noise_variances(lvls, hyper)
+    Kinv = np.linalg.inv(K)
+    a = Kinv @ y
+    mll = -0.5 * y @ a - 0.5 * np.linalg.slogdet(K)[1] - 0.5 * n * np.log(2 * np.pi)
+
+    def matern_derivs(mask, ls, sig):
+        # dK / dlog lengthscale_j and dK / dlog sig, zero outside mask x mask
+        P = pts[mask]
+        u = ((P[:, None, :] - P[None, :, :]) / ls) ** 2
+        r = np.sqrt(u.sum(axis=2))
+        e = np.exp(-SQRT5 * r)
+        slope = (5.0 / 3.0) * sig * (1.0 + SQRT5 * r) * e
+        blocks = [slope * u[:, :, j] for j in range(len(ls))]
+        blocks.append(sig * (1.0 + SQRT5 * r + 5.0 * r * r / 3.0) * e)
+        out = []
+        for b in blocks:
+            full = np.zeros((n, n))
+            full[np.ix_(mask, mask)] = b
+            out.append(full)
+        return out
+
+    dKs = matern_derivs(np.arange(n), hyper.lengthscales, hyper.signal_var)
+    for l in range(1, hyper.n_levels):
+        mask = np.flatnonzero(lvls == l)
+        dKs += matern_derivs(mask, hyper.fid_lengthscales[l - 1],
+                             hyper.fid_signal_var[l - 1])
+        dKs.append(np.diag(np.where(lvls == l, hyper.fid_noise_var[l - 1], 0.0)))
+    dKs.append(hyper.jitter * np.eye(n))
+    M = np.outer(a, a) - Kinv
+    return float(mll), np.array([0.5 * np.sum(M * dK) for dK in dKs])
 
 
 def naive_select_batch(state, pool, candidates, costs, targets, budget):

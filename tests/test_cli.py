@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rare_sampler import ConfigError, OracleError
-from rare_sampler.cli import METHODS, main, parse_config
+from rare_sampler.cli import METHODS, _load_pool_csv, main, parse_config
 from rare_sampler.oracles import CsvOracle, ExternalOracle
 
 ECHO_ORACLE = textwrap.dedent("""\
@@ -310,6 +310,53 @@ class TestGenSynthetic:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert (out / "rate_report.csv").exists()
+
+
+class TestPoolCsv:
+    """Pool CSVs are read by column name, and malformed files are config
+    errors that name the file and line (exit 2 from run and score-report)."""
+
+    def _exit_codes(self, tmp_path, pool_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[pool]\nsource = csv\npath = {pool_csv}\n"
+                       "[method]\nname = mc\ngamma = 0.5\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("point_index,score\n0,1.0\n1,0.5\n")
+        run = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        report = main(["score-report", "--scores", str(scores), "--pool-csv",
+                       str(pool_csv), "--gamma", "0.5", "--out", str(tmp_path / "rep")])
+        return run, report
+
+    def test_columns_read_by_name(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("point_index,truth_f_level0,x1,x0\n0,0.25,2.0,1.0\n"
+                        "1,0.75,4.0,3.0\n")
+        pool, truth = _load_pool_csv(path)
+        np.testing.assert_array_equal(pool.points, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(truth, [0.25, 0.75])
+
+    def test_missing_truth_column_gives_none(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("index,x0\n0,1.5\n1,2.5\n")
+        pool, truth = _load_pool_csv(path)
+        np.testing.assert_array_equal(pool.points, [[1.5], [2.5]])
+        assert truth is None
+
+    @pytest.mark.parametrize("text,message", [
+        ("index,x0,x1,truth_f_level0\n0,1,2,0.3\n1,1,2\n", r"line 3: 3 cells, header has 4"),
+        ("index,x0,x1,truth_f_level0\n0,1,2,0.3\n1,1,abc,0.4\n", r"line 3: non-numeric"),
+        ("index,x0,x1,truth_f_level0\n0,1,2,nan\n", r"line 2: non-numeric"),
+        ("index,x0,x2,truth_f_level0\n0,1,2,0.3\n", r"line 1: coordinate columns"),
+        ("index,truth_f_level0\n0,0.3\n", r"line 1: coordinate columns"),
+        ("index,x0,truth_f_level0\n", r"line 1: no data rows"),
+    ], ids=["ragged", "non-numeric", "non-finite", "non-dense", "no-coordinates", "no-rows"])
+    def test_malformed_file_names_file_and_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "pool.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(path)) + " " + message):
+            _load_pool_csv(path)
+        assert self._exit_codes(tmp_path, path) == (2, 2)
+        assert str(path) in capsys.readouterr().err
 
 
 class TestScoreReport:

@@ -4,7 +4,7 @@ import pytest
 from rare_sampler import (EmbeddingPool, GpHyperparams, InvalidInputError,
                           cluster_with_merges, hausdorff_distance, kmeans,
                           scale_points)
-from rare_sampler.clustering import ClusterAssignment
+from rare_sampler.clustering import ClusterAssignment, _relabel
 
 
 def hyper_with_lengthscales(ls):
@@ -175,3 +175,20 @@ class TestClusterWithMerges:
         h = hyper_with_lengthscales([1.0, 1.0])
         with pytest.raises(InvalidInputError):
             cluster_with_merges(pool, h, S=5, S_hat=3, seed=0)
+
+
+class TestRelabel:
+    @staticmethod
+    def loop_relabel(labels):
+        mapping = {}
+        return np.array([mapping.setdefault(int(lab), len(mapping)) for lab in labels],
+                        dtype=np.intp)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_first_appearance_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for size, n_labels in [(1, 1), (7, 3), (200, 12), (1000, 40)]:
+            labels = rng.integers(-5, n_labels * 3, size).astype(np.intp)
+            out = _relabel(labels)
+            np.testing.assert_array_equal(out, self.loop_relabel(labels))
+            assert out.dtype == np.intp

@@ -5,9 +5,10 @@ from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, GpHyperp
                           InvalidInputError, TrainOptions, fit_posterior,
                           marginal_log_likelihood, matern25_kernel, multifidelity_kernel,
                           posterior_cross_cov, posterior_mean_var, train_hyperparameters)
+from rare_sampler import gp
 from rare_sampler.gp import matern25_matrix, mf_kernel_matrix, noise_variances
 
-from helpers import dense_posterior_oracle, random_problem
+from helpers import dense_mll_reference, dense_posterior_oracle, random_problem
 
 
 def unit_hyper(d=2, n_levels=1, **kw):
@@ -169,10 +170,12 @@ class TestPosterior:
 
 
 class TestMarginalLikelihood:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_gradient_matches_finite_differences(self, seed):
+    @pytest.mark.parametrize("n_levels,seed",
+                             [pytest.param(2, s, id=str(s)) for s in range(10)]
+                             + [pytest.param(3, s, id=f"3levels-{s}") for s in range(10)])
+    def test_gradient_matches_finite_differences(self, n_levels, seed):
         rng = np.random.default_rng(100 + seed)
-        pool, log, hyper, _ = random_problem(rng, n_points=20, n_train=8)
+        pool, log, hyper, _ = random_problem(rng, n_points=20, n_train=8, n_levels=n_levels)
         _, grad = marginal_log_likelihood(pool, log, hyper)
         theta = hyper.to_vector()
         h = 1e-5
@@ -185,6 +188,30 @@ class TestMarginalLikelihood:
             fd = (fp - fm) / (2 * h)
             denom = max(abs(fd), abs(grad[k]), 1e-3)
             assert abs(grad[k] - fd) / denom < 1e-4, f"param {k}"
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("level_counts", [(6, 5), (1, 7), (5, 4, 3), (6, 0, 4), (6, 5, 1)],
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_matches_dense_reference(self, dim, level_counts):
+        # level_counts[l] observations at level l; a zero leaves that level's
+        # gradient entries at exactly zero
+        rng = np.random.default_rng(sum(level_counts) + 10 * dim)
+        n_levels = len(level_counts)
+        pool, _, hyper, _ = random_problem(rng, n_points=40, dim=dim, n_train=0,
+                                           n_levels=n_levels)
+        log = EvaluationLog()
+        points = rng.choice(pool.n_points, size=sum(level_counts), replace=False)
+        levels = rng.permutation(np.repeat(np.arange(n_levels), level_counts))
+        for i, lvl in zip(points, levels):
+            log.append(AugmentedInput(int(i), int(lvl)), float(rng.standard_normal()), 1)
+        mll, grad = marginal_log_likelihood(pool, log, hyper)
+        ref_mll, ref_grad = dense_mll_reference(pool, log, hyper)
+        np.testing.assert_allclose(mll, ref_mll, rtol=1e-9)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-12)
+        for l, count in enumerate(level_counts[1:], start=1):
+            if count == 0:
+                start = dim + 1 + (l - 1) * (dim + 2)
+                np.testing.assert_array_equal(grad[start:start + dim + 2], 0.0)
 
     def test_first_order_consistency(self):
         rng = np.random.default_rng(5)
@@ -244,6 +271,35 @@ class TestTraining:
         trained = train_hyperparameters(pool, log, init, TrainOptions(iters=150))
         assert 0.5 / 3 <= trained.lengthscales[0] <= 0.5 * 3
         assert trained.jitter > 0
+
+    def test_matches_training_on_dense_reference(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        pool, log, hyper, _ = random_problem(rng, n_points=120, n_train=80)
+        opts = TrainOptions(iters=200)
+        shipped = train_hyperparameters(pool, log, hyper, opts)
+        monkeypatch.setattr(gp, "marginal_log_likelihood", dense_mll_reference)
+        reference = train_hyperparameters(pool, log, hyper, opts)
+        np.testing.assert_allclose(np.exp(shipped.to_vector()),
+                                   np.exp(reference.to_vector()), rtol=1e-8)
+
+    def test_one_mll_call_per_step_through_module_global(self, monkeypatch):
+        # perfbench/bench_trace.py times training by wrapping this global
+        rng = np.random.default_rng(15)
+        pool, log, hyper, _ = random_problem(rng, n_train=10)
+        calls = []
+        shipped = gp.marginal_log_likelihood
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return shipped(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "marginal_log_likelihood", counting)
+        train_hyperparameters(pool, log, hyper, TrainOptions(iters=7))
+        assert len(calls) == 8
+        for args, kwargs in calls:
+            assert not kwargs and len(args) == 3
+            assert args[0] is pool and args[1] is log
+            assert isinstance(args[2], GpHyperparams)
 
     def test_positive_parameters_preserved(self):
         rng = np.random.default_rng(12)
