@@ -18,6 +18,15 @@ in t_hat with beta(s, 0) = 0, each candidate's gain admits certified
 tangent (lower) and chord (upper) bounds that are linear in the projection
 increment; the selector evaluates the exact gain only for candidates whose
 optimistic bound can still win.
+
+Most targets of a cluster are already resolved: their point variance is
+zero or negligible.  Since beta(s, t_hat) falls as t_hat falls, a target
+adds between 0 and beta(s, 1) to any candidate's gain at every step of the
+queue, so ``PendingSet`` drops, once at set-up, every target with
+beta(s, 1) == 0 and then the smallest-beta targets that together hold at
+most ``_ROW_TOL`` of the total (``dropped_beta``).  Each step then costs
+O(|T_live| * |C|).  J and deltaJ stay averages over all ``n_targets``
+targets and move by at most ``dropped_beta / n_targets``.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ from .pool import AugmentedInput, EmbeddingPool, gather_points
 # Schur complements below this fraction of the largest candidate variance
 # mean the candidate is already determined by the pending set.
 H_FLOOR_REL = 1e-12
+
+# Target rows whose point variance together holds at most this fraction of
+# the total are pruned for the whole queue.
+_ROW_TOL = 1e-12
 
 _BLOCK = 192  # exact-stage column block
 
@@ -79,30 +92,6 @@ def _pending_solve(state: PosteriorState, pool: EmbeddingPool, pending):
     return mp, ml, L
 
 
-def forward_point_variance(state: PosteriorState, pool: EmbeddingPool,
-                           x: AugmentedInput, pending) -> float:
-    """Expected point variance at x after conditioning on the pending inputs.
-
-    Empty pending reduces to the current point variance; a noiseless
-    pending set containing x itself removes all uncertainty and returns 0.
-    """
-    xp, xl = gather_points(pool, [x])
-    mu, _ = state.mean_var_norm(xp, xl)
-    # variance through the covariance path so that self-conditioning cancels
-    # exactly instead of leaving sqrt-amplified round-off
-    var = float(state.cross_cov_norm(xp, xl, xp, xl)[0, 0])
-    if var < SIGMA_FLOOR**2:
-        return 0.0
-    s = (state.gamma_norm - mu[0]) / np.sqrt(var)
-    if len(pending) == 0:
-        return float(point_variance_beta(s, 1.0))
-    mp, ml, L = _pending_solve(state, pool, pending)
-    cross = state.cross_cov_norm(mp, ml, xp, xl)
-    v = np.linalg.solve(L, cross[:, 0])
-    t_hat = 1.0 - float(v @ v) / var
-    return float(point_variance_beta(s, t_hat))
-
-
 def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
                   targets) -> float:
     """Average forward-looking point variance over the target inputs.
@@ -134,7 +123,9 @@ class PendingSet:
     Targets are the pool points whose point variance the acquisition
     averages (level 0 in the driver); candidates are the augmented inputs
     available for evaluation, each with a cost.  The recursion adds one
-    pending input at a time in O(|T| * |C|).
+    pending input at a time in O(|T_live| * |C|): ``n_live_targets`` of the
+    ``n_targets`` targets stay after pruning, and ``dropped_beta`` is the
+    summed point variance beta(s, 1) of the pruned ones.
     """
 
     def __init__(self, state: PosteriorState, pool: EmbeddingPool, targets,
@@ -179,15 +170,26 @@ class PendingSet:
         self._Vc = Vc
 
         act = var_t >= SIGMA_FLOOR**2
-        self.s_T = (state.gamma_norm - mu_t[act]) / np.sqrt(var_t[act])
+        s_all = np.zeros(len(self.targets))
+        s_all[act] = (state.gamma_norm - mu_t[act]) / np.sqrt(var_t[act])
+        # one cumulative rule: the beta == 0 rows sort first and always go,
+        # then the smallest rows holding at most _ROW_TOL of the total
+        beta0 = np.where(act, point_variance_beta(s_all, 1.0), 0.0)
+        order = np.argsort(beta0, kind="stable")
+        cum = np.cumsum(beta0[order])
+        dropped = order[cum <= _ROW_TOL * beta0.sum()]
+        act[dropped] = False
+        self.dropped_beta = float(beta0[dropped].sum())
+        self.n_live_targets = int(act.sum())
+        self.s_T = s_all[act]
         self.var_T = var_t[act]
-        self.that_T = np.ones(int(act.sum()))
+        self.that_T = np.ones(self.n_live_targets)
 
         base = matern25_matrix(tp[act], pool.points[upts], hyper.lengthscales,
                                hyper.signal_var)
         # assemble scaled rows chunk-wise: the rows are divided by sigma_t so
         # projection increments come out already divided by the target variance
-        TC = np.empty((int(act.sum()), len(self.candidates)))
+        TC = np.empty((self.n_live_targets, len(self.candidates)))
         inv_sd = (1.0 / np.sqrt(self.var_T))[:, None]
         VaT = Va[:, act].T if Va is not None else None
         for s0 in range(0, TC.shape[1], 2048):
@@ -265,8 +267,9 @@ class PendingSet:
         tmp -= b2
         return tmp
 
-    def _exact_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Gains (sum over targets of beta decrease) for candidate columns."""
+    def _exact_columns(self, cols: np.ndarray, beta_sum: float) -> np.ndarray:
+        """Gains (sum over live targets of beta decrease) for candidate
+        columns; beta_sum is the current sum of beta over the live targets."""
         bT, bC = self._stacks()
         E = self.TCs[:, cols]
         if bT is not None:
@@ -274,7 +277,7 @@ class PendingSet:
         np.square(E, out=E)
         E /= self.h_C[cols][None, :]
         that_new = np.clip(self.that_T[:, None] - E, 0.0, 1.0)
-        gains = self._beta_cur().sum() - self._beta_block(that_new).sum(axis=0)
+        gains = beta_sum - self._beta_block(that_new).sum(axis=0)
         return np.maximum(gains, 0.0)
 
     def select_next(self):
@@ -337,11 +340,12 @@ class PendingSet:
         best_idx = -1
         best_val = np.inf
         best_rate = -np.inf
+        beta_sum = beta.sum()
         for s0 in range(0, order.size, _BLOCK):
             block = order[s0:s0 + _BLOCK]
             if best_idx >= 0 and float(Um[block[0]]) < best_rate:
                 break
-            gains = self._exact_columns(block)
+            gains = self._exact_columns(block, beta_sum)
             vals = -gains / (self.costs[block] * self.n_targets)
             for j in np.argsort(vals, kind="stable"):
                 c = int(block[j])
@@ -379,7 +383,6 @@ class PendingSet:
         self._mask[idx] = True
         self.selected.append(self.candidates[idx])
         self.total_cost += float(self.costs[idx])
-        self._last_cost = float(self.costs[idx])
 
 
 def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
@@ -401,5 +404,5 @@ def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
             if not out:
                 raise
             break
-        out.append((chosen, dj, pending._last_cost))
+        out.append((chosen, dj, float(pending.costs[pending.candidates.index(chosen)])))
     return out

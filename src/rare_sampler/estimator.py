@@ -38,11 +38,6 @@ _GL_X = np.array([
 ])
 
 
-def std_normal_cdf(z):
-    """Standard normal CDF; accepts scalars or arrays, including +-inf."""
-    return ndtr(z)
-
-
 def _bvnu(dh: np.ndarray, dk: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Upper orthant probability P(X > dh, Y > dk) for |r| < 1, vectorized."""
     h, k, r = np.broadcast_arrays(dh, dk, r)

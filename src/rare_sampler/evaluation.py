@@ -51,29 +51,6 @@ def _draw(q_cdf: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     return np.searchsorted(q_cdf, rng.random(K), side="right")
 
 
-def is_rate_trial(scores: ScoreVector, truth: np.ndarray, K: int, seed) -> tuple[float, float]:
-    """One importance-sampling trial.
-
-    Returns (p_hat, drawn recall): the unbiased rate estimate from K i.i.d.
-    draws, and the fraction of distinct failure indices among the draws.
-    """
-    if K < 1:
-        raise InvalidInputError("K must be >= 1")
-    truth = np.asarray(truth, dtype=bool)
-    n = truth.size
-    if scores.q.size != n:
-        raise InvalidInputError("scores and truth must have matching length")
-    rng = seed if isinstance(seed, np.random.Generator) else _trial_rng(seed, 0)
-    idx = _draw(np.cumsum(scores.q), K, rng)
-    weights = np.where(truth[idx], 1.0 / (n * scores.q[idx]), 0.0)
-    p_hat = float(weights.mean())
-    n_fail = int(truth.sum())
-    recall = 0.0
-    if n_fail:
-        recall = len(set(idx[truth[idx]].tolist())) / n_fail
-    return p_hat, recall
-
-
 @dataclass(frozen=True)
 class RateReport:
     """Aggregated importance-sampling trials for one method run."""

@@ -197,20 +197,6 @@ def matern25_matrix(A: np.ndarray, B: np.ndarray, lengthscales: np.ndarray,
     return signal_var * (1.0 + sr + sr * sr / 3.0) * np.exp(-sr)
 
 
-def matern25_kernel(x, x2, hyper: GpHyperparams) -> float:
-    """Base Matern-5/2 kernel between two single points."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
-    if x.shape != x2.shape or x.size != hyper.dim:
-        raise InvalidInputError(
-            f"dimension mismatch: {x.shape} vs {x2.shape} with {hyper.dim} lengthscales"
-        )
-    # direct differences: exact at zero distance, unlike the expanded form
-    r = np.sqrt(np.sum(((x - x2) / hyper.lengthscales) ** 2))
-    sr = SQRT5 * r
-    return float(hyper.signal_var * (1.0 + sr + sr * sr / 3.0) * np.exp(-sr))
-
-
 def mf_kernel_matrix(pa: np.ndarray, la: np.ndarray, pb: np.ndarray, lb: np.ndarray,
                      hyper: GpHyperparams) -> np.ndarray:
     """Covariance of the augmented GP between two sets of augmented inputs.
@@ -244,18 +230,6 @@ def prior_variances(levels: np.ndarray, hyper: GpHyperparams) -> np.ndarray:
     for l in range(1, hyper.n_levels):
         out[levels == l] += hyper.fid_signal_var[l - 1]
     return out
-
-
-def multifidelity_kernel(a, b, pool: EmbeddingPool, hyper: GpHyperparams) -> float:
-    """Augmented-input kernel, including white noise iff the inputs coincide."""
-    pa, la = gather_points(pool, [a])
-    pb, lb = gather_points(pool, [b])
-    if la[0] >= hyper.n_levels or lb[0] >= hyper.n_levels:
-        raise InvalidInputError("fidelity level outside hyperparameter range")
-    val = mf_kernel_matrix(pa, la, pb, lb, hyper)[0, 0]
-    if tuple(a) == tuple(b):
-        val += noise_variances(la, hyper)[0]
-    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +331,6 @@ def posterior_mean_var(state: PosteriorState, points: np.ndarray, levels: np.nda
     points = np.asarray(points, dtype=np.float64)
     mu, var = state.mean_var_norm(points, np.asarray(levels, dtype=np.intp))
     return mu * state.y_std + state.y_mean, var * state.y_std**2
-
-
-def posterior_cross_cov(state: PosteriorState, pa, la, pb, lb) -> np.ndarray:
-    """Posterior covariance between two query sets, in original units squared."""
-    cov = state.cross_cov_norm(np.asarray(pa, dtype=np.float64), np.asarray(la, dtype=np.intp),
-                               np.asarray(pb, dtype=np.float64), np.asarray(lb, dtype=np.intp))
-    return cov * state.y_std**2
 
 
 # ---------------------------------------------------------------------------

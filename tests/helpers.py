@@ -3,11 +3,94 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtr
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig,
-                          GpHyperparams, acquisition_J, fit_posterior)
+                          GpHyperparams, InvalidInputError, acquisition_J, fit_posterior)
+from rare_sampler.acquisition import point_variance_beta
+from rare_sampler.estimator import SIGMA_FLOOR
 from rare_sampler.gp import SQRT5, mf_kernel_matrix, noise_variances
 from rare_sampler.pool import gather_points
+
+
+def std_normal_cdf(z):
+    """Standard normal CDF; accepts scalars or arrays, including +-inf."""
+    return ndtr(z)
+
+
+def matern25_kernel(x, x2, hyper: GpHyperparams) -> float:
+    """Base Matern-5/2 kernel between two single points."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
+    if x.shape != x2.shape or x.size != hyper.dim:
+        raise InvalidInputError(
+            f"dimension mismatch: {x.shape} vs {x2.shape} with {hyper.dim} lengthscales"
+        )
+    # direct differences: exact at zero distance, unlike the expanded form
+    r = np.sqrt(np.sum(((x - x2) / hyper.lengthscales) ** 2))
+    sr = SQRT5 * r
+    return float(hyper.signal_var * (1.0 + sr + sr * sr / 3.0) * np.exp(-sr))
+
+
+def multifidelity_kernel(a, b, pool: EmbeddingPool, hyper: GpHyperparams) -> float:
+    """Augmented-input kernel, including white noise iff the inputs coincide."""
+    pa, la = gather_points(pool, [a])
+    pb, lb = gather_points(pool, [b])
+    if la[0] >= hyper.n_levels or lb[0] >= hyper.n_levels:
+        raise InvalidInputError("fidelity level outside hyperparameter range")
+    val = mf_kernel_matrix(pa, la, pb, lb, hyper)[0, 0]
+    if tuple(a) == tuple(b):
+        val += noise_variances(la, hyper)[0]
+    return float(val)
+
+
+def posterior_cross_cov(state, pa, la, pb, lb) -> np.ndarray:
+    """Posterior covariance between two query sets, in original units squared."""
+    cov = state.cross_cov_norm(np.asarray(pa, dtype=np.float64), np.asarray(la, dtype=np.intp),
+                               np.asarray(pb, dtype=np.float64), np.asarray(lb, dtype=np.intp))
+    return cov * state.y_std**2
+
+
+def forward_point_variance(state, pool, x, pending) -> float:
+    """Expected point variance at x after conditioning on the pending inputs,
+    through one dense solve per point.
+
+    Empty pending reduces to the current point variance; a noiseless
+    pending set containing x itself removes all uncertainty and returns 0.
+    """
+    xp, xl = gather_points(pool, [x])
+    mu, _ = state.mean_var_norm(xp, xl)
+    # variance through the covariance path so that self-conditioning cancels
+    # exactly instead of leaving sqrt-amplified round-off
+    var = float(state.cross_cov_norm(xp, xl, xp, xl)[0, 0])
+    if var < SIGMA_FLOOR**2:
+        return 0.0
+    s = (state.gamma_norm - mu[0]) / np.sqrt(var)
+    if len(pending) == 0:
+        return float(point_variance_beta(s, 1.0))
+    mp, ml = gather_points(pool, pending)
+    A = state.cross_cov_norm(mp, ml, mp, ml)
+    A[np.diag_indices_from(A)] += noise_variances(ml, state.hyper)
+    cross = state.cross_cov_norm(mp, ml, xp, xl)[:, 0]
+    t_hat = 1.0 - float(cross @ np.linalg.solve(A, cross)) / var
+    return float(point_variance_beta(s, t_hat))
+
+
+def is_rate_trial(scores, truth, K: int, seed) -> tuple[float, float]:
+    """One importance-sampling trial.
+
+    Returns (p_hat, drawn recall): the unbiased rate estimate from K i.i.d.
+    draws from scores.q, and the fraction of distinct failure indices among
+    the draws.  An integer or sequence seed draws from default_rng([seed, 0]).
+    """
+    truth = np.asarray(truth, dtype=bool)
+    n = truth.size
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng([seed, 0])
+    idx = np.searchsorted(np.cumsum(scores.q), rng.random(K), side="right")
+    p_hat = float(np.where(truth[idx], 1.0 / (n * scores.q[idx]), 0.0).mean())
+    n_fail = int(truth.sum())
+    recall = len(set(idx[truth[idx]].tolist())) / n_fail if n_fail else 0.0
+    return p_hat, recall
 
 
 def random_problem(rng, n_points=30, dim=2, n_train=8, n_levels=2, gamma=None,

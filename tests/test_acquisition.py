@@ -5,12 +5,13 @@ from scipy.special import ndtr
 from rare_sampler import (AugmentedInput, EmbeddingPool, EmptySelectionError,
                           EvaluationLog, GpHyperparams, NumericalError, PendingSet,
                           acquisition_J,
-                          failure_prob, fit_posterior, forward_point_variance,
-                          select_batch, variance_upper_bound)
+                          failure_prob, fit_posterior, select_batch,
+                          variance_upper_bound)
 from rare_sampler.acquisition import point_variance_beta
 from rare_sampler.estimator import bivariate_normal_cdf
 
-from helpers import naive_select_batch, random_problem, simulate_conditioned_posteriors
+from helpers import (forward_point_variance, naive_select_batch, random_problem,
+                     simulate_conditioned_posteriors)
 
 
 class TestPointVarianceBeta:
@@ -257,6 +258,97 @@ class TestSelection:
         second, _ = pending.select_next()
         chosen = {first, second}
         assert not {AugmentedInput(0, 0), AugmentedInput(4, 0)} <= chosen
+
+
+def _problem_candidates(log, n_points, n_levels):
+    cands = [AugmentedInput(i, l) for i in range(n_points) for l in range(n_levels)
+             if AugmentedInput(i, l) not in log]
+    costs = np.array([(1.0, 0.25, 0.1)[c.level] for c in cands])
+    return cands, costs
+
+
+class TestTargetPruning:
+    @pytest.mark.parametrize("row_tol", [1e-12, 1e-2])
+    @pytest.mark.parametrize("n_levels", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gains_within_dropped_beta_of_unpruned(self, monkeypatch, seed, n_levels,
+                                                   row_tol):
+        # a dropped row adds between 0 and its beta(s, 1) to any gain at any
+        # step, so pruned and unpruned gains differ by at most dropped_beta
+        import rare_sampler.acquisition as acq
+        rng = np.random.default_rng(1200 + seed)
+        pool, log, _, state = random_problem(rng, n_points=40, n_train=8,
+                                             n_levels=n_levels, spread=2.0)
+        targets = [AugmentedInput(i, 0) for i in range(40)]
+        cands, costs = _problem_candidates(log, 40, n_levels)
+        monkeypatch.setattr(acq, "_ROW_TOL", row_tol)
+        pruned = PendingSet(state, pool, targets, cands, costs)
+        monkeypatch.setattr(acq, "_ROW_TOL", -1.0)  # a negative tolerance keeps every row
+        ref = PendingSet(state, pool, targets, cands, costs)
+        assert ref.n_live_targets == ref.s_T.size and ref.dropped_beta == 0.0
+        if row_tol == 1e-2:
+            assert pruned.n_live_targets < ref.n_live_targets
+            assert pruned.dropped_beta > 0.0
+        assert pruned.J() - 1e-15 <= ref.J() <= pruned.J() + pruned.dropped_beta / 40 + 1e-15
+        cols = np.arange(len(cands))
+        for _ in range(6):
+            g = pruned._exact_columns(cols, pruned._beta_cur().sum())
+            g_ref = ref._exact_columns(cols, ref._beta_cur().sum())
+            assert np.max(np.abs(g - g_ref)) <= pruned.dropped_beta + 1e-10
+            chosen, _ = pruned.select_next()
+            ref._apply(cands.index(chosen))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_beta_pruning_matches_naive_reference(self, seed):
+        # six far-away observed level-0 points with tiny jitter: their targets
+        # have a posterior sd near 1e-4, so |s| is huge and beta(s, 1)
+        # underflows to exactly 0, while the 18 unobserved points near the
+        # origin keep a prior-sized beta
+        rng = np.random.default_rng(1300 + seed)
+        far = np.column_stack([30.0 + 5.0 * np.arange(6), np.zeros(6)])
+        pool = EmbeddingPool(np.vstack([rng.standard_normal((18, 2)), far]))
+        hyper = GpHyperparams(rng.uniform(0.5, 2.0, 2), 1.0, rng.uniform(0.5, 2.0, (1, 2)),
+                              np.array([0.2]), np.array([0.02]), 1e-8)
+        log = EvaluationLog()
+        for i in range(18, 24):
+            log.append(AugmentedInput(i, 0), float(rng.standard_normal()), 1)
+        state = fit_posterior(pool, log, hyper, float(np.quantile(log.value_array, 0.3)))
+        targets = [AugmentedInput(i, 0) for i in range(24)]
+        cands, costs = _problem_candidates(log, 24, 2)
+        pending = PendingSet(state, pool, targets, cands, costs)
+        assert pending.dropped_beta == 0.0
+        assert pending.n_live_targets == 18
+        fast = select_batch(state, pool, cands, costs, targets, budget=2.0)
+        naive = naive_select_batch(state, pool, cands, costs, targets, budget=2.0)
+        assert [f[0] for f in fast] == [n[0] for n in naive]
+        np.testing.assert_allclose([f[1] for f in fast], [n[1] for n in naive],
+                                   atol=1e-10)
+        assert [f[2] for f in fast] == [n[2] for n in naive]
+
+    def test_live_count_and_full_target_average(self):
+        rng = np.random.default_rng(1400)
+        pool, log, _, state = random_problem(rng, n_points=30, n_train=6)
+        targets = [AugmentedInput(i, 0) for i in range(30)]
+        cands, costs = _problem_candidates(log, 30, 2)
+        pending = PendingSet(state, pool, targets, cands, costs)
+        assert pending.n_targets == len(targets)
+        assert pending.n_live_targets == pending.s_T.size <= pending.n_targets
+        assert pending.J() == pytest.approx(acquisition_J(state, pool, [], targets),
+                                            abs=pending.dropped_beta / 30 + 1e-15)
+
+    def test_all_targets_pruned_picks_lexicographically(self):
+        # a threshold a thousand standard deviations away leaves no point variance
+        rng = np.random.default_rng(1401)
+        pool, log, _, state = random_problem(rng, n_points=20, n_train=5, gamma=1e3)
+        targets = [AugmentedInput(i, 0) for i in range(20)]
+        cands, costs = _problem_candidates(log, 20, 2)
+        pending = PendingSet(state, pool, targets, cands, costs)
+        assert pending.n_targets == 20
+        assert pending.n_live_targets == 0 and pending.dropped_beta == 0.0
+        assert pending.J() == 0.0
+        for expected in sorted(cands)[:3]:
+            chosen, dj = pending.select_next()
+            assert chosen == expected and dj == 0.0
 
 
 class TestCorollaryBound:

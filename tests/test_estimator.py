@@ -5,11 +5,11 @@ from scipy import integrate
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
                           InvalidInputError, bivariate_normal_cdf,
                           estimator_variance_exact, failure_prob, fit_posterior,
-                          std_normal_cdf, variance_upper_bound)
+                          variance_upper_bound)
 from rare_sampler.estimator import FailureField
 from rare_sampler.gp import GpHyperparams
 
-from helpers import random_problem
+from helpers import random_problem, std_normal_cdf
 
 
 def phi2_dblquad(a, b, r, lim=8.6):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from rare_sampler import (InvalidInputError, ScoreVector, importance_scores,
-                          is_rate_trial, recall_at_budget, repeated_is_trials,
+                          recall_at_budget, repeated_is_trials,
                           retention_recall_curve, splitting_bound)
 from rare_sampler.estimator import FailureField
+
+from helpers import is_rate_trial
 
 
 class TestImportanceScores:

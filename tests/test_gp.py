@@ -3,12 +3,12 @@ import pytest
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, GpHyperparams,
                           InvalidInputError, TrainOptions, fit_posterior,
-                          marginal_log_likelihood, matern25_kernel, multifidelity_kernel,
-                          posterior_cross_cov, posterior_mean_var, train_hyperparameters)
+                          marginal_log_likelihood, posterior_mean_var, train_hyperparameters)
 from rare_sampler import gp
 from rare_sampler.gp import matern25_matrix, mf_kernel_matrix, noise_variances
 
-from helpers import dense_mll_reference, dense_posterior_oracle, random_problem
+from helpers import (dense_mll_reference, dense_posterior_oracle, matern25_kernel,
+                     multifidelity_kernel, posterior_cross_cov, random_problem)
 
 
 def unit_hyper(d=2, n_levels=1, **kw):
