@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import mc_scores, run_cross_entropy, scores_from_csv
-from .driver import RunConfig, run_experiment, run_random_batch
+from .driver import RunConfig, run_experiment, run_random_batch, write_selected_batch
 from .errors import ConfigError, InvalidInputError, RareSamplerError
 from .evaluation import (ScoreVector, importance_scores, repeated_is_trials,
                          retention_recall_curve, splitting_bound)
@@ -245,6 +245,16 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _save_level0_log(out_dir, log: EvaluationLog) -> None:
+    """log.csv and one selected_batch<k>.csv per logged batch for the methods
+    that query only level 0 and have no acquisition objective (mc, ce): rows in
+    evaluation order, deltaJ NaN, and cost 1, the level-0 cost."""
+    log.write_csv(os.path.join(out_dir, "log.csv"))
+    for b in sorted(set(log.batches)):
+        write_selected_batch(out_dir, b, [(inp, float("nan"), 1.0) for inp, k
+                                          in zip(log.inputs, log.batches) if k == b])
+
+
 def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVector:
     """Run the configured method, write its artifacts, and return its scores."""
     seed = cfg.getint("seeds", "run", default=0)
@@ -277,13 +287,13 @@ def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVect
         for b in range(1, batches + 1):
             run_random_batch(pool, FidelityConfig((1.0,)), m1 if b == 1 else m_b,
                              oracle, log, b, seed=[seed, b])
-        log.write_csv(os.path.join(out_dir, "log.csv"))
+        _save_level0_log(out_dir, log)
         scores = mc_scores(pool.n_points, seed=[seed, 1])
     elif method == "ce":
         _, scores, log = run_cross_entropy(
             pool, oracle, batches=batches, m1=int(m1), m_b=int(m_b), seed=[seed, 1],
         )
-        log.write_csv(os.path.join(out_dir, "log.csv"))
+        _save_level0_log(out_dir, log)
     else:  # external-scores
         scores = scores_from_csv(cfg.getstr("method", "scores_path", required=True),
                                  pool.n_points)

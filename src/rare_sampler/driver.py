@@ -163,6 +163,14 @@ def _merge_queues(queues, config: RunConfig):
     return out
 
 
+def write_selected_batch(out_dir, batch_index: int, selected) -> None:
+    """The selected_batch<k>.csv artifact: one point_index,level,deltaJ,cost
+    row per (input, deltaJ, cost) of ``selected``, in selection order."""
+    write_csv(os.path.join(out_dir, f"selected_batch{batch_index}.csv"),
+              ("point_index", "level", "deltaJ", "cost"),
+              ((inp.point_index, inp.level, dj, cost) for inp, dj, cost in selected))
+
+
 @dataclass
 class BatchRecord:
     index: int
@@ -196,10 +204,7 @@ class ExperimentResult:
         self.log.write_csv(os.path.join(out_dir, "log.csv"))
         for rec in self.batches:
             k = rec.index
-            write_csv(os.path.join(out_dir, f"selected_batch{k}.csv"),
-                      ("point_index", "level", "deltaJ", "cost"),
-                      ((inp.point_index, inp.level, dj, cost)
-                       for inp, dj, cost in rec.selected))
+            write_selected_batch(out_dir, k, rec.selected)
             if rec.field is not None:
                 write_csv(os.path.join(out_dir, f"scores_batch{k}.csv"),
                           ("point_index", "p_n", "h_n"),

@@ -132,10 +132,11 @@ def dense_posterior_oracle(pool, log, hyper, q_points, q_levels):
     return mu * y_std + y_mean, np.maximum(var, 0.0) * y_std**2
 
 
-def dense_mll_reference(pool, log, hyper):
+def dense_mll_reference(pool, log, hyper, *, work=None):
     """Marginal log likelihood and log-space gradient by the textbook formula:
     K from ``mf_kernel_matrix``, ``np.linalg.inv``, and one explicit dense,
-    zero-padded dK per parameter in ``to_vector()`` order."""
+    zero-padded dK per parameter in ``to_vector()`` order.  ``work`` (the
+    shipped function's training workspace) is accepted and ignored."""
     pts, lvls = gather_points(pool, log.inputs)
     y_mean, y_std = log.normalization()
     y = (log.value_array - y_mean) / y_std

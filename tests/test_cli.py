@@ -166,6 +166,26 @@ class TestRunCommand:
             assert (out / "rate_report.csv").exists()
             assert (out / "scores_final.csv").exists()
 
+    @pytest.mark.parametrize("method", ["mc", "ce"])
+    def test_mc_and_ce_selected_batches_follow_the_log(self, tmp_path, method):
+        cfg = synthetic_config(tmp_path, method=method)
+        cfg.write_text(cfg.read_text().replace("batches = 2", "batches = 3"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        with open(out / "log.csv", newline="") as fh:
+            log_rows = list(csv.DictReader(fh))
+        batches = sorted({int(r["batch"]) for r in log_rows})
+        assert batches == [1, 2, 3]
+        written = sorted(p.name for p in out.glob("selected_batch*.csv"))
+        assert written == [f"selected_batch{b}.csv" for b in batches]
+        for b in batches:
+            with open(out / f"selected_batch{b}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            expected = [(r["point_index"], r["level"]) for r in log_rows
+                        if int(r["batch"]) == b]
+            assert [(r["point_index"], r["level"]) for r in rows] == expected
+            assert all(r["deltaJ"] == "nan" and r["cost"] == "1" for r in rows)
+
     def test_mc_rv_larger_than_bams(self, tmp_path):
         def rv_of(method):
             cfg = synthetic_config(tmp_path, method=method, n=2000)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,26 @@ from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, GpHyperp
                           InvalidInputError, TrainOptions, fit_posterior,
                           marginal_log_likelihood, posterior_mean_var, train_hyperparameters)
 from rare_sampler import gp
-from rare_sampler.gp import matern25_matrix, mf_kernel_matrix, noise_variances
+from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_kernel_matrix,
+                             noise_variances)
 
 from helpers import (dense_mll_reference, dense_posterior_oracle, matern25_kernel,
                      multifidelity_kernel, posterior_cross_cov, random_problem)
+
+
+def leveled_problem(level_counts, dim=2, seed=0):
+    """A random pool, hyperparameters and a log with level_counts[l]
+    observations at level l, in shuffled level order."""
+    rng = np.random.default_rng(seed + sum(level_counts))
+    n_levels = len(level_counts)
+    pool, _, hyper, _ = random_problem(rng, n_points=40, dim=dim, n_train=0,
+                                       n_levels=n_levels)
+    log = EvaluationLog()
+    points = rng.choice(pool.n_points, size=sum(level_counts), replace=False)
+    levels = rng.permutation(np.repeat(np.arange(n_levels), level_counts))
+    for i, lvl in zip(points, levels):
+        log.append(AugmentedInput(int(i), int(lvl)), float(rng.standard_normal()), 1)
+    return pool, log, hyper
 
 
 def unit_hyper(d=2, n_levels=1, **kw):
@@ -56,6 +74,41 @@ class TestMaternKernel:
             pts = rng.standard_normal((20, 3))
             K = matern25_matrix(pts, pts, np.array([1.0, 0.7, 2.0]), 1.3)
             np.linalg.cholesky(K + 1e-10 * np.eye(20))
+
+
+class TestBlockedMatern:
+    """``matern25_matrix`` finishes its output ``_ROW_BLOCK`` rows at a time."""
+
+    @pytest.mark.parametrize("m", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                   2 * _ROW_BLOCK + 3])
+    def test_matches_pointwise_kernel_and_whole_matrix_formula(self, m):
+        rng = np.random.default_rng(m)
+        h = unit_hyper(d=3, lengthscales=np.array([0.6, 1.0, 2.5]), signal_var=1.7)
+        A = rng.standard_normal((m, 3))
+        B = np.vstack([rng.standard_normal((4, 3)), A[:2]])  # zero distances too
+        K = matern25_matrix(A, B, h.lengthscales, h.signal_var)
+        assert K.shape == (m, len(B))
+        ref = np.array([[matern25_kernel(a, b, h) for b in B] for a in A]).reshape(K.shape)
+        np.testing.assert_allclose(K, ref, rtol=1e-12, atol=1e-12)
+        # bit for bit the one-pass expression over the whole matrix
+        a, b = A / h.lengthscales, B / h.lengthscales
+        d2 = np.maximum(np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+                        - 2.0 * (a @ b.T), 0.0)
+        sr = SQRT5 * np.sqrt(d2)
+        np.testing.assert_array_equal(
+            K, h.signal_var * (1.0 + sr + sr * sr / 3.0) * np.exp(-sr))
+
+    def test_peak_memory_stays_near_the_output(self):
+        rng = np.random.default_rng(0)
+        A, B = rng.standard_normal((20000, 2)), rng.standard_normal((200, 2))
+        tracemalloc.start()
+        try:
+            K = matern25_matrix(A, B, np.array([0.7, 1.3]), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-matrix expression peaked at 5x the output
+        assert peak < 1.5 * K.nbytes
 
 
 class TestMultifidelityKernel:
@@ -193,17 +246,8 @@ class TestMarginalLikelihood:
     @pytest.mark.parametrize("level_counts", [(6, 5), (1, 7), (5, 4, 3), (6, 0, 4), (6, 5, 1)],
                              ids=lambda c: "-".join(map(str, c)))
     def test_matches_dense_reference(self, dim, level_counts):
-        # level_counts[l] observations at level l; a zero leaves that level's
-        # gradient entries at exactly zero
-        rng = np.random.default_rng(sum(level_counts) + 10 * dim)
-        n_levels = len(level_counts)
-        pool, _, hyper, _ = random_problem(rng, n_points=40, dim=dim, n_train=0,
-                                           n_levels=n_levels)
-        log = EvaluationLog()
-        points = rng.choice(pool.n_points, size=sum(level_counts), replace=False)
-        levels = rng.permutation(np.repeat(np.arange(n_levels), level_counts))
-        for i, lvl in zip(points, levels):
-            log.append(AugmentedInput(int(i), int(lvl)), float(rng.standard_normal()), 1)
+        # a zero count leaves that level's gradient entries at exactly zero
+        pool, log, hyper = leveled_problem(level_counts, dim=dim, seed=10 * dim)
         mll, grad = marginal_log_likelihood(pool, log, hyper)
         ref_mll, ref_grad = dense_mll_reference(pool, log, hyper)
         np.testing.assert_allclose(mll, ref_mll, rtol=1e-9)
@@ -297,9 +341,47 @@ class TestTraining:
         train_hyperparameters(pool, log, hyper, TrainOptions(iters=7))
         assert len(calls) == 8
         for args, kwargs in calls:
-            assert not kwargs and len(args) == 3
+            assert list(kwargs) == ["work"] and len(args) == 3
             assert args[0] is pool and args[1] is log
             assert isinstance(args[2], GpHyperparams)
+
+    @pytest.mark.parametrize("level_counts", [(12,), (9, 8), (7, 6, 5), (8, 0, 6)],
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_workspace_reuse_is_bitwise_neutral(self, monkeypatch, level_counts):
+        pool, log, hyper = leveled_problem(level_counts)
+        opts = TrainOptions(iters=30)
+        reused = train_hyperparameters(pool, log, hyper, opts)
+        shipped = gp.marginal_log_likelihood
+
+        def fresh_workspace_each_step(pool, log, hyper, *, work):
+            return shipped(pool, log, hyper)
+
+        monkeypatch.setattr(gp, "marginal_log_likelihood", fresh_workspace_each_step)
+        fresh = train_hyperparameters(pool, log, hyper, opts)
+        np.testing.assert_array_equal(reused.to_vector(), fresh.to_vector())
+
+    def test_workspace_for_another_log_rejected(self):
+        pool, log, hyper = leveled_problem((6, 5))
+        work = _MllWork(pool, log, hyper.n_levels)
+        marginal_log_likelihood(pool, log, hyper, work=work)
+
+        def rebuilt(inputs, values):
+            out = EvaluationLog()
+            for inp, v in zip(inputs, values):
+                out.append(inp, v, 1)
+            return out
+
+        spare = next(i for i in range(pool.n_points) if (i, 0) not in log)
+        longer = rebuilt(log.inputs + [AugmentedInput(spare, 0)], log.values + [0.5])
+        relevelled = rebuilt([AugmentedInput(i.point_index, 1 - i.level)
+                              for i in log.inputs], log.values)
+        revalued = rebuilt(log.inputs, [v + 1.0 for v in log.values])
+        for other in (longer, relevelled, revalued):
+            with pytest.raises(InvalidInputError, match="workspace"):
+                marginal_log_likelihood(pool, other, hyper, work=work)
+        three_levels = unit_hyper(n_levels=3)
+        with pytest.raises(InvalidInputError, match="workspace"):
+            marginal_log_likelihood(pool, log, three_levels, work=work)
 
     def test_positive_parameters_preserved(self):
         rng = np.random.default_rng(12)
