@@ -16,10 +16,10 @@ hyper = GpHyperparams(np.array([1.0, 2.0]), 1.0, np.zeros((0, 2)), np.zeros(0),
 
 z = scale_points(pool, hyper)
 start = kmeans(z, 8, seed=0)
-print("initial k-means sizes:", sorted(start.sizes()))
+print("initial k-means sizes:", sorted(start.sizes().tolist()))
 
 assign = cluster_with_merges(pool, hyper, S=3, S_hat=8, seed=0)
-print("after merges to S=3:", sorted(assign.sizes()))
+print("after merges to S=3:", sorted(assign.sizes().tolist()))
 
 a, b = assign.members(0), assign.members(1)
 print(f"Hausdorff distance between clusters 0 and 1: "

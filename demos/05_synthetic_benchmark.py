@@ -2,8 +2,8 @@
 two-diamond metric, adaptive multifidelity batches, and the
 importance-sampled rate report.
 
-Full-scale (N=20000) reproduction lives in the acceptance suite; this demo
-uses N=4000 to finish in about a minute.
+A full-scale (N=20000) paper-claim reproduction is not built yet (ROADMAP
+item 5); this demo uses N=4000 to finish in about a minute.
 """
 
 import numpy as np

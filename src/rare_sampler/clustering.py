@@ -6,6 +6,9 @@ dimension by the trained level-0 lengthscale makes Euclidean distance a
 cheap stand-in for kernel distance.  K-means first over-segments into
 S_hat > S clusters; the smallest cluster is then repeatedly merged into
 its nearest neighbor under the Hausdorff set distance until S remain.
+The merges work on the points ordered by k-means label: a merged cluster
+is a list of contiguous k-means blocks, and each merge builds one distance
+block and reduces it per k-means block.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ def scale_points(pool: EmbeddingPool, hyper: GpHyperparams) -> np.ndarray:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return (
-        np.sum(points * points, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
+    """|p|^2 - 2 p.c + |c|^2 in one output array, in the order of the plain
+    expression, so every entry is bitwise equal to it."""
+    out = np.matmul(2.0 * points, centers.T)
+    np.subtract(np.sum(points * points, axis=1)[:, None], out, out=out)
+    out += np.sum(centers * centers, axis=1)[None, :]
+    return out
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,35 +141,43 @@ def cluster_with_merges(pool: EmbeddingPool, hyper: GpHyperparams, S: int,
     Hausdorff-nearest neighbor until exactly S remain.
 
     Ties (smallest size, nearest distance) break on lowest cluster id.
-    Distances from the shrinking cluster to all points are computed once per
-    merge and sliced per neighbor, instead of one pairwise pass per neighbor.
+    The points are sorted by k-means label once, so each k-means cluster is
+    a contiguous block and a merged cluster is a list of blocks.  Each merge
+    computes one float32 block of squared distances from the smallest
+    cluster to all points and reduces it per k-means block with
+    ``reduceat``: row minima (|A| x S_hat) and maxima of the column minima
+    (S_hat).  Min and max are exact, so every comparison sees the values an
+    unsorted, per-neighbor pass would.
     """
     if not 1 <= S <= S_hat <= pool.n_points:
         raise InvalidInputError("need 1 <= S <= S_hat <= N")
     z = scale_points(pool, hyper)
-    assign = kmeans(z, S_hat, seed)
-    labels = assign.labels.copy()
-    groups: dict[int, np.ndarray] = {j: np.flatnonzero(labels == j)
-                                     for j in range(assign.n_clusters)}
-    z32 = z.astype(np.float32)
+    block_of = kmeans(z, S_hat, seed).labels
+    z32 = z[np.argsort(block_of, kind="stable")].astype(np.float32)
+    counts = np.bincount(block_of)
+    # dense labels: every block is nonempty, so starts rise strictly
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    groups: dict[int, list[int]] = {j: [j] for j in range(counts.size)}
     for _ in range(S_hat - S):
-        sizes = sorted((len(idx), cid) for cid, idx in groups.items())
-        smallest = sizes[0][1]
-        a_idx = groups[smallest]
+        smallest = min(groups, key=lambda c: (int(counts[groups[c]].sum()), c))
+        a = np.concatenate([z32[starts[b]:ends[b]] for b in groups[smallest]])
         # squared distances preserve the min/max ordering; sqrt only at the end
-        d2 = np.maximum(_sq_dists(z32[a_idx], z32), 0.0)
-        col_min = d2.min(axis=0)
+        d2 = _sq_dists(a, z32)
+        np.maximum(d2, 0.0, out=d2)
+        row_min = np.minimum.reduceat(d2, starts, axis=1)
+        col_max = np.maximum.reduceat(d2.min(axis=0), starts)
+        del d2  # free this block before the next merge allocates its own
         best = None
-        for cid, idx in groups.items():
+        for cid, blocks in groups.items():
             if cid == smallest:
                 continue
-            dist2 = max(float(d2[:, idx].min(axis=1).max()),
-                        float(col_min[idx].max()))
+            dist2 = max(float(row_min[:, blocks].min(axis=1).max()),
+                        float(col_max[blocks].max()))
             if best is None or (dist2, cid) < best:
                 best = (dist2, cid)
-        target = best[1]
-        groups[target] = np.sort(np.concatenate([groups[target], groups[smallest]]))
-        del groups[smallest]
-    for cid, idx in groups.items():
-        labels[idx] = cid
-    return ClusterAssignment(_relabel(labels))
+        groups[best[1]] += groups.pop(smallest)
+    group_of = np.empty(counts.size, dtype=np.intp)
+    for cid, blocks in groups.items():
+        group_of[blocks] = cid
+    return ClusterAssignment(_relabel(group_of[block_of]))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig,
-                          GpHyperparams, InvalidInputError, acquisition_J, fit_posterior)
+from rare_sampler import (AugmentedInput, ClusterAssignment, EmbeddingPool, EvaluationLog,
+                          FidelityConfig, GpHyperparams, InvalidInputError, acquisition_J,
+                          fit_posterior, kmeans, scale_points)
 from rare_sampler.acquisition import point_variance_beta
+from rare_sampler.clustering import _relabel
 from rare_sampler.estimator import SIGMA_FLOOR
 from rare_sampler.gp import SQRT5, mf_kernel_matrix, noise_variances
 from rare_sampler.pool import gather_points
@@ -218,3 +220,47 @@ def simulate_conditioned_posteriors(state, pool, pending, n_draws, rng):
     cov0 = state.cross_cov_norm(pool.points, lv0, pool.points, lv0)
     cov_new = cov0 - G @ cross.T
     return mu_new, cov_new
+
+
+def reference_sq_dists(points, centers):
+    """Expanded squared distances as one expression with fresh temporaries."""
+    return (
+        np.sum(points * points, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+
+
+def reference_cluster_with_merges(pool, hyper, S, S_hat, seed) -> ClusterAssignment:
+    """The merge loop over per-group index arrays: one distance block from the
+    smallest group to all points per merge, sliced per neighbor by column
+    gathers.  Ties (smallest size, nearest distance) break on lowest id."""
+    if not 1 <= S <= S_hat <= pool.n_points:
+        raise InvalidInputError("need 1 <= S <= S_hat <= N")
+    z = scale_points(pool, hyper)
+    assign = kmeans(z, S_hat, seed)
+    labels = assign.labels.copy()
+    groups: dict[int, np.ndarray] = {j: np.flatnonzero(labels == j)
+                                     for j in range(assign.n_clusters)}
+    z32 = z.astype(np.float32)
+    for _ in range(S_hat - S):
+        sizes = sorted((len(idx), cid) for cid, idx in groups.items())
+        smallest = sizes[0][1]
+        a_idx = groups[smallest]
+        # squared distances preserve the min/max ordering; sqrt only at the end
+        d2 = np.maximum(reference_sq_dists(z32[a_idx], z32), 0.0)
+        col_min = d2.min(axis=0)
+        best = None
+        for cid, idx in groups.items():
+            if cid == smallest:
+                continue
+            dist2 = max(float(d2[:, idx].min(axis=1).max()),
+                        float(col_min[idx].max()))
+            if best is None or (dist2, cid) < best:
+                best = (dist2, cid)
+        target = best[1]
+        groups[target] = np.sort(np.concatenate([groups[target], groups[smallest]]))
+        del groups[smallest]
+    for cid, idx in groups.items():
+        labels[idx] = cid
+    return ClusterAssignment(_relabel(labels))

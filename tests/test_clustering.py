@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rare_sampler.clustering as clustering
+from helpers import reference_cluster_with_merges, reference_sq_dists
 from rare_sampler import (EmbeddingPool, GpHyperparams, InvalidInputError,
                           cluster_with_merges, hausdorff_distance, kmeans,
                           scale_points)
-from rare_sampler.clustering import ClusterAssignment, _relabel
+from rare_sampler.clustering import ClusterAssignment, _relabel, _sq_dists
 
 
 def hyper_with_lengthscales(ls):
@@ -36,6 +40,18 @@ class TestScalePoints:
         kernel_arg = [np.sqrt(np.sum(((pool.points[i] - pool.points[j]) / ls) ** 2))
                       for i, j in pairs]
         np.testing.assert_allclose(scaled, kernel_arg, rtol=1e-12)
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_expression(self, dtype):
+        rng = np.random.default_rng(12)
+        for n, m, d in [(1, 1, 1), (7, 40, 1), (300, 500, 2), (64, 1000, 3)]:
+            p = (rng.standard_normal((n, d)) * 3).astype(dtype)
+            c = (rng.standard_normal((m, d)) * 3).astype(dtype)
+            got = _sq_dists(p, c)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, reference_sq_dists(p, c))
 
 
 class TestKmeans:
@@ -170,11 +186,97 @@ class TestClusterWithMerges:
         assert assign.sizes().sum() == 60
         assert np.all(assign.sizes() > 0)
 
+    # (S, S_hat) per pool size: S == S_hat, S = 1, and S_hat - S >= 4
+    MERGE_CASES = {2: [(1, 1), (2, 2), (1, 2)], 30: [(3, 3), (1, 6), (2, 7)],
+                   1000: [(4, 4), (1, 5), (2, 8)], 6000: [(1, 5), (6, 12)]}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", sorted(MERGE_CASES))
+    def test_matches_gather_reference(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        h = hyper_with_lengthscales(rng.uniform(0.3, 3.0, d))
+        raw = rng.standard_normal((n, d)) * 2.0
+        # rounding to 0.1 makes points repeat
+        for points in (raw, np.round(raw, 1)):
+            pool = EmbeddingPool(points)
+            for k, (S, S_hat) in enumerate(self.MERGE_CASES[n]):
+                want = reference_cluster_with_merges(pool, h, S, S_hat, seed=k)
+                got = cluster_with_merges(pool, h, S=S, S_hat=S_hat, seed=k)
+                np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_peak_memory_is_one_distance_block(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        pool = EmbeddingPool(rng.standard_normal((6000, 2)))
+        h = hyper_with_lengthscales([0.7, 1.3])
+        block_rows = []
+
+        def recording_sq_dists(points, centers):
+            if points.dtype == np.float32:
+                block_rows.append(points.shape[0])
+            return _sq_dists(points, centers)
+
+        monkeypatch.setattr(clustering, "_sq_dists", recording_sq_dists)
+        tracemalloc.start()
+        try:
+            cluster_with_merges(pool, h, S=6, S_hat=12, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(block_rows) == 6
+        assert peak <= 1.25 * max(block_rows) * pool.n_points * 4
+
     def test_bad_cluster_counts_rejected(self):
         pool = EmbeddingPool(np.random.default_rng(0).standard_normal((10, 2)))
         h = hyper_with_lengthscales([1.0, 1.0])
         with pytest.raises(InvalidInputError):
             cluster_with_merges(pool, h, S=5, S_hat=3, seed=0)
+
+
+class TestMergeTieBreaks:
+    """Tight groups on an integer lattice, with unit lengthscales: every
+    squared distance is a small dyadic number, exact in float32, so the ties
+    below are exact."""
+
+    CROSS = np.array([[0.0, 0.0], [0.25, 0.0], [-0.25, 0.0], [0.0, 0.25], [0.0, -0.25]])
+
+    @classmethod
+    def group(cls, node, size):
+        # a cross of 5 points around node, its centre repeated up to size
+        extra = np.repeat(cls.CROSS[:1], size - len(cls.CROSS), axis=0)
+        return np.vstack([cls.CROSS, extra]) + np.asarray(node, dtype=float)
+
+    @staticmethod
+    def partition(labels, sizes):
+        # group g is the g-th run of rows; return the merged groups as sets
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        return {frozenset(owner[labels == c].tolist()) for c in np.unique(labels)}
+
+    def merged(self, nodes, sizes, S):
+        pool = EmbeddingPool(np.vstack([self.group(p, m) for p, m in zip(nodes, sizes)]))
+        h = hyper_with_lengthscales([1.0, 1.0])
+        start = kmeans(scale_points(pool, h), len(nodes), seed=0)
+        assert self.partition(start.labels, sizes) == {frozenset([g]) for g in
+                                                        range(len(nodes))}
+        out = cluster_with_merges(pool, h, S=S, S_hat=len(nodes), seed=0)
+        return self.partition(out.labels, sizes)
+
+    def test_equal_smallest_sizes_merge_lower_id_first(self):
+        # groups 0 and 1 share the smallest size; each has its own nearest
+        # neighbor, so the single merge shows which one went first
+        nodes = [(0, 0), (40, 0), (-10, 0), (50, 0)]
+        sizes = [5, 5, 8, 8]
+        assert self.merged(nodes, sizes, S=3) == {frozenset([0, 2]), frozenset([1]),
+                                                  frozenset([3])}
+        swapped = [nodes[1], nodes[0]] + nodes[2:]
+        assert self.merged(swapped, sizes, S=3) == {frozenset([0, 3]), frozenset([1]),
+                                                    frozenset([2])}
+
+    @pytest.mark.parametrize("first", [(-10, 0), (10, 0)])
+    def test_equidistant_neighbors_absorb_into_lower_id(self, first):
+        # group 2 at the origin is exactly as far from (-10, 0) as from (10, 0)
+        second = (-first[0], 0)
+        assert self.merged([first, second, (0, 0)], [8, 8, 5], S=2) == {
+            frozenset([0, 2]), frozenset([1])}
 
 
 class TestRelabel:

@@ -1,0 +1,25 @@
+"""The README promises that each demo runs standalone in seconds; the
+full-scale benchmark demo (05) takes about a minute and is left out."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", ["01_gp_posterior", "02_failure_probability_and_variance",
+                                  "03_greedy_selection", "04_clustering",
+                                  "06_splitting_bound"])
+def test_demo_runs_standalone(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
