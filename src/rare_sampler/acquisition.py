@@ -291,11 +291,6 @@ class PendingSet:
             raise EmptySelectionError("candidate set exhausted")
         feas_idx = np.flatnonzero(feas)
 
-        if self.s_T.size == 0:
-            best = self._lexicographic_best(feas_idx)
-            self._apply(best)
-            return self.candidates[best], 0.0
-
         beta = self._beta_cur()
         slope = _beta_slope(self.s_T, self.that_T)
         uw = beta / np.maximum(self.that_T, 1e-20)
@@ -326,7 +321,8 @@ class PendingSet:
             Ug[sl] = uw @ E
         scale = float(Ug[feas_idx].max(initial=0.0))
         if scale == 0.0:
-            # nothing can improve J; fall back to deterministic tie-break
+            # nothing can improve J (always so with no live targets); fall
+            # back to the deterministic tie-break
             best = self._lexicographic_best(feas_idx)
             self._apply(best)
             return self.candidates[best], 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -37,8 +38,25 @@ class ConfigValue:
     line: int
 
 
+# the keys each section accepts; [fidelity] also takes cost.<level>
+CONFIG_KEYS = {
+    "pool": {"source", "n", "seed", "center", "path"},
+    "fidelity": {"levels", "synthetic_noise_std"},
+    "method": {"name", "gamma", "clusters", "initial_clusters", "eta", "budget_rule",
+               "merge_rule", "train_lr", "train_iters", "scores_path"},
+    "budget": {"m1", "m_b", "batches"},
+    "is": {"alpha", "k_multiple", "k", "trials"},
+    "seeds": {"run", "trials"},
+    "oracle": {"kind", "noise_seed", "path", "command", "timeout"},
+}
+
+
 def parse_config(path) -> dict[str, dict[str, ConfigValue]]:
-    """Parse the sectioned key-value format, remembering line numbers."""
+    """Parse the sectioned key-value format, remembering line numbers.
+
+    An unknown section or key is an error, so a typo cannot fall back to a
+    default unnoticed.
+    """
     sections: dict[str, dict[str, ConfigValue]] = {}
     current = None
     try:
@@ -52,6 +70,9 @@ def parse_config(path) -> dict[str, dict[str, ConfigValue]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in CONFIG_KEYS:
+                raise ConfigError(f"line {no}: unknown section [{current}]; expected "
+                                  f"one of {sorted(CONFIG_KEYS)}")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -59,6 +80,9 @@ def parse_config(path) -> dict[str, dict[str, ConfigValue]]:
         if current is None:
             raise ConfigError(f"line {no}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS[current] and not (
+                current == "fidelity" and re.fullmatch(r"cost\.(0|[1-9][0-9]*)", key)):
+            raise ConfigError(f"line {no}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {no}: duplicate key {key!r} in [{current}]")
         sections[current][key] = ConfigValue(value, no)

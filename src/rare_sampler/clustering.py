@@ -5,10 +5,10 @@ partitioned into S independent selection problems.  Rescaling each
 dimension by the trained level-0 lengthscale makes Euclidean distance a
 cheap stand-in for kernel distance.  K-means first over-segments into
 S_hat > S clusters; the smallest cluster is then repeatedly merged into
-its nearest neighbor under the Hausdorff set distance until S remain.
-The merges work on the points ordered by k-means label: a merged cluster
-is a list of contiguous k-means blocks, and each merge builds one distance
-block and reduces it per k-means block.
+its nearest neighbor under the Hausdorff set distance until at most S
+remain.  The merges work on the points ordered by k-means label: a merged
+cluster is a list of contiguous k-means blocks, and each merge builds one
+distance block and reduces it per k-means block.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ def hausdorff_distance(A: np.ndarray, B: np.ndarray) -> float:
 def cluster_with_merges(pool: EmbeddingPool, hyper: GpHyperparams, S: int,
                         S_hat: int, seed) -> ClusterAssignment:
     """K-means into S_hat clusters, then merge the smallest cluster into its
-    Hausdorff-nearest neighbor until exactly S remain.
+    Hausdorff-nearest neighbor until at most S remain (fewer only when
+    k-means returns fewer than S clusters on a pool with repeated points).
 
     Ties (smallest size, nearest distance) break on lowest cluster id.
     The points are sorted by k-means label once, so each k-means cluster is
@@ -159,7 +160,7 @@ def cluster_with_merges(pool: EmbeddingPool, hyper: GpHyperparams, S: int,
     ends = np.cumsum(counts)
     starts = ends - counts
     groups: dict[int, list[int]] = {j: [j] for j in range(counts.size)}
-    for _ in range(S_hat - S):
+    while len(groups) > S:
         smallest = min(groups, key=lambda c: (int(counts[groups[c]].sum()), c))
         a = np.concatenate([z32[starts[b]:ends[b]] for b in groups[smallest]])
         # squared distances preserve the min/max ordering; sqrt only at the end

@@ -219,27 +219,19 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
     """Initialization batch, then adaptive or random batches with retraining."""
     fidelities = config.fidelities
     log = EvaluationLog()
-    selected = run_random_batch(pool, fidelities, config.m1, oracle, log, 1,
-                                seed=[config.seed, 0])
     hyper = GpHyperparams.defaults(pool, fidelities.n_levels)
-    if len(log) >= 2:
-        hyper = train_hyperparameters(pool, log, hyper, config.train)
-    state = fit_posterior(pool, log, hyper, config.gamma)
-    records = [BatchRecord(
-        index=1,
-        selected=selected,
-        mean_f=float(log.batch_values(1).mean()),
-        field=failure_prob(state, pool.points),
-        hyper=hyper,
-    )]
-
-    for b in range(2, config.batches + 1):
-        if config.method in _ADAPTIVE_METHODS:
+    records = []
+    for b in range(1, config.batches + 1):
+        if b == 1:
+            selected = run_random_batch(pool, fidelities, config.m1, oracle, log, b,
+                                        seed=[config.seed, 0])
+        elif config.method in _ADAPTIVE_METHODS:
             selected = run_bams_batch(pool, state, config, oracle, log, b)
         else:
             selected = run_random_batch(pool, fidelities, config.m_b, oracle, log, b,
                                         seed=[config.seed, b])
-        hyper = train_hyperparameters(pool, log, hyper, config.train)
+        if len(log) >= 2:
+            hyper = train_hyperparameters(pool, log, hyper, config.train)
         state = fit_posterior(pool, log, hyper, config.gamma)
         vals = log.batch_values(b)
         records.append(BatchRecord(

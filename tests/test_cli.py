@@ -107,6 +107,47 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config(path)
 
+    def test_unknown_key_rejected_with_line_section_and_key(self, tmp_path, capsys):
+        cfg = synthetic_config(tmp_path)
+        text = cfg.read_text().replace("m_b = 3", "mb = 10")
+        cfg.write_text(text)
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        line = text.splitlines().index("mb = 10") + 1
+        assert f"config error: line {line}: unknown key 'mb' in [budget]" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("[pool]\nn = 10\n\n[bugdet]\nm1 = 5\n")
+        with pytest.raises(ConfigError, match=r"line 4: unknown section \[bugdet\]"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key", ["cost", "cost.", "cost.x", "cost.01", "levels.1"])
+    def test_malformed_cost_key_rejected(self, tmp_path, key):
+        path = tmp_path / "a.cfg"
+        path.write_text(f"[fidelity]\nlevels = 2\n{key} = 0.1\n")
+        with pytest.raises(ConfigError, match=f"line 3: unknown key '{re.escape(key)}'"):
+            parse_config(path)
+
+    def test_documented_and_benchmark_keys_parse(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        schema = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(schema.split("```", 1)[0] + "[fidelity]\ncost.0 = 1\ncost.12 = 0.1\n")
+        sections = parse_config(path)
+        assert sections["budget"]["m_b"].value == "15"
+        assert sections["fidelity"]["cost.12"].value == "0.1"
+        sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+        try:
+            from bench_workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        for w in WORKLOADS.values():
+            path.write_text(w.config_text(seed=3))
+            assert parse_config(path)["method"]["name"].value == w.method
+
     def test_bad_fidelity_cost_rejected(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         text = cfg.read_text().replace("cost.1 = 0.10", "cost.1 = 1.5")

@@ -232,6 +232,55 @@ class TestClusterWithMerges:
             cluster_with_merges(pool, h, S=5, S_hat=3, seed=0)
 
 
+class TestShortKmeans:
+    """k-means can return fewer than S_hat clusters when points repeat; the
+    merges then stop at S clusters instead of making S_hat - S merges."""
+
+    @staticmethod
+    def four_value_pool():
+        rng = np.random.default_rng(0)
+        values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
+        return EmbeddingPool(values[rng.integers(0, 4, 40)])
+
+    def test_three_identical_points(self):
+        pool = EmbeddingPool(np.zeros((3, 2)))
+        h = hyper_with_lengthscales([1.0, 1.0])
+        assign = cluster_with_merges(pool, h, S=1, S_hat=3, seed=0)
+        np.testing.assert_array_equal(assign.labels, [0, 0, 0])
+        assert cluster_with_merges(pool, h, S=2, S_hat=3, seed=0).n_clusters <= 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_four_distinct_values_partition(self, seed):
+        pool = self.four_value_pool()
+        h = hyper_with_lengthscales([1.0, 1.0])
+        assert kmeans(scale_points(pool, h), 8, seed=seed).n_clusters < 8
+        assign = cluster_with_merges(pool, h, S=3, S_hat=8, seed=seed)
+        assert 1 <= assign.n_clusters <= 3
+        assert set(assign.labels.tolist()) == set(range(assign.n_clusters))
+        assert assign.sizes().sum() == pool.n_points
+
+    def test_reference_agrees_when_kmeans_is_full(self):
+        rng = np.random.default_rng(31)
+        h = hyper_with_lengthscales([1.0, 1.0])
+        full = short = 0
+        for seed in range(40):
+            # a few distinct values repeated: k-means is short on some pools
+            values = rng.standard_normal((int(rng.integers(3, 9)), 2))
+            pool = EmbeddingPool(values[rng.integers(0, len(values),
+                                                     int(rng.integers(12, 60)))])
+            S_hat = int(rng.integers(3, 9))
+            S = int(rng.integers(1, S_hat + 1))
+            got = cluster_with_merges(pool, h, S=S, S_hat=S_hat, seed=seed)
+            assert got.n_clusters <= S
+            if kmeans(scale_points(pool, h), S_hat, seed=seed).n_clusters < S_hat:
+                short += 1
+                continue
+            full += 1
+            want = reference_cluster_with_merges(pool, h, S, S_hat, seed=seed)
+            np.testing.assert_array_equal(got.labels, want.labels)
+        assert full >= 10 and short >= 1
+
+
 class TestMergeTieBreaks:
     """Tight groups on an integer lattice, with unit lengthscales: every
     squared distance is a small dyadic number, exact in float32, so the ties

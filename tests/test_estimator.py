@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
                           InvalidInputError, bivariate_normal_cdf,
@@ -85,6 +88,106 @@ class TestBivariateNormalCdf:
             assert np.all(np.diff(v) >= -1e-12)
             v = bivariate_normal_cdf(-0.3, grid, r)
             assert np.all(np.diff(v) >= -1e-12)
+
+
+def asin_form(r):
+    """Phi2(0, 0; r) = 1/4 + asin(r) / (2 pi)."""
+    return 0.25 + np.arcsin(r) / (2 * np.pi)
+
+
+def seed0_problem():
+    """300 standard-normal points, 15 level-0 observations of |x - (1.5, 1.5)|,
+    default hyperparameters, gamma = 0.8."""
+    rng = np.random.default_rng(0)
+    pool = EmbeddingPool(rng.standard_normal((300, 2)))
+    log = EvaluationLog()
+    for i in rng.choice(300, 15, replace=False):
+        log.append(AugmentedInput(int(i), 0),
+                   float(np.linalg.norm(pool.points[i] - 1.5)), 1)
+    return pool, fit_posterior(pool, log, GpHyperparams.defaults(pool), gamma=0.8)
+
+
+class TestOwenTBranches:
+    """Zero arguments, opposite-sign tails and broadcasting of the Owen's T form."""
+
+    @pytest.mark.parametrize("k", [-2.3, -0.4, 0.4, 2.3])
+    @pytest.mark.parametrize("r", [-0.9, -0.3, 0.0, 0.5, 0.95])
+    def test_one_argument_zero(self, k, r):
+        want = phi2_dblquad(0.0, k, r)
+        assert bivariate_normal_cdf(0.0, k, r) == pytest.approx(want, abs=1e-10)
+        assert bivariate_normal_cdf(k, 0.0, r) == pytest.approx(want, abs=1e-10)
+
+    def test_both_arguments_zero(self):
+        for r in (-0.999, -0.7, -0.2, 0.0, 0.2, 0.7, 0.999):
+            assert bivariate_normal_cdf(0.0, 0.0, r) == pytest.approx(
+                asin_form(r), abs=1e-15)
+        r = np.linspace(-0.99, 0.99, 41)
+        np.testing.assert_allclose(bivariate_normal_cdf(0.0, 0.0, r), asin_form(r),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("r", [-0.6, 0.1, 0.8])
+    def test_subnormal_scale_argument(self, r):
+        # h = 1e-300 makes h * k underflow; the sign test must still see it
+        for k in (-1.1, 0.7):
+            assert bivariate_normal_cdf(1e-300, k, r) == pytest.approx(
+                phi2_dblquad(0.0, k, r), abs=1e-10)
+        for h, k in ((1e-300, -1e-300), (-1e-300, 1e-300), (1e-300, 1e-300)):
+            assert bivariate_normal_cdf(h, k, r) == pytest.approx(asin_form(r),
+                                                                  abs=1e-15)
+
+    @pytest.mark.parametrize("r", [-0.3, 0.3])
+    def test_opposite_sign_tails(self, r):
+        # P(X <= -8, Y > 8) < 1e-24 at |r| = 0.3, so Phi2 = Phi(-8) to 1e-24
+        for h, k in ((-8.0, 8.0), (8.0, -8.0)):
+            v = bivariate_normal_cdf(h, k, r)
+            assert v == pytest.approx(ndtr(-8.0), abs=1e-16)
+            assert v == pytest.approx(phi2_dblquad(h, k, r), abs=1e-12)
+
+    @pytest.mark.parametrize("r", [-0.7, 0.0, 0.95])
+    def test_infinite_arguments(self, r):
+        inf = np.inf
+        for k in (-1.3, 0.0, 0.6):
+            assert bivariate_normal_cdf(inf, k, r) == pytest.approx(ndtr(k), abs=1e-15)
+            assert bivariate_normal_cdf(k, inf, r) == pytest.approx(ndtr(k), abs=1e-15)
+            assert bivariate_normal_cdf(-inf, k, r) == 0.0
+            assert bivariate_normal_cdf(k, -inf, r) == 0.0
+        assert bivariate_normal_cdf(inf, inf, r) == 1.0
+        assert bivariate_normal_cdf(-inf, inf, r) == 0.0
+
+    def test_broadcasting(self):
+        a = np.array([[-1.5], [0.0], [0.8]])
+        r = np.array([-0.5, 0.0, 0.4, 1.0])
+        got = bivariate_normal_cdf(a, 0.3, r)
+        assert got.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                v = bivariate_normal_cdf(float(a[i, 0]), 0.3, float(r[j]))
+                assert type(v) is float
+                assert got[i, j] == v
+        assert bivariate_normal_cdf(0.2, np.array([0.1, -0.1]), 0.3).shape == (2,)
+        assert np.ndim(bivariate_normal_cdf(np.float64(0.2), 0.1, 0.3)) == 0
+
+    @pytest.mark.parametrize("h, k, r", [(-40.0, 40.0, 0.95), (40.0, -40.0, 0.99)])
+    def test_far_tail_raises_no_warning(self, h, k, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bivariate_normal_cdf(h, k, r) == 0.0
+
+    @pytest.mark.parametrize("h, k, r", [(0.0, 1.2, 0.3), (-0.8, 0.0, -0.6),
+                                         (0.0, 0.0, 0.5), (1e-300, 0.7, 0.2)])
+    def test_zero_arguments_raise_no_warning(self, h, k, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = bivariate_normal_cdf(h, k, r)
+        assert v == pytest.approx(phi2_dblquad(h, k, r), abs=1e-10)
+
+    def test_exact_variance_raises_no_warning(self):
+        pool, state = seed0_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = estimator_variance_exact(state, pool)
+        field = failure_prob(state, pool.points)
+        assert 0.0 <= v <= variance_upper_bound(field) + 1e-12
 
 
 class TestFailureProb:
