@@ -10,14 +10,13 @@ is not reproducible here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .evaluation import ScoreVector
-from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig
+from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig, read_csv
 
 CE_ELITES = 5
 CE_VAR_FLOOR_REL = 1e-6
@@ -67,7 +66,6 @@ class CeState:
 
     mean: np.ndarray
     var: np.ndarray
-    elites: int = CE_ELITES
 
 
 def _fit_elite_gaussian(points: np.ndarray, values: np.ndarray, n_elite: int,
@@ -78,7 +76,7 @@ def _fit_elite_gaussian(points: np.ndarray, values: np.ndarray, n_elite: int,
 
 
 def run_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, m_b: int,
-                      seed, elites: int = CE_ELITES):
+                      seed):
     """Cross-entropy search snapped to the pool.
 
     Batch 1 evaluates m1 uniformly random points; each later batch draws
@@ -97,8 +95,8 @@ def run_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, m_b: i
         log.evaluate(oracle, AugmentedInput(int(i), 0), 1)
     pts = pool.points[first]
     vals = log.value_array
-    mean, var = _fit_elite_gaussian(pts, vals, elites, var_floor)
-    state = CeState(mean=mean, var=var, elites=elites)
+    mean, var = _fit_elite_gaussian(pts, vals, CE_ELITES, var_floor)
+    state = CeState(mean=mean, var=var)
 
     evaluated = {int(i) for i in first}
     for b in range(2, batches + 1):
@@ -115,8 +113,8 @@ def run_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, m_b: i
         batch_vals = [log.evaluate(oracle, AugmentedInput(i, 0), b) for i in batch_idx]
         evaluated.update(batch_idx)
         mean, var = _fit_elite_gaussian(pool.points[batch_idx],
-                                        np.asarray(batch_vals), elites, var_floor)
-        state = CeState(mean=mean, var=var, elites=elites)
+                                        np.asarray(batch_vals), CE_ELITES, var_floor)
+        state = CeState(mean=mean, var=var)
     return state, gaussian_pdf_scores(state, pool), log
 
 
@@ -131,20 +129,18 @@ def gaussian_pdf_scores(state: CeState, pool: EmbeddingPool) -> ScoreVector:
 
 
 def scores_from_csv(path, n_points: int) -> ScoreVector:
-    """External per-point scores: CSV rows of (point_index, score)."""
+    """External per-point scores: one point_index,score row per pool point."""
+    table = read_csv(path)
     scores = np.full(n_points, np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().lower() in ("point_index", "index", ""):
-                continue
-            idx = int(row[0])
-            if not 0 <= idx < n_points:
-                raise InvalidInputError(f"score row index {idx} out of range")
-            scores[idx] = float(row[1])
-    if np.isnan(scores).any():
-        missing = int(np.isnan(scores).sum())
-        raise InvalidInputError(f"score file is missing {missing} point rows")
-    if scores.min() < 0:
-        raise InvalidInputError("scores must be nonnegative")
+    for line, i, s in zip(table.lines, table.column("point_index", integer=True),
+                          table.column("score")):
+        if not 0 <= i < n_points:
+            raise InvalidInputError(f"{path} line {line}: point_index {i} out of range")
+        if not np.isnan(scores[i]):
+            raise InvalidInputError(f"{path} line {line}: repeated point_index {i}")
+        if s < 0:
+            raise InvalidInputError(f"{path} line {line}: negative score {s!r}")
+        scores[i] = s
+    if len(table.rows) < n_points:
+        raise InvalidInputError(f"{path}: no row for point_index {np.isnan(scores).argmax()}")
     return ScoreVector.from_raw(scores)

@@ -10,7 +10,6 @@ column order, and are byte-identical across re-runs with the same seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -25,7 +24,7 @@ from .evaluation import (ScoreVector, importance_scores, repeated_is_trials,
                          retention_recall_curve, splitting_bound)
 from .gp import TrainOptions
 from .oracles import CsvOracle, ExternalOracle
-from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, write_csv
+from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, read_csv, write_csv
 from .synthetic import (SyntheticOracle, SyntheticSpec, export_pool_csv,
                         generate_pool, ground_truth_labels, metric_level0)
 
@@ -42,8 +41,8 @@ class ConfigValue:
 CONFIG_KEYS = {
     "pool": {"source", "n", "seed", "center", "path"},
     "fidelity": {"levels", "synthetic_noise_std"},
-    "method": {"name", "gamma", "clusters", "initial_clusters", "eta", "budget_rule",
-               "merge_rule", "train_lr", "train_iters", "scores_path"},
+    "method": {"name", "gamma", "clusters", "initial_clusters", "eta", "train_lr",
+               "train_iters", "scores_path"},
     "budget": {"m1", "m_b", "batches"},
     "is": {"alpha", "k_multiple", "k", "trials"},
     "seeds": {"run", "trials"},
@@ -149,38 +148,14 @@ def _build_fidelities(cfg: _Config) -> FidelityConfig:
 def _load_pool_csv(path):
     """Read a pool CSV in the gen-synthetic layout: coordinates from the
     columns x0..x<d-1> and the optional truth_f_level0, all by name."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read pool CSV {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        dims = sorted(int(h[1:]) for h in header if h[:1] == "x" and h[1:].isdigit())
-        if not dims or dims != list(range(len(dims))):
-            raise ConfigError(f"{path} line 1: coordinate columns must be exactly "
-                              f"x0..x<d-1>, got {header}")
-        cols = [header.index(f"x{j}") for j in dims]
-        if "truth_f_level0" in header:
-            cols.append(header.index("truth_f_level0"))
-        rows = []
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(row) != len(header):
-                raise ConfigError(f"{where}: {len(row)} cells, header has {len(header)}")
-            try:
-                vals = [float(row[c]) for c in cols]
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError
-            except ValueError:
-                raise ConfigError(f"{where}: non-numeric or non-finite cell among "
-                                  f"{[row[c] for c in cols]}") from None
-            rows.append(vals)
-        if not rows:
-            raise ConfigError(f"{path} line {reader.line_num}: no data rows")
-    table = np.array(rows)
-    pool = EmbeddingPool(np.ascontiguousarray(table[:, :len(dims)]))
-    return pool, (table[:, len(dims)] if len(cols) > len(dims) else None)
+    table = read_csv(path)
+    dims = sorted(int(h[1:]) for h in table.header if h[:1] == "x" and h[1:].isdigit())
+    if not dims or dims != list(range(len(dims))):
+        raise ConfigError(f"{path} line 1: coordinate columns must be exactly "
+                          f"x0..x<d-1>, got {table.header}")
+    pool = EmbeddingPool(np.column_stack([table.column(f"x{j}") for j in dims]))
+    has_truth = "truth_f_level0" in table.header
+    return pool, np.array(table.column("truth_f_level0")) if has_truth else None
 
 
 def _build_pool(cfg: _Config):
@@ -220,8 +195,9 @@ def _build_oracle(cfg: _Config, pool, spec):
                       f"oracle kind must be synthetic, csv, or command; got {kind!r}")
 
 
-def _report(out_dir, method, scores: ScoreVector, truth, K, trials, seed) -> None:
+def _report(out_dir, method, scores, truth, k, k_multiple, trials, seed) -> None:
     """Write rate_report.csv and retention_recall.csv and print the summary."""
+    K = k if k is not None else int(round(k_multiple * int(truth.sum())))
     report = repeated_is_trials(scores, truth, K, trials, seed=seed)
     write_csv(os.path.join(out_dir, "rate_report.csv"),
               ("method", "p_hat_mean", "rv", "recall", "se_rv", "se_recall"),
@@ -255,11 +231,8 @@ def cmd_run(args) -> int:
             oracle.close()
 
     if truth is not None and truth.any():
-        K = cfg.getint("is", "k", default=None)
-        if K is None:
-            K = int(round(cfg.getfloat("is", "k_multiple", default=5.0)
-                          * int(truth.sum())))
-        _report(out_dir, method, scores, truth, K,
+        _report(out_dir, method, scores, truth, cfg.getint("is", "k", default=None),
+                cfg.getfloat("is", "k_multiple", default=5.0),
                 cfg.getint("is", "trials", default=200),
                 cfg.getint("seeds", "trials",
                            default=cfg.getint("seeds", "run", default=0) + 1))
@@ -300,8 +273,6 @@ def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVect
                 lr=cfg.getfloat("method", "train_lr", default=0.05),
                 iters=cfg.getint("method", "train_iters", default=200),
             ),
-            budget_rule=cfg.getstr("method", "budget_rule", default="strict"),
-            merge_rule=cfg.getstr("method", "merge_rule", default="cost_normalized"),
         )
         result = run_experiment(pool, run_cfg, oracle)
         result.save(out_dir)
@@ -362,9 +333,9 @@ def cmd_score_report(args) -> int:
     if not truth.any():
         raise InvalidInputError("no failures below gamma in the pool CSV")
     scores = scores_from_csv(args.scores, pool.n_points)
-    K = args.k if args.k else int(round(args.k_multiple * int(truth.sum())))
     os.makedirs(args.out, exist_ok=True)
-    _report(args.out, "external-scores", scores, truth, K, args.trials, args.seed)
+    _report(args.out, "external-scores", scores, truth, args.k, args.k_multiple,
+            args.trials, args.seed)
     return 0
 
 

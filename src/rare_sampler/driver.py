@@ -42,8 +42,6 @@ class RunConfig:
     eta: float = 2.0
     seed: int = 0
     train: TrainOptions = field(default_factory=TrainOptions)
-    budget_rule: str = "strict"       # "strict": cost stays < m_b; "lenient": <=
-    merge_rule: str = "cost_normalized"  # or "raw"
 
     def __post_init__(self):
         if self.m1 <= 0 or self.m_b <= 0:
@@ -57,10 +55,6 @@ class RunConfig:
         if self.method not in _ADAPTIVE_METHODS + _RANDOM_METHODS:
             raise InvalidInputError(f"driver method must be one of "
                                     f"{_ADAPTIVE_METHODS + _RANDOM_METHODS}, got {self.method!r}")
-        if self.budget_rule not in ("strict", "lenient"):
-            raise InvalidInputError("budget_rule must be 'strict' or 'lenient'")
-        if self.merge_rule not in ("cost_normalized", "raw"):
-            raise InvalidInputError("merge_rule must be 'cost_normalized' or 'raw'")
         if self.method in ("bas", "mc-gp") and self.fidelities.n_levels != 1:
             object.__setattr__(self, "fidelities",
                                FidelityConfig(self.fidelities.costs[:1]))
@@ -143,14 +137,9 @@ def _merge_queues(queues, config: RunConfig):
             if ptrs[qi] >= len(queue):
                 continue
             inp, dj, cost = queue[ptrs[qi]]
-            if config.budget_rule == "strict":
-                feasible = cost_g + cost < config.m_b
-            else:
-                feasible = cost_g + cost <= config.m_b
-            if not feasible:
+            if cost_g + cost >= config.m_b:
                 continue
-            value = dj / cost if config.merge_rule == "cost_normalized" else dj
-            key = (value, inp.point_index, inp.level)
+            key = (dj / cost, inp.point_index, inp.level)
             if best is None or key < best[0]:
                 best = (key, qi)
         if best is None:

@@ -53,9 +53,11 @@ def bivariate_normal_cdf(a, b, r):
         a_k = np.where(k == 0.0, np.copysign(np.inf, h), a_k)
         a_h[both] = a_k[both] = ((1.0 - rho) / c)[both]
         a_h[np.isinf(h)] = a_k[np.isinf(k)] = 0.0
-        delta = np.where((h < 0.0) != (k < 0.0), 0.5, 0.0)
-        out[rest] = np.clip(0.5 * ndtr(h) + 0.5 * ndtr(k) - owens_t(h, a_h)
-                            - owens_t(k, a_k) - delta, 0.0, 1.0)
+        lo, hi = np.minimum(h, k), np.maximum(h, k)
+        # delta = 1/2 enters as Phi(hi)/2 - 1/2 = -Phi(-hi)/2, exact in the far tail
+        phi_hi = np.where((lo < 0.0) & (hi >= 0.0), -ndtr(-hi), ndtr(hi))
+        out[rest] = np.clip(0.5 * ndtr(lo) + 0.5 * phi_hi - owens_t(h, a_h)
+                            - owens_t(k, a_k), 0.0, 1.0)
     if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(r) == 0:
         return float(out)
     return out

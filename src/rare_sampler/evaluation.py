@@ -82,6 +82,8 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
     by the squared true rate; its standard error uses the fourth-moment
     variance of the sample variance.
     """
+    if K < 1:
+        raise InvalidInputError(f"IS sample size K must be >= 1, got {K}")
     if trials < 2:
         raise InvalidInputError("trials must be >= 2")
     truth = np.asarray(truth, dtype=bool)

@@ -10,13 +10,13 @@ child, so every later request fails instead of reading a stale reply.
 
 from __future__ import annotations
 
-import csv
 import queue
 import shlex
 import subprocess
 import threading
 
 from .errors import InvalidInputError, OracleError
+from .pool import read_csv
 
 DEFAULT_TIMEOUT = 300.0
 
@@ -25,14 +25,13 @@ class CsvOracle:
     """Precomputed values from CSV rows of (point_index, level, f)."""
 
     def __init__(self, path):
+        table = read_csv(path)
         self.values: dict[tuple[int, int], float] = {}
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip() or not row[0].strip().lstrip("-").isdigit():
-                    continue
-                self.values[(int(row[0]), int(row[1]))] = float(row[2])
-        if not self.values:
-            raise InvalidInputError(f"no oracle rows found in {path}")
+        for line, i, level, f in zip(table.lines, table.column("point_index", integer=True),
+                                     table.column("level", integer=True), table.column("f")):
+            if (i, level) in self.values:
+                raise InvalidInputError(f"{path} line {line}: repeated point {i} level {level}")
+            self.values[(i, level)] = f
 
     def __call__(self, point_index: int, level: int) -> float:
         try:

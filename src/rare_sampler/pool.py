@@ -1,5 +1,5 @@
 """Core data containers: candidate pools, fidelity costs, and evaluation logs,
-plus the CSV format that every artifact shares.
+plus the CSV format that every artifact and every input table shares.
 
 The empirical distribution lives on a finite pool of N embedding points.
 Every evaluation target is an ``AugmentedInput``: a (point index, fidelity
@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, OracleError
+from .errors import ConfigError, InvalidInputError, OracleError
 
 
 class AugmentedInput(NamedTuple):
@@ -184,3 +184,46 @@ def write_csv(path, header, rows) -> None:
         w.writerow(header)
         w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
                     for row in rows)
+
+
+class CsvTable(NamedTuple):
+    """The data rows of a headered CSV file, with the line number of each row."""
+
+    path: str
+    header: list[str]          # the first line
+    lines: tuple[int, ...]     # line number of each data row
+    rows: tuple[list[str], ...]
+
+    def column(self, name: str, integer: bool = False) -> list:
+        """One named column as finite floats, or as ints; else a ConfigError."""
+        if self.header.count(name) != 1:
+            raise ConfigError(f"{self.path} line 1: need one {name!r} column in {self.header}")
+        j, out = self.header.index(name), []
+        kind = "non-integer" if integer else "non-numeric or non-finite"
+        for line, row in zip(self.lines, self.rows):
+            try:
+                out.append(int(row[j]) if integer else float(row[j]))
+                if not math.isfinite(out[-1]):
+                    raise ValueError
+            except (ValueError, OverflowError):
+                raise ConfigError(f"{self.path} line {line}: {kind} {name} cell "
+                                  f"{row[j]!r}") from None
+        return out
+
+
+def read_csv(path) -> CsvTable:
+    """Read a CSV input table: a header line, then data rows as wide as it.
+    Blank rows are skipped; a fault is a ConfigError naming the file and line."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path} line 1: no data rows")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ConfigError(f"{path} line {line}: {len(row)} cells, header has {len(header)}")
+    return CsvTable(path, header, *zip(*rows))

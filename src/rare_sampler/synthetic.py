@@ -19,7 +19,6 @@ from .pool import EmbeddingPool, write_csv
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_points: int = 20000
-    dim: int = 2
     center: float = 1.95
     gamma: float = 0.56
     noise_std: float = 0.1
@@ -29,8 +28,6 @@ class SyntheticSpec:
 
 def generate_pool(spec: SyntheticSpec) -> EmbeddingPool:
     """N seeded standard-normal points in the plane."""
-    if spec.dim != 2:
-        raise InvalidInputError("the synthetic benchmark is two-dimensional")
     rng = np.random.default_rng(spec.seed)
     return EmbeddingPool(rng.standard_normal((spec.n_points, 2)))
 

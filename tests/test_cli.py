@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rare_sampler import ConfigError, OracleError
+from rare_sampler import ConfigError, InvalidInputError, OracleError, scores_from_csv
 from rare_sampler.cli import METHODS, _load_pool_csv, main, parse_config
 from rare_sampler.oracles import CsvOracle, ExternalOracle
 
@@ -420,6 +420,93 @@ class TestPoolCsv:
         assert str(path) in capsys.readouterr().err
 
 
+# a well-formed score or oracle file for a three-point pool, line by line
+INPUT_TABLES = {
+    "scores": ["point_index,score", "0,1.0", "1,2.0", "2,0.5"],
+    "oracle": ["point_index,level,f", "0,0,0.5", "1,0,0.7", "2,0,0.9"],
+}
+
+
+def _set_cell(lines, line, col, value):
+    """Replace cell `col` of the 1-based `line`, or drop it when value is None."""
+    cells = lines[line - 1].split(",")
+    if value is None:
+        del cells[col]
+    else:
+        cells[col] = value
+    return lines[:line - 1] + [",".join(cells)] + lines[line:]
+
+
+class TestInputTables:
+    """Score and oracle files go through the pool's reader: columns by name,
+    a malformed file is a config error naming the file and line (exit 2),
+    and a repeated key is an input error naming the line (exit 1)."""
+
+    @staticmethod
+    def read(kind, path):
+        return scores_from_csv(path, 3) if kind == "scores" else CsvOracle(path)
+
+    @staticmethod
+    def exit_codes(tmp_path, kind, path):
+        """`run` reading the file, and `score-report` for a score file."""
+        pool = tmp_path / "pool.csv"
+        pool.write_text("index,x0,x1,truth_f_level0\n0,0.0,0.0,0.1\n"
+                        "1,1.0,0.0,0.9\n2,0.0,1.0,0.9\n")
+        cfg = tmp_path / "run.cfg"
+        method = (f"name = external-scores\nscores_path = {path}" if kind == "scores"
+                  else f"name = mc\n[oracle]\nkind = csv\npath = {path}")
+        cfg.write_text(f"[pool]\nsource = csv\npath = {pool}\n"
+                       f"[method]\ngamma = 0.5\n{method}\n")
+        codes = [main(["run", str(cfg), "--out", str(tmp_path / "out")])]
+        if kind == "scores":
+            codes.append(main(["score-report", "--scores", str(path), "--pool-csv",
+                               str(pool), "--gamma", "0.5", "--out", str(tmp_path / "rep")]))
+        return codes
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_TABLES))
+    @pytest.mark.parametrize("edit,error,message", [
+        (lambda t: _set_cell(t, 1, -1, "value"), ConfigError,
+         r"line 1: need one '(score|f)' column"),
+        (lambda t: _set_cell(t, 3, -1, None), ConfigError, r"line 3: \d cells, header has"),
+        (lambda t: _set_cell(t, 3, -1, "abc"), ConfigError,
+         r"line 3: non-numeric or non-finite (score|f) cell 'abc'"),
+        (lambda t: _set_cell(t, 3, -1, "inf"), ConfigError, r"line 3: non-numeric"),
+        (lambda t: _set_cell(t, 3, -1, "nan"), ConfigError, r"line 3: non-numeric"),
+        (lambda t: _set_cell(t, 3, 0, "0.5"), ConfigError,
+         r"line 3: non-integer point_index cell '0.5'"),
+        (lambda t: _set_cell(t, 3, 0, "x1"), ConfigError, r"line 3: non-integer point_index"),
+        (lambda t: t[:1], ConfigError, r"line 1: no data rows"),
+        (lambda t: t + t[2:3], InvalidInputError, r"line 5: repeated point"),
+    ], ids=["missing-column", "ragged", "non-numeric", "inf", "nan", "fractional-index",
+            "mistyped-index", "no-rows", "repeated-key"])
+    def test_bad_file_names_file_and_line(self, tmp_path, capsys, kind, edit, error,
+                                          message):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join(edit(INPUT_TABLES[kind])) + "\n")
+        with pytest.raises(error, match=re.escape(str(path)) + " " + message):
+            self.read(kind, path)
+        codes = self.exit_codes(tmp_path, kind, path)
+        assert set(codes) == {2 if error is ConfigError else 1}
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_TABLES))
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(ConfigError, match="cannot read " + re.escape(str(path))):
+            self.read(kind, path)
+        assert set(self.exit_codes(tmp_path, kind, path)) == {2}
+
+    def test_columns_read_by_name(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("note,score,point_index\na,2.0,1\n\nb,0.5,2\nc,1.0,0\n")
+        np.testing.assert_allclose(scores_from_csv(scores, 3).q,
+                                   np.array([1.0, 2.0, 0.5]) / 3.5)
+        table = tmp_path / "oracle.csv"
+        table.write_text("level,note,point_index,f\n0,a,7,1.5\n\n1,b,7,2.5\n")
+        oracle = CsvOracle(table)
+        assert (oracle(7, 0), oracle(7, 1)) == (1.5, 2.5)
+
+
 class TestScoreReport:
     def test_report_from_external_scores(self, tmp_path):
         pool_csv = tmp_path / "pool.csv"
@@ -442,6 +529,23 @@ class TestScoreReport:
             row = list(csv.DictReader(fh))[0]
         assert row["method"] == "external-scores"
         assert float(row["recall"]) == 1.0  # oracle ranking finds everything
+
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_sample_size_below_one_is_an_error(self, tmp_path, capsys, k):
+        pool_csv = tmp_path / "pool.csv"
+        main(["gen-synthetic", "--n", "600", "--seed", "3", "--out", str(pool_csv)])
+        scores = tmp_path / "scores.csv"
+        scores.write_text("point_index,score\n" + "".join(f"{i},1\n" for i in range(600)))
+        assert main(["score-report", "--scores", str(scores), "--pool-csv", str(pool_csv),
+                     "--gamma", "0.56", "--k", k, "--out", str(tmp_path / "rep")]) == 1
+        assert f"K must be >= 1, got {k}" in capsys.readouterr().err
+        cfg = synthetic_config(tmp_path, method="mc")
+        cfg.write_text(cfg.read_text().replace("k_multiple = 2", f"k = {k}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert f"K must be >= 1, got {k}" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "rate_report.csv").exists()
+        assert not (tmp_path / "out" / "rate_report.csv").exists()
 
 
 class TestCsvOracle:

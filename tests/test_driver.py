@@ -139,25 +139,19 @@ class TestBamsBatch:
         selected = run_bams_batch(pool, state, config, oracle, log, 2)
         assert sum(s[2] for s in selected) < config.m_b
 
-    def test_lenient_budget_rule_allows_equality(self):
+    def test_budget_equality_does_not_fit(self):
         queues = [[(AugmentedInput(0, 0), -0.5, 1.0), (AugmentedInput(1, 0), -0.4, 1.0)]]
-        strict = _merge_queues(queues, base_config(m_b=2.0, budget_rule="strict",
+        strict = _merge_queues(queues, base_config(m_b=2.0,
                                                    fidelities=FidelityConfig((1.0,)),
                                                    method="bas"))
-        lenient = _merge_queues(queues, base_config(m_b=2.0, budget_rule="lenient",
-                                                    fidelities=FidelityConfig((1.0,)),
-                                                    method="bas"))
         assert len(strict) == 1
-        assert len(lenient) == 2
 
-    def test_merge_rule_raw_vs_cost_normalized(self):
+    def test_merge_is_cost_normalized(self):
         # cheap item: good per-cost, worse raw
         q1 = [(AugmentedInput(0, 1), -0.02, 0.1)]
         q2 = [(AugmentedInput(1, 0), -0.10, 1.0)]
         cn = _merge_queues([q1, q2], base_config(m_b=5.0))
-        raw = _merge_queues([q1, q2], base_config(m_b=5.0, merge_rule="raw"))
         assert cn[0][0] == AugmentedInput(0, 1)
-        assert raw[0][0] == AugmentedInput(1, 0)
 
     def test_blocking_head_blocks_queue(self):
         # first queue's head never fits; its cheaper second item must not leak past it

@@ -143,6 +143,17 @@ class TestOwenTBranches:
             assert v == pytest.approx(ndtr(-8.0), abs=1e-16)
             assert v == pytest.approx(phi2_dblquad(h, k, r), abs=1e-12)
 
+    @pytest.mark.parametrize("h, k", [(-8.0, 8.0), (8.0, -8.0), (-10.0, 10.0)])
+    def test_opposite_sign_tails_at_independence(self, h, k):
+        # Phi(h) Phi(k) lies far below the 1e-16 spacing of Phi(k) near 1
+        assert bivariate_normal_cdf(h, k, 0.0) == pytest.approx(ndtr(h) * ndtr(k),
+                                                                rel=1e-12, abs=0.0)
+
+    def test_far_opposite_sign_tail_stays_positive(self):
+        v = bivariate_normal_cdf(-10.0, 10.0, 0.5)
+        assert v > 0.0
+        assert v == pytest.approx(ndtr(-10.0), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("r", [-0.7, 0.0, 0.95])
     def test_infinite_arguments(self, r):
         inf = np.inf

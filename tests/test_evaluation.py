@@ -120,6 +120,14 @@ class TestRepeatedTrials:
         assert report.rv >= 0.0
         assert report.se_recall >= 0.0
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_sample_size_below_one_rejected(self, K):
+        truth = np.zeros(20, dtype=bool)
+        truth[3] = True
+        sv = ScoreVector.from_raw(np.ones(20))
+        with pytest.raises(InvalidInputError, match=f"K must be >= 1, got {K}"):
+            repeated_is_trials(sv, truth, K=K, trials=10, seed=0)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(4)
         truth = rng.random(100) < 0.1
