@@ -145,16 +145,17 @@ def _build_fidelities(cfg: _Config) -> FidelityConfig:
     return FidelityConfig(tuple(costs))
 
 
-def _load_pool_csv(path):
+def _load_pool_csv(path, need_truth=False):
     """Read a pool CSV in the gen-synthetic layout: coordinates from the
-    columns x0..x<d-1> and the optional truth_f_level0, all by name."""
+    columns x0..x<d-1> and truth_f_level0 (None when absent, a ConfigError
+    naming the file and header when ``need_truth``), all by name."""
     table = read_csv(path)
     dims = sorted(int(h[1:]) for h in table.header if h[:1] == "x" and h[1:].isdigit())
     if not dims or dims != list(range(len(dims))):
         raise ConfigError(f"{path} line 1: coordinate columns must be exactly "
                           f"x0..x<d-1>, got {table.header}")
     pool = EmbeddingPool(np.column_stack([table.column(f"x{j}") for j in dims]))
-    has_truth = "truth_f_level0" in table.header
+    has_truth = need_truth or "truth_f_level0" in table.header
     return pool, np.array(table.column("truth_f_level0")) if has_truth else None
 
 
@@ -221,14 +222,19 @@ def cmd_run(args) -> int:
                          default=spec.gamma if spec else None, required=spec is None)
     truth = truth_f <= gamma if truth_f is not None else None
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
-    oracle = None if method == "external-scores" else _build_oracle(cfg, pool, spec)
+    # every input table is read before the artifact directory is made, so a
+    # bad table leaves no empty --out behind
+    if method == "external-scores":
+        source = scores_from_csv(cfg.getstr("method", "scores_path", required=True),
+                                 pool.n_points)
+    else:
+        source = _build_oracle(cfg, pool, spec)
     try:
-        scores = _run_method(cfg, method, pool, oracle, gamma, out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        scores = _run_method(cfg, method, pool, source, gamma, out_dir)
     finally:
-        if isinstance(oracle, ExternalOracle):
-            oracle.close()
+        if isinstance(source, ExternalOracle):
+            source.close()
 
     if truth is not None and truth.any():
         _report(out_dir, method, scores, truth, cfg.getint("is", "k", default=None),
@@ -253,7 +259,8 @@ def _save_level0_log(out_dir, log: EvaluationLog) -> None:
 
 
 def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVector:
-    """Run the configured method, write its artifacts, and return its scores."""
+    """Run the configured method, write its artifacts, and return its scores.
+    For external-scores, ``oracle`` is the ScoreVector read from scores_path."""
     seed = cfg.getint("seeds", "run", default=0)
     alpha = cfg.getfloat("is", "alpha", default=2.5)
     m1 = cfg.getfloat("budget", "m1", default=20.0)
@@ -290,8 +297,7 @@ def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVect
         )
         _save_level0_log(out_dir, log)
     else:  # external-scores
-        scores = scores_from_csv(cfg.getstr("method", "scores_path", required=True),
-                                 pool.n_points)
+        scores = oracle
     write_csv(os.path.join(out_dir, "scores_final.csv"), ("point_index", "score"),
               enumerate(scores.scores.tolist()))
     return scores
@@ -326,9 +332,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_score_report(args) -> int:
-    pool, truth_f = _load_pool_csv(args.pool_csv)
-    if truth_f is None:
-        raise InvalidInputError("pool CSV lacks the truth_f_level0 column")
+    pool, truth_f = _load_pool_csv(args.pool_csv, need_truth=True)
     truth = truth_f <= args.gamma
     if not truth.any():
         raise InvalidInputError("no failures below gamma in the pool CSV")

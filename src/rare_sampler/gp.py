@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.blas import dsyr
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import InvalidInputError, NumericalError
 from .pool import EmbeddingPool, EvaluationLog, gather_points
@@ -370,37 +371,35 @@ def posterior_mean_var(state: PosteriorState, points: np.ndarray, levels: np.nda
 # ---------------------------------------------------------------------------
 
 
-def _matern_parts(P: np.ndarray, ls: np.ndarray, sig: float, buf: np.ndarray) -> None:
-    """One Matern-5/2 pass over a block of m points into ``buf`` (d + 4, m, m):
-    buf[:d] gets the log-lengthscale derivatives dk_j = (5/3) sig (1 + sqrt5 r)
-    e^{-sqrt5 r} u_j with u_j = ((x_i - x_k)_j / ls_j)^2, buf[d] gets k, and
-    buf[d + 1:] is scratch for r^2, t and e.  Every step runs in place: a fresh
-    m x m temporary can cost more than the arithmetic on it."""
-    d = len(ls)
-    dk, (k, r2, t, e) = buf[:d], buf[d:]
-    for q, u_j in zip((P / ls).T, dk):
-        np.square(np.subtract.outer(q, q, out=u_j), out=u_j)
-    np.copyto(r2, dk[0])
-    for u_j in dk[1:]:
-        r2 += u_j
-    np.sqrt(r2, out=t)
-    t *= SQRT5
-    np.negative(t, out=e)
+def _matern_pairs(D: np.ndarray, ls: np.ndarray, sig: float):
+    """Matern-5/2 values k = sig (1 + sqrt5 r + 5 r^2 / 3) e^{-sqrt5 r} and
+    slopes w = (5/3) sig (1 + sqrt5 r) e^{-sqrt5 r} on packed pairs, from their
+    squared coordinate differences ``D`` (d, P): r^2 = (1 / ls^2) @ D.  The
+    log-lengthscale derivative of k is w (x_i - x_k)_j^2 / ls_j^2."""
+    r2 = (1.0 / (ls * ls)) @ D
+    sr = np.sqrt(r2)
+    sr *= SQRT5
+    e = np.negative(sr)
     np.exp(e, out=e)
     e *= sig
-    t += 1.0
-    np.multiply(r2, 5.0 / 3.0, out=k)
-    k += t
+    sr += 1.0
+    k = np.multiply(r2, 5.0 / 3.0, out=r2)
+    k += sr
     k *= e
-    e *= 5.0 / 3.0
-    t *= e
-    dk *= t
+    w = np.multiply(sr, e, out=sr)
+    w *= 5.0 / 3.0
+    return k, w
 
 
 class _MllWork:
-    """What the MLL evaluations of one training call share: the gathered
-    observations, standardized targets, per-level index sets and points, and
-    the n x n buffers (K, M and each level's Matern parts) every call refills."""
+    """What the MLL evaluations of one training call share: the standardized
+    targets, the squared coordinate differences ``D`` (d, P) of the observation
+    pairs i < k in row-major upper-triangle order, and the Fortran-ordered n x n
+    matrix LAPACK works on in place.  Pairs land in its upper triangle; its
+    lower one stays zero.  ``levels[l]`` holds that level's Matern block: the
+    observations it covers, the positions of its pairs among all pairs, and
+    their columns of ``D`` (the base block covers everything; level l >= 1
+    only its own observations)."""
 
     def __init__(self, pool: EmbeddingPool, log: EvaluationLog, n_levels: int):
         self.inputs, self.values = list(log.inputs), list(log.values)
@@ -408,14 +407,17 @@ class _MllWork:
         pts, self.lvls = gather_points(pool, log.inputs)
         y_mean, y_std = log.normalization()
         self.y = (log.value_array - y_mean) / y_std
-        n, d = pts.shape
-        self.blocks = []
-        for l in range(n_levels):
-            idx = slice(None) if l == 0 else np.flatnonzero(self.lvls == l)
-            P = pts[idx]
-            self.blocks.append((idx, P, np.empty((d + 4, len(P), len(P)))))
-        self.K = np.empty((n, n))
-        self.M = np.empty((n, n))
+        n = len(pts)
+        I, J = np.triu_indices(n, 1)
+        self.flat = I + n * J  # (i, k) in K's column-major storage
+        self.D = np.square(pts[I] - pts[J]).T.copy()
+        self.levels = [(slice(None), slice(None), self.D)]
+        for l in range(1, n_levels):
+            obs = self.lvls == l
+            pos = np.flatnonzero(obs[I] & obs[J])
+            self.levels.append((obs, pos, self.D[:, pos]))
+        self.K = np.zeros((n, n), order="F")
+        self.K_flat = self.K.reshape(-1, order="F")
 
     def fits(self, log: EvaluationLog, hyper: GpHyperparams) -> bool:
         return (hyper.n_levels == self.n_levels and log.inputs == self.inputs
@@ -428,12 +430,18 @@ def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
 
     Gradient entries follow ``GpHyperparams.to_vector()`` order and use the
     closed-form trace identity d = 0.5 * M : dK with M = a a^T - K^{-1}
-    (K^{-1} from LAPACK potri).  One Matern pass per level yields K and all
-    dK: the base block spans every observation, level l >= 1's only its own.
-    Each entry is then a dot product of M's block with dk_j or k, or for the
-    noise and jitter the variance times a trace of M.  ``work`` is the
-    workspace of ``train_hyperparameters``, built for this log and level
-    count; without it each call builds its own.
+    (K^{-1} from LAPACK potri, then the rank-one update dsyr, both in K's
+    upper triangle).  K, K^{-1} and every dK are symmetric, so the
+    identity is summed over the packed pairs i < k plus the diagonal:
+    M : dK = 2 Mp . dKp + diag(M) . diag(dK) with Mp = a_i a_k - (K^{-1})_ik.
+    Each Matern block (the base one over all pairs, level l >= 1's over its
+    own) contributes, with w its slope and D the pairs' squared differences,
+    2 (D @ (Mp w))_j / ls_j^2 for log ls_j and 2 Mp . k + sig * tr(M_block)
+    for log sig; the noise and jitter entries are the variance times a trace
+    of M.  K is factorized by potrf in place; only when that fails does
+    ``_solve_chol``'s jitter ladder rescue it.  ``work`` is the workspace of
+    ``train_hyperparameters``, built for this log and level count; without it
+    each call builds its own.
     """
     if len(log) < 2:
         raise InvalidInputError("marginal likelihood needs at least 2 observations")
@@ -441,32 +449,41 @@ def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
         work = _MllWork(pool, log, hyper.n_levels)
     elif not work.fits(log, hyper):
         raise InvalidInputError("MLL workspace was built for another log or level count")
-    y, K, M = work.y, work.K, work.M
+    y, K, K_flat = work.y, work.K, work.K_flat
     n = len(y)
-    (_, P, buf), *fid_blocks = work.blocks
-    _matern_parts(P, hyper.lengthscales, hyper.signal_var, buf)
-    np.copyto(K, buf[hyper.dim])
-    for l, (idx, P, buf) in enumerate(fid_blocks, start=1):
-        _matern_parts(P, hyper.fid_lengthscales[l - 1], hyper.fid_signal_var[l - 1], buf)
-        K[np.ix_(idx, idx)] += buf[hyper.dim]
-    K[np.diag_indices(n)] += noise_variances(work.lvls, hyper)
-    L, _ = _solve_chol(K, hyper.signal_var)
-    alpha = cho_solve((L, True), y)
-    mll = -0.5 * float(y @ alpha) - float(np.log(np.diag(L)).sum()) \
+    diag = K_flat[::n + 1]  # K's, then the factor's after potrf, -M's after dsyr
+    lss = [hyper.lengthscales, *hyper.fid_lengthscales]
+    sigs = [hyper.signal_var, *hyper.fid_signal_var]
+    parts = [_matern_pairs(D, ls, sig) for (_, _, D), ls, sig in zip(work.levels, lss, sigs)]
+    k_sum = parts[0][0].copy() if len(parts) > 1 else parts[0][0]
+    for (_, pos, _), (k, _) in zip(work.levels[1:], parts[1:]):
+        k_sum[pos] += k
+    prior_noise = prior_variances(work.lvls, hyper) + noise_variances(work.lvls, hyper)
+    K_flat[work.flat] = k_sum
+    diag[:] = prior_noise
+    _, info = dpotrf(K, lower=0, clean=0, overwrite_a=1)
+    if info:  # potrf stopped part way through K: refill it for the ladder
+        K_flat[work.flat] = k_sum
+        diag[:] = prior_noise
+        L, _ = _solve_chol(K.T, hyper.signal_var)  # K.T's lower triangle is K's upper
+        np.copyto(K, L.T)
+    alpha, _ = dpotrs(K, y, lower=0)
+    mll = -0.5 * float(y @ alpha) - float(np.log(diag).sum()) \
         - 0.5 * n * np.log(2.0 * np.pi)
-    # K^{-1} in the lower triangle; L's upper one is zero
-    C, _ = dpotri(L, lower=1, overwrite_c=1)
-    np.outer(alpha, alpha, out=M)
-    M -= C
-    M -= C.T
-    M[np.diag_indices(n)] += np.diag(C)
+    dpotri(K, lower=0, overwrite_c=1)  # K^{-1} in K's upper triangle
+    dsyr(-1.0, alpha, lower=0, a=K, overwrite_a=1)  # K^{-1} - a a^T = -M
+    Mp = K_flat[work.flat]
+    Mp *= -1.0
+    M_diag = -diag
     grad = []
-    for l, (idx, _, buf) in enumerate(work.blocks):
-        M_l = M[idx][:, idx]
-        grad += [np.vdot(M_l, g) for g in buf[:hyper.dim + 1]]  # every dk_j, then k
+    for l, ((obs, pos, D), (k, w), ls, sig) in enumerate(zip(work.levels, parts, lss, sigs)):
+        trace = M_diag[obs].sum()
+        Mp_l = Mp[pos]
+        grad += list(2.0 * (D @ (Mp_l * w)) / (ls * ls))
+        grad.append(2.0 * float(Mp_l @ k) + sig * trace)
         if l:
-            grad.append(hyper.fid_noise_var[l - 1] * np.trace(M_l))
-    grad.append(hyper.jitter * np.trace(M))
+            grad.append(hyper.fid_noise_var[l - 1] * trace)
+    grad.append(hyper.jitter * M_diag.sum())
     return mll, 0.5 * np.array(grad)
 
 

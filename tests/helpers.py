@@ -134,17 +134,19 @@ def dense_posterior_oracle(pool, log, hyper, q_points, q_levels):
     return mu * y_std + y_mean, np.maximum(var, 0.0) * y_std**2
 
 
-def dense_mll_reference(pool, log, hyper, *, work=None):
+def dense_mll_reference(pool, log, hyper, *, work=None, extra=0.0):
     """Marginal log likelihood and log-space gradient by the textbook formula:
     K from ``mf_kernel_matrix``, ``np.linalg.inv``, and one explicit dense,
-    zero-padded dK per parameter in ``to_vector()`` order.  ``work`` (the
-    shipped function's training workspace) is accepted and ignored."""
+    zero-padded dK per parameter in ``to_vector()`` order.  ``extra`` is added
+    to K's diagonal, as a Cholesky rescue does, and leaves every dK alone.
+    ``work`` (the shipped function's training workspace) is accepted and
+    ignored."""
     pts, lvls = gather_points(pool, log.inputs)
     y_mean, y_std = log.normalization()
     y = (log.value_array - y_mean) / y_std
     n = len(y)
     K = mf_kernel_matrix(pts, lvls, pts, lvls, hyper)
-    K[np.diag_indices_from(K)] += noise_variances(lvls, hyper)
+    K[np.diag_indices_from(K)] += noise_variances(lvls, hyper) + extra
     Kinv = np.linalg.inv(K)
     a = Kinv @ y
     mll = -0.5 * y @ a - 0.5 * np.linalg.slogdet(K)[1] - 0.5 * n * np.log(2 * np.pi)

@@ -496,6 +496,14 @@ class TestInputTables:
             self.read(kind, path)
         assert set(self.exit_codes(tmp_path, kind, path)) == {2}
 
+    @pytest.mark.parametrize("kind", sorted(INPUT_TABLES))
+    def test_bad_table_leaves_no_artifact_directory(self, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join(_set_cell(INPUT_TABLES[kind], 3, -1, "abc")) + "\n")
+        assert set(self.exit_codes(tmp_path, kind, path)) == {2}
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "rep").exists()
+
     def test_columns_read_by_name(self, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("note,score,point_index\na,2.0,1\n\nb,0.5,2\nc,1.0,0\n")
@@ -530,6 +538,17 @@ class TestScoreReport:
         assert row["method"] == "external-scores"
         assert float(row["recall"]) == 1.0  # oracle ranking finds everything
 
+
+    def test_pool_without_truth_names_file_and_header(self, tmp_path, capsys):
+        pool_csv = tmp_path / "pool.csv"
+        pool_csv.write_text("index,x0,x1\n0,0.0,0.0\n1,1.0,0.0\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("point_index,score\n0,1.0\n1,0.5\n")
+        assert main(["score-report", "--scores", str(scores), "--pool-csv", str(pool_csv),
+                     "--gamma", "0.5", "--out", str(tmp_path / "rep")]) == 2
+        assert (f"config error: {pool_csv} line 1: need one 'truth_f_level0' column in "
+                "['index', 'x0', 'x1']") in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_sample_size_below_one_is_an_error(self, tmp_path, capsys, k):

@@ -242,7 +242,7 @@ class TestMarginalLikelihood:
             denom = max(abs(fd), abs(grad[k]), 1e-3)
             assert abs(grad[k] - fd) / denom < 1e-4, f"param {k}"
 
-    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 3, 8])
     @pytest.mark.parametrize("level_counts", [(6, 5), (1, 7), (5, 4, 3), (6, 0, 4), (6, 5, 1)],
                              ids=lambda c: "-".join(map(str, c)))
     def test_matches_dense_reference(self, dim, level_counts):
@@ -256,6 +256,52 @@ class TestMarginalLikelihood:
             if count == 0:
                 start = dim + 1 + (l - 1) * (dim + 2)
                 np.testing.assert_array_equal(grad[start:start + dim + 2], 0.0)
+
+    def test_failed_factorization_takes_the_jitter_ladder(self, monkeypatch):
+        # points 0 and 1 coincide at level 0 and the jitter is far below
+        # round-off, so K is singular in floating point and potrf fails.  The
+        # repeated point repeats its value, which keeps the targets off K's
+        # near-null direction: the rescued K's condition number is about 1e6,
+        # and with differing values both computations lose ~1e-5 to it.
+        rng = np.random.default_rng(4)
+        points = 2.0 * rng.standard_normal((8, 2))
+        points[1] = points[0]
+        values = rng.standard_normal(8)
+        values[1] = values[0]
+        pool, log = EmbeddingPool(points), EvaluationLog()
+        for i, lvl in enumerate([0, 0, 1, 0, 1, 1, 0, 1]):
+            log.append(AugmentedInput(i, lvl), float(values[i]), 1)
+        hyper = unit_hyper(n_levels=2, jitter=1e-20)
+        rescues, shipped = [], gp._solve_chol
+
+        def recording(K, signal_var):
+            L, extra = shipped(K, signal_var)
+            rescues.append(extra)
+            return L, extra
+
+        monkeypatch.setattr(gp, "_solve_chol", recording)
+        mll, grad = marginal_log_likelihood(pool, log, hyper)
+        assert rescues == [1e-6 * hyper.signal_var]
+        assert np.isfinite(mll) and np.all(np.isfinite(grad))
+        ref_mll, ref_grad = dense_mll_reference(pool, log, hyper, extra=rescues[0])
+        np.testing.assert_allclose(mll, ref_mll, rtol=1e-9)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9)
+
+    def test_peak_memory_of_one_workspace_and_call(self):
+        rng = np.random.default_rng(0)
+        n = 200
+        pool, log = EmbeddingPool(rng.standard_normal((n, 2))), EvaluationLog()
+        for i in range(n):
+            log.append(AugmentedInput(i, i % 2), float(rng.standard_normal()), 1)
+        hyper = unit_hyper(n_levels=2, lengthscales=np.array([0.7, 1.3]))
+        tracemalloc.start()
+        try:
+            marginal_log_likelihood(pool, log, hyper, work=_MllWork(pool, log, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 5.7 n x n matrices measured; dense per-level buffers peaked at 11.3
+        assert peak < 7 * n * n * 8
 
     def test_first_order_consistency(self):
         rng = np.random.default_rng(5)
