@@ -2,8 +2,8 @@
 rate estimation over a finite pool of embedding points."""
 
 from .acquisition import PendingSet, acquisition_J, point_variance_beta, select_batch
-from .baselines import (CeState, gaussian_pdf_scores, mc_scores, random_acquisition,
-                        run_cross_entropy, scores_from_csv)
+from .baselines import (CeState, CrossEntropy, gaussian_pdf_scores, mc_scores,
+                        random_acquisition, scores_from_csv)
 from .clustering import (ClusterAssignment, cluster_with_merges, hausdorff_distance,
                          kmeans, scale_points)
 from .driver import (BatchRecord, ExperimentResult, RunConfig, run_bams_batch,

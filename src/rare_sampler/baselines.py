@@ -1,15 +1,16 @@
-"""Non-adaptive and cross-entropy baselines sharing the driver plumbing.
+"""Batch steps and scores of the baselines, run by ``driver.run_experiment``.
 
-The Monte Carlo baseline sorts and samples by seeded random scores; the
-GP baselines replace the acquisition step with uniform random selection;
-the cross-entropy method fits a diagonal Gaussian to the lowest-metric
-elites of each batch and scores the pool by its final density.  A hook for
-externally supplied per-point scores covers protocols whose scoring model
-is not reproducible here.
+The Monte Carlo baseline sorts and samples by seeded random scores; it and
+the GP baselines acquire by uniform random selection; the cross-entropy
+method fits a diagonal Gaussian to the lowest-metric elites of each batch
+and scores the pool by its final density.  A hook for externally supplied
+per-point scores covers protocols whose scoring model is not reproducible
+here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,47 +76,46 @@ def _fit_elite_gaussian(points: np.ndarray, values: np.ndarray, n_elite: int,
     return elite.mean(axis=0), np.maximum(elite.var(axis=0), var_floor)
 
 
-def run_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, m_b: int,
-                      seed):
-    """Cross-entropy search snapped to the pool.
+class CrossEntropy:
+    """Cross-entropy search snapped to the pool, one batch per call.
 
-    Batch 1 evaluates m1 uniformly random points; each later batch draws
-    m_b Gaussian samples, snaps them to the nearest unevaluated pool point,
-    evaluates at level 0, and refits the Gaussian to the batch's lowest
-    values.  Returns (CeState, density ScoreVector, EvaluationLog).
+    One generator drives every batch of ceil(budget) level-0 points: first
+    uniform ones, then Gaussian draws snapped to the nearest unevaluated
+    pool point.  Each batch refits the Gaussian to its lowest values.
     """
-    if batches < 1 or m1 < 1 or m_b < 1:
-        raise InvalidInputError("batches, m1 and m_b must be positive")
-    rng = np.random.default_rng(seed)
-    var_floor = CE_VAR_FLOOR_REL * np.maximum(pool.points.var(axis=0), 1e-30)
-    log = EvaluationLog()
 
-    first = rng.choice(pool.n_points, size=min(m1, pool.n_points), replace=False)
-    for i in first:
-        log.evaluate(oracle, AugmentedInput(int(i), 0), 1)
-    pts = pool.points[first]
-    vals = log.value_array
-    mean, var = _fit_elite_gaussian(pts, vals, CE_ELITES, var_floor)
-    state = CeState(mean=mean, var=var)
+    def __init__(self, pool: EmbeddingPool, seed):
+        self.pool = pool
+        self.rng = np.random.default_rng(seed)
+        self.var_floor = CE_VAR_FLOOR_REL * np.maximum(pool.points.var(axis=0), 1e-30)
+        self.state: CeState | None = None
 
-    evaluated = {int(i) for i in first}
-    for b in range(2, batches + 1):
-        draws = state.mean + np.sqrt(state.var) * rng.standard_normal((m_b, pool.dim))
-        batch_idx: list[int] = []
-        for x in draws:
-            d2 = np.sum((pool.points - x) ** 2, axis=1)
-            d2[list(evaluated | set(batch_idx))] = np.inf
-            if np.isinf(d2).all():
-                break
-            batch_idx.append(int(np.argmin(d2)))
-        if not batch_idx:
-            break
-        batch_vals = [log.evaluate(oracle, AugmentedInput(i, 0), b) for i in batch_idx]
-        evaluated.update(batch_idx)
-        mean, var = _fit_elite_gaussian(pool.points[batch_idx],
-                                        np.asarray(batch_vals), CE_ELITES, var_floor)
-        state = CeState(mean=mean, var=var)
-    return state, gaussian_pdf_scores(state, pool), log
+    def run_batch(self, oracle, log: EvaluationLog, batch_index: int, budget: float):
+        """Evaluate one batch into the log; returns [(input, NaN deltaJ, 1)]
+        in evaluation order, empty once every pool point is evaluated."""
+        pool, state, m = self.pool, self.state, math.ceil(budget)
+        if state is None:
+            picks = self.rng.choice(pool.n_points, size=min(m, pool.n_points),
+                                    replace=False).tolist()
+        else:
+            draws = state.mean + np.sqrt(state.var) * self.rng.standard_normal((m, pool.dim))
+            taken = {inp.point_index for inp in log.inputs}
+            picks = []
+            for x in draws:
+                d2 = np.sum((pool.points - x) ** 2, axis=1)
+                d2[list(taken)] = np.inf
+                if np.isinf(d2).all():
+                    break
+                picks.append(int(np.argmin(d2)))
+                taken.add(picks[-1])
+        if not picks:
+            return []
+        for i in picks:
+            log.evaluate(oracle, AugmentedInput(i, 0), batch_index)
+        mean, var = _fit_elite_gaussian(pool.points[picks], log.batch_values(batch_index),
+                                        CE_ELITES, self.var_floor)
+        self.state = CeState(mean=mean, var=var)
+        return [(AugmentedInput(i, 0), float("nan"), 1.0) for i in picks]
 
 
 def gaussian_pdf_scores(state: CeState, pool: EmbeddingPool) -> ScoreVector:

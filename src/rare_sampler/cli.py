@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import mc_scores, run_cross_entropy, scores_from_csv
-from .driver import RunConfig, run_experiment, run_random_batch, write_selected_batch
+from .baselines import scores_from_csv
+from .driver import RunConfig, run_experiment
 from .errors import ConfigError, InvalidInputError, RareSamplerError
-from .evaluation import (ScoreVector, importance_scores, repeated_is_trials,
-                         retention_recall_curve, splitting_bound)
+from .evaluation import (ScoreVector, repeated_is_trials, retention_recall_curve,
+                         splitting_bound)
 from .gp import TrainOptions
 from .oracles import CsvOracle, ExternalOracle
-from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, read_csv, write_csv
+from .pool import EmbeddingPool, FidelityConfig, read_csv, write_csv
 from .synthetic import (SyntheticOracle, SyntheticSpec, export_pool_csv,
                         generate_pool, ground_truth_labels, metric_level0)
 
@@ -248,25 +248,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _save_level0_log(out_dir, log: EvaluationLog) -> None:
-    """log.csv and one selected_batch<k>.csv per logged batch for the methods
-    that query only level 0 and have no acquisition objective (mc, ce): rows in
-    evaluation order, deltaJ NaN, and cost 1, the level-0 cost."""
-    log.write_csv(os.path.join(out_dir, "log.csv"))
-    for b in sorted(set(log.batches)):
-        write_selected_batch(out_dir, b, [(inp, float("nan"), 1.0) for inp, k
-                                          in zip(log.inputs, log.batches) if k == b])
-
-
-def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVector:
-    """Run the configured method, write its artifacts, and return its scores.
-    For external-scores, ``oracle`` is the ScoreVector read from scores_path."""
+def _run_method(cfg: _Config, method, pool, source, gamma, out_dir) -> ScoreVector:
+    """Run the configured method, write its artifacts, and return its final
+    scores.  For external-scores, ``source`` is the ScoreVector read from
+    scores_path; every other method runs its oracle ``source`` through
+    run_experiment.  The methods whose scores come from no failure field
+    (mc, ce, external-scores) also write them to scores_final.csv."""
     seed = cfg.getint("seeds", "run", default=0)
     alpha = cfg.getfloat("is", "alpha", default=2.5)
     m1 = cfg.getfloat("budget", "m1", default=20.0)
     m_b = cfg.getfloat("budget", "m_b", default=15.0)
     batches = cfg.getint("budget", "batches", default=3)
-    if method in ("bams", "bas", "mc-gp", "mcm-gp"):
+    if method == "external-scores":
+        scores = source
+    else:
         run_cfg = RunConfig(
             gamma=gamma,
             fidelities=_build_fidelities(cfg),
@@ -281,25 +276,12 @@ def _run_method(cfg: _Config, method, pool, oracle, gamma, out_dir) -> ScoreVect
                 iters=cfg.getint("method", "train_iters", default=200),
             ),
         )
-        result = run_experiment(pool, run_cfg, oracle)
+        result = run_experiment(pool, run_cfg, source)
         result.save(out_dir)
-        return importance_scores(result.final_field(), alpha)
-    if method == "mc":
-        log = EvaluationLog()
-        for b in range(1, batches + 1):
-            run_random_batch(pool, FidelityConfig((1.0,)), m1 if b == 1 else m_b,
-                             oracle, log, b, seed=[seed, b])
-        _save_level0_log(out_dir, log)
-        scores = mc_scores(pool.n_points, seed=[seed, 1])
-    elif method == "ce":
-        _, scores, log = run_cross_entropy(
-            pool, oracle, batches=batches, m1=int(m1), m_b=int(m_b), seed=[seed, 1],
-        )
-        _save_level0_log(out_dir, log)
-    else:  # external-scores
-        scores = oracle
-    write_csv(os.path.join(out_dir, "scores_final.csv"), ("point_index", "score"),
-              enumerate(scores.scores.tolist()))
+        scores = result.scores(alpha)
+    if method in ("mc", "ce", "external-scores"):
+        write_csv(os.path.join(out_dir, "scores_final.csv"), ("point_index", "score"),
+                  enumerate(scores.scores.tolist()))
     return scores
 
 

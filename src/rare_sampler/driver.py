@@ -1,10 +1,10 @@
-"""Batch-loop orchestration: initialization, clustered budgeted selection
-queues, global merge, oracle evaluation, and posterior refits.
+"""The one batch loop of every oracle method, and its artifact writer.
 
 Each adaptive batch partitions the pool into S clusters, builds a ranked
 selection queue per cluster with a proportional overbudget, then merges the
-queue heads globally until the batch budget is spent.  Hyperparameters are
-retrained after every batch, warm-started from the previous values.
+queue heads globally until the batch budget is spent.  The GP methods
+retrain their hyperparameters after every batch, warm-started from the
+previous values; mc and ce run random and cross-entropy batches, no GP.
 """
 
 from __future__ import annotations
@@ -15,16 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import select_batch
-from .baselines import random_acquisition
+from .baselines import (CeState, CrossEntropy, gaussian_pdf_scores, mc_scores,
+                        random_acquisition)
 from .clustering import cluster_with_merges
 from .errors import EmptySelectionError, InvalidInputError
 from .estimator import FailureField, failure_prob
+from .evaluation import ScoreVector, importance_scores
 from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
                  train_hyperparameters)
 from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig, write_csv
 
 _ADAPTIVE_METHODS = ("bams", "bas")
-_RANDOM_METHODS = ("mc-gp", "mcm-gp")
+_METHODS = _ADAPTIVE_METHODS + ("mc-gp", "mcm-gp", "mc", "ce")
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,10 @@ class RunConfig:
             raise InvalidInputError("eta must be >= 1")
         if self.S < 1 or (self.S_hat is not None and self.S_hat < self.S):
             raise InvalidInputError("need 1 <= S <= S_hat")
-        if self.method not in _ADAPTIVE_METHODS + _RANDOM_METHODS:
-            raise InvalidInputError(f"driver method must be one of "
-                                    f"{_ADAPTIVE_METHODS + _RANDOM_METHODS}, got {self.method!r}")
-        if self.method in ("bas", "mc-gp") and self.fidelities.n_levels != 1:
+        if self.method not in _METHODS:
+            raise InvalidInputError(f"driver method must be one of {_METHODS}, "
+                                    f"got {self.method!r}")
+        if self.method not in ("bams", "mcm-gp") and self.fidelities.n_levels != 1:
             object.__setattr__(self, "fidelities",
                                FidelityConfig(self.fidelities.costs[:1]))
 
@@ -152,31 +154,26 @@ def _merge_queues(queues, config: RunConfig):
     return out
 
 
-def write_selected_batch(out_dir, batch_index: int, selected) -> None:
-    """The selected_batch<k>.csv artifact: one point_index,level,deltaJ,cost
-    row per (input, deltaJ, cost) of ``selected``, in selection order."""
-    write_csv(os.path.join(out_dir, f"selected_batch{batch_index}.csv"),
-              ("point_index", "level", "deltaJ", "cost"),
-              ((inp.point_index, inp.level, dj, cost) for inp, dj, cost in selected))
-
-
 @dataclass
 class BatchRecord:
     index: int
-    selected: list            # (AugmentedInput, deltaJ, cost); deltaJ NaN for random batches
+    # (AugmentedInput, deltaJ, cost); deltaJ NaN for random and ce batches
+    selected: list
     mean_f: float
-    field: FailureField | None
-    hyper: GpHyperparams | None
+    field: FailureField | None      # None for mc and ce
+    hyper: GpHyperparams | None     # None for mc and ce
 
 
 @dataclass
 class ExperimentResult:
-    """Full run log: evaluations, per-batch selections, fields, and the final state."""
+    """Full run log: evaluations, per-batch selections, fields, and the final
+    state: the posterior of a GP method, the Gaussian of ce, None for mc."""
 
     config: RunConfig
+    pool: EmbeddingPool
     log: EvaluationLog
     batches: list[BatchRecord]
-    state: PosteriorState | None
+    state: PosteriorState | CeState | None
 
     def batch_mean_f(self) -> list[float]:
         return [b.mean_f for b in self.batches]
@@ -187,13 +184,25 @@ class ExperimentResult:
                 return b.field
         raise InvalidInputError("run holds no posterior snapshots")
 
+    def scores(self, alpha: float) -> ScoreVector:
+        """Final per-point scores: the last field's importance scores for a GP
+        method, mc_scores from [seed, 1] for mc, the final density for ce."""
+        if self.config.method == "mc":
+            return mc_scores(self.pool.n_points, seed=[self.config.seed, 1])
+        if self.config.method == "ce":
+            return gaussian_pdf_scores(self.state, self.pool)
+        return importance_scores(self.final_field(), alpha)
+
     def save(self, out_dir) -> None:
-        """Write the documented artifact layout into a directory."""
+        """Write the documented artifact layout into a directory; an empty
+        batch still gets its header-only selected_batch<k>.csv."""
         os.makedirs(out_dir, exist_ok=True)
         self.log.write_csv(os.path.join(out_dir, "log.csv"))
         for rec in self.batches:
             k = rec.index
-            write_selected_batch(out_dir, k, rec.selected)
+            write_csv(os.path.join(out_dir, f"selected_batch{k}.csv"),
+                      ("point_index", "level", "deltaJ", "cost"),
+                      ((inp.point_index, inp.level, dj, c) for inp, dj, c in rec.selected))
             if rec.field is not None:
                 write_csv(os.path.join(out_dir, f"scores_batch{k}.csv"),
                           ("point_index", "p_n", "h_n"),
@@ -205,29 +214,35 @@ class ExperimentResult:
 
 
 def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> ExperimentResult:
-    """Initialization batch, then adaptive or random batches with retraining."""
+    """Run every batch of one oracle method; the one batch loop.
+
+    Batch 1 spends m1 and each later batch m_b on the method's step: a ce
+    batch, an adaptive batch (bams, bas after batch 1) or a random batch from
+    the stream [seed, b] ([seed, 0] for a GP method's batch 1).  A GP method
+    then retrains, refits and snapshots its failure field."""
     fidelities = config.fidelities
+    gp = config.method not in ("mc", "ce")
+    ce = CrossEntropy(pool, seed=[config.seed, 1]) if config.method == "ce" else None
     log = EvaluationLog()
-    hyper = GpHyperparams.defaults(pool, fidelities.n_levels)
+    hyper = GpHyperparams.defaults(pool, fidelities.n_levels) if gp else None
+    state = snapshot = None
     records = []
     for b in range(1, config.batches + 1):
-        if b == 1:
-            selected = run_random_batch(pool, fidelities, config.m1, oracle, log, b,
-                                        seed=[config.seed, 0])
-        elif config.method in _ADAPTIVE_METHODS:
+        budget = config.m1 if b == 1 else config.m_b
+        if ce is not None:
+            selected = ce.run_batch(oracle, log, b, budget)
+        elif b > 1 and config.method in _ADAPTIVE_METHODS:
             selected = run_bams_batch(pool, state, config, oracle, log, b)
         else:
-            selected = run_random_batch(pool, fidelities, config.m_b, oracle, log, b,
-                                        seed=[config.seed, b])
-        if len(log) >= 2:
-            hyper = train_hyperparameters(pool, log, hyper, config.train)
-        state = fit_posterior(pool, log, hyper, config.gamma)
+            selected = run_random_batch(pool, fidelities, budget, oracle, log, b,
+                                        seed=[config.seed, 0 if b == 1 and gp else b])
+        if gp:
+            if len(log) >= 2:
+                hyper = train_hyperparameters(pool, log, hyper, config.train)
+            state = fit_posterior(pool, log, hyper, config.gamma)
+            snapshot = failure_prob(state, pool.points)
         vals = log.batch_values(b)
-        records.append(BatchRecord(
-            index=b,
-            selected=selected,
-            mean_f=float(vals.mean()) if vals.size else float("nan"),
-            field=failure_prob(state, pool.points),
-            hyper=hyper,
-        ))
-    return ExperimentResult(config=config, log=log, batches=records, state=state)
+        mean_f = float(vals.mean()) if vals.size else float("nan")
+        records.append(BatchRecord(b, selected, mean_f, snapshot, hyper))
+    return ExperimentResult(config=config, pool=pool, log=log, batches=records,
+                            state=ce.state if ce is not None else state)

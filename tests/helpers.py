@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from rare_sampler import (AugmentedInput, ClusterAssignment, EmbeddingPool, EvaluationLog,
-                          FidelityConfig, GpHyperparams, InvalidInputError, acquisition_J,
-                          fit_posterior, kmeans, scale_points)
+from rare_sampler import (AugmentedInput, CeState, ClusterAssignment, EmbeddingPool,
+                          EvaluationLog, FidelityConfig, GpHyperparams, InvalidInputError,
+                          acquisition_J, fit_posterior, gaussian_pdf_scores, kmeans, mc_scores,
+                          run_random_batch, scale_points)
 from rare_sampler.acquisition import point_variance_beta
+from rare_sampler.baselines import CE_ELITES, CE_VAR_FLOOR_REL, _fit_elite_gaussian
 from rare_sampler.clustering import _relabel
 from rare_sampler.estimator import SIGMA_FLOOR
 from rare_sampler.gp import SQRT5, mf_kernel_matrix, noise_variances
@@ -266,3 +268,57 @@ def reference_cluster_with_merges(pool, hyper, S, S_hat, seed) -> ClusterAssignm
     for cid, idx in groups.items():
         labels[idx] = cid
     return ClusterAssignment(_relabel(labels))
+
+
+def reference_mc_run(pool, oracle, batches, m1, m_b, seed):
+    """The mc method as its own loop: every batch b a level-0 random batch
+    from the stream [seed, b], then seeded random scores from [seed, 1].
+    Returns (EvaluationLog, ScoreVector)."""
+    log = EvaluationLog()
+    for b in range(1, batches + 1):
+        run_random_batch(pool, FidelityConfig((1.0,)), m1 if b == 1 else m_b,
+                         oracle, log, b, seed=[seed, b])
+    return log, mc_scores(pool.n_points, seed=[seed, 1])
+
+
+def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, m_b: int,
+                            seed):
+    """Cross-entropy search snapped to the pool, as one loop.
+
+    Batch 1 evaluates m1 uniformly random points; each later batch draws
+    m_b Gaussian samples, snaps them to the nearest unevaluated pool point,
+    evaluates at level 0, and refits the Gaussian to the batch's lowest
+    values.  Returns (CeState, density ScoreVector, EvaluationLog).
+    """
+    if batches < 1 or m1 < 1 or m_b < 1:
+        raise InvalidInputError("batches, m1 and m_b must be positive")
+    rng = np.random.default_rng(seed)
+    var_floor = CE_VAR_FLOOR_REL * np.maximum(pool.points.var(axis=0), 1e-30)
+    log = EvaluationLog()
+
+    first = rng.choice(pool.n_points, size=min(m1, pool.n_points), replace=False)
+    for i in first:
+        log.evaluate(oracle, AugmentedInput(int(i), 0), 1)
+    pts = pool.points[first]
+    vals = log.value_array
+    mean, var = _fit_elite_gaussian(pts, vals, CE_ELITES, var_floor)
+    state = CeState(mean=mean, var=var)
+
+    evaluated = {int(i) for i in first}
+    for b in range(2, batches + 1):
+        draws = state.mean + np.sqrt(state.var) * rng.standard_normal((m_b, pool.dim))
+        batch_idx: list[int] = []
+        for x in draws:
+            d2 = np.sum((pool.points - x) ** 2, axis=1)
+            d2[list(evaluated | set(batch_idx))] = np.inf
+            if np.isinf(d2).all():
+                break
+            batch_idx.append(int(np.argmin(d2)))
+        if not batch_idx:
+            break
+        batch_vals = [log.evaluate(oracle, AugmentedInput(i, 0), b) for i in batch_idx]
+        evaluated.update(batch_idx)
+        mean, var = _fit_elite_gaussian(pool.points[batch_idx],
+                                        np.asarray(batch_vals), CE_ELITES, var_floor)
+        state = CeState(mean=mean, var=var)
+    return state, gaussian_pdf_scores(state, pool), log

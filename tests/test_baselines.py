@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
 
-from rare_sampler import (AugmentedInput, CeState, EmbeddingPool, FidelityConfig,
+from rare_sampler import (AugmentedInput, CeState, EmbeddingPool, FidelityConfig, RunConfig,
                           gaussian_pdf_scores, mc_scores, random_acquisition,
-                          run_cross_entropy)
+                          run_experiment)
 from rare_sampler.baselines import scores_from_csv
 from rare_sampler.errors import InvalidInputError, OracleError
+
+from helpers import reference_cross_entropy, reference_mc_run
+
+
+def run_method(pool, oracle, method, batches, m1, m_b, seed):
+    """One mc or ce run through the experiment loop."""
+    config = RunConfig(gamma=0.0, method=method, m1=m1, m_b=m_b, batches=batches, seed=seed)
+    return run_experiment(pool, config, oracle)
+
+
+def run_ce(pool, oracle, batches, m1, m_b, seed):
+    """ce through the experiment loop: (final CeState, final scores, log)."""
+    result = run_method(pool, oracle, "ce", batches, m1, m_b, seed)
+    return result.state, result.scores(alpha=2.5), result.log
 
 
 class TestRandomAcquisition:
@@ -85,8 +99,7 @@ class TestCrossEntropy:
         def oracle(i, level):
             return 0.0 if i < 5 else 10.0
 
-        state, scores, _ = run_cross_entropy(pool, oracle, batches=2, m1=25, m_b=5,
-                                             seed=3)
+        state, scores, _ = run_ce(pool, oracle, batches=2, m1=25, m_b=5, seed=3)
         np.testing.assert_allclose(state.mean, [1.25, 1.25], atol=1e-9)
         floor = 1e-6 * np.maximum(pool.points.var(axis=0), 1e-30)
         np.testing.assert_allclose(state.var, floor)
@@ -96,20 +109,19 @@ class TestCrossEntropy:
         target = np.array([2.5, 2.5])
         rng = np.random.default_rng(1)
         first = rng.choice(pool.n_points, 20, replace=False)
-        state, _, log = run_cross_entropy(pool, oracle, batches=3, m1=20, m_b=10,
-                                          seed=1)
+        state, _, log = run_ce(pool, oracle, batches=3, m1=20, m_b=10, seed=1)
         start_mean = pool.points[[i.point_index for i in log.inputs[:20]]].mean(axis=0)
         assert np.linalg.norm(state.mean - target) < np.linalg.norm(start_mean - target)
 
     def test_batch_means_decrease(self):
         pool, oracle = self.blob_pool_and_oracle(seed=2)
-        _, _, log = run_cross_entropy(pool, oracle, batches=3, m1=20, m_b=10, seed=5)
+        _, _, log = run_ce(pool, oracle, batches=3, m1=20, m_b=10, seed=5)
         means = [log.batch_values(b).mean() for b in (1, 2, 3)]
         assert means[2] < means[0]
 
     def test_never_reevaluates(self):
         pool, oracle = self.blob_pool_and_oracle(seed=3)
-        _, _, log = run_cross_entropy(pool, oracle, batches=3, m1=15, m_b=8, seed=6)
+        _, _, log = run_ce(pool, oracle, batches=3, m1=15, m_b=8, seed=6)
         inputs = [i.point_index for i in log.inputs]
         assert len(inputs) == len(set(inputs))
 
@@ -125,7 +137,64 @@ class TestCrossEntropy:
             return metric(i, level)
 
         with pytest.raises(OracleError, match=r"point \d+ level 0: simulator crashed"):
-            run_cross_entropy(pool, oracle, batches=3, m1=15, m_b=8, seed=6)
+            run_ce(pool, oracle, batches=3, m1=15, m_b=8, seed=6)
+
+
+class TestLoopReferences:
+    """mc and ce through run_experiment against their former stand-alone loops."""
+
+    # (m1, m_b, batches); the last exhausts the 30-point pool in batch 3
+    TRIPLES = [(6, 3, 3), (10, 4, 2), (12, 10, 4)]
+
+    @staticmethod
+    def pool_and_oracle(seed):
+        pool = EmbeddingPool(np.random.default_rng(100 + seed).standard_normal((30, 2)))
+
+        def oracle(i, level):
+            return float(np.linalg.norm(pool.points[i] - [1.0, 1.0]))
+
+        return pool, oracle
+
+    @staticmethod
+    def assert_same_log(log, ref):
+        assert log.inputs == ref.inputs
+        assert log.values == ref.values
+        assert log.batches == ref.batches
+
+    @pytest.mark.parametrize("m1,m_b,batches", TRIPLES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mc_matches_reference_loop(self, seed, m1, m_b, batches):
+        pool, oracle = self.pool_and_oracle(seed)
+        result = run_method(pool, oracle, "mc", batches, float(m1), float(m_b), seed)
+        ref_log, ref_scores = reference_mc_run(pool, oracle, batches, float(m1),
+                                               float(m_b), seed)
+        self.assert_same_log(result.log, ref_log)
+        scores = result.scores(alpha=2.5)
+        np.testing.assert_array_equal(scores.scores, ref_scores.scores)
+        np.testing.assert_array_equal(scores.q, ref_scores.q)
+
+    @pytest.mark.parametrize("m1,m_b,batches", TRIPLES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ce_matches_reference_loop(self, seed, m1, m_b, batches):
+        pool, oracle = self.pool_and_oracle(seed)
+        state, scores, log = run_ce(pool, oracle, batches, float(m1), float(m_b), seed)
+        ref_state, ref_scores, ref_log = reference_cross_entropy(
+            pool, oracle, batches=batches, m1=m1, m_b=m_b, seed=[seed, 1])
+        self.assert_same_log(log, ref_log)
+        np.testing.assert_array_equal(state.mean, ref_state.mean)
+        np.testing.assert_array_equal(state.var, ref_state.var)
+        np.testing.assert_array_equal(scores.scores, ref_scores.scores)
+        np.testing.assert_array_equal(scores.q, ref_scores.q)
+
+    def test_fractional_budget_takes_the_random_batch_count(self):
+        # a ce batch takes ceil(budget) points, as many as a level-0 random
+        # batch needs to reach the budget
+        pool, oracle = self.pool_and_oracle(0)
+        counts = {}
+        for method in ("mc", "ce"):
+            log = run_method(pool, oracle, method, 3, 2.5, 1.5, 0).log
+            counts[method] = [log.batches.count(b) for b in (1, 2, 3)]
+        assert counts["ce"] == counts["mc"] == [3, 2, 2]
 
 
 class TestGaussianScores:

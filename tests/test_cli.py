@@ -227,6 +227,39 @@ class TestRunCommand:
             assert [(r["point_index"], r["level"]) for r in rows] == expected
             assert all(r["deltaJ"] == "nan" and r["cost"] == "1" for r in rows)
 
+    @pytest.mark.parametrize("method", ["mc", "ce", "bams"])
+    def test_zero_batches_is_one_error_for_every_method(self, tmp_path, capsys, method):
+        cfg = synthetic_config(tmp_path, method=method)
+        cfg.write_text(cfg.read_text().replace("batches = 2", "batches = 0"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: batches must be >= 1\n"
+
+    def test_fractional_initial_budget_runs_for_ce(self, tmp_path):
+        cfg = synthetic_config(tmp_path, method="ce")
+        cfg.write_text(cfg.read_text().replace("m1 = 6", "m1 = 0.5"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        with open(out / "log.csv", newline="") as fh:
+            batches = [int(r["batch"]) for r in csv.DictReader(fh)]
+        assert batches == [1, 2, 2, 2]
+
+    @pytest.mark.parametrize("method", ["mc", "ce", "mc-gp"])
+    def test_exhausted_pool_writes_header_only_batches(self, tmp_path, method):
+        cfg = synthetic_config(tmp_path, method=method, n=10)
+        cfg.write_text(cfg.read_text().replace("m_b = 3", "m_b = 6")
+                       .replace("batches = 2", "batches = 3"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("selected_batch*.csv")) == \
+            [f"selected_batch{b}.csv" for b in (1, 2, 3)]
+        counts = []
+        for b in (1, 2, 3):
+            with open(out / f"selected_batch{b}.csv", newline="") as fh:
+                reader = csv.DictReader(fh)
+                counts.append(len(list(reader)))
+                assert reader.fieldnames == ["point_index", "level", "deltaJ", "cost"]
+        assert counts == [6, 4, 0]
+
     def test_mc_rv_larger_than_bams(self, tmp_path):
         def rv_of(method):
             cfg = synthetic_config(tmp_path, method=method, n=2000)

@@ -4,8 +4,8 @@ import pytest
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
                           FidelityConfig, GpHyperparams, RunConfig, SyntheticOracle,
                           SyntheticSpec, cluster_with_merges, fit_posterior,
-                          generate_pool, run_bams_batch, run_experiment,
-                          run_random_batch)
+                          generate_pool, random_acquisition, run_bams_batch,
+                          run_experiment, run_random_batch)
 from rare_sampler.driver import _merge_queues
 from rare_sampler.gp import TrainOptions
 
@@ -190,6 +190,21 @@ class TestExperiment:
         mcm = run_experiment(pool, base_config(seed=7, batches=1, method="mcm-gp"),
                              oracle)
         assert bams.log.inputs == mcm.log.inputs
+
+    def test_seed_streams(self):
+        # mc draws batch b from [seed, b], batch 1 included; the GP methods
+        # share batch 1 from [seed, 0]
+        spec, pool, oracle = small_synthetic(n=60, seed=7)
+        level0 = FidelityConfig((1.0,))
+        mc = run_experiment(pool, base_config(seed=7, method="mc"), oracle)
+        first = random_acquisition(pool, level0, 6.0, seed=[7, 1])
+        second = random_acquisition(pool, level0, 3.0, seed=[7, 2], exclude=first)
+        assert mc.log.inputs == first + second
+        init = random_acquisition(pool, base_config().fidelities, 6.0, seed=[7, 0])
+        for method in ("bams", "mcm-gp"):
+            result = run_experiment(pool, base_config(seed=7, batches=1, method=method),
+                                    oracle)
+            assert result.log.inputs == init
 
     def test_single_fidelity_methods_drop_extra_levels(self):
         config = base_config(method="bas")
