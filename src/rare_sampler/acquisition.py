@@ -36,7 +36,7 @@ from scipy.special import owens_t
 
 from .errors import EmptySelectionError, InvalidInputError, NumericalError
 from .estimator import SIGMA_FLOOR
-from .gp import (PosteriorState, matern25_matrix, mf_kernel_matrix,
+from .gp import (PosteriorState, _matern_scaled, matern25_matrix, mf_kernel_matrix,
                  noise_variances, prior_variances)
 from .pool import AugmentedInput, EmbeddingPool, gather_points
 
@@ -212,13 +212,31 @@ class PendingSet:
         self.h_C = var_c + noise_variances(cl, hyper)
         self._h_floor = H_FLOOR_REL * max(float(self.h_C.max()), 1e-300)
 
-        self._cp, self._cl = cp, cl
+        # each kernel block's lengthscale-scaled candidate points and squared
+        # norms, for the kernel row of every pick: (columns, scaled points,
+        # norms, signal variance, each column's row in the scaled points); the
+        # base block covers every candidate, level l >= 1 its own columns
+        blocks = [(np.arange(len(cl)), hyper.lengthscales, hyper.signal_var)]
+        blocks += [(np.flatnonzero(cl == l), hyper.fid_lengthscales[l - 1],
+                    hyper.fid_signal_var[l - 1]) for l in range(1, hyper.n_levels)]
+        self._geometry = []
+        for cols, ls, sig in blocks:
+            b = cp[cols] / ls
+            row = np.full(len(cl), -1, dtype=np.intp)
+            row[cols] = np.arange(cols.size)
+            self._geometry.append((cols, b, np.sum(b * b, axis=1), sig, row))
+        # candidate ranks in (point_index, level, position) order: the tie-break
+        self._rank = np.empty(len(cl), dtype=np.intp)
+        self._rank[np.lexsort((cl, cand_idx))] = np.arange(len(cl))
         # per-target Chebyshev coefficients of a -> beta; s_T is fixed for the
         # lifetime of the selection, so this is a one-time fit
         self._cheb = _CHEB_M @ (2.0 * owens_t(self.s_T[None, :], _CHEB_A[:, None]))
-        self._bT: list[np.ndarray] = []   # scaled target rows of the recursion
-        self._bC: list[np.ndarray] = []
+        # scaled target and candidate rows of the recursion, one per pick;
+        # the buffers double when full
+        self._bT = np.empty((16, self.n_live_targets))
+        self._bC = np.empty((16, len(self.candidates)))
         self._mask = np.zeros(len(self.candidates), dtype=bool)
+        self._picked: list[int] = []
         self.selected: list[AugmentedInput] = []
         self.total_cost = 0.0
 
@@ -234,14 +252,19 @@ class PendingSet:
     # -- internals -------------------------------------------------------------
 
     def _stacks(self):
-        if not self._bT:
+        k = len(self._picked)
+        if not k:
             return None, None
-        return np.asarray(self._bT), np.asarray(self._bC)
+        return self._bT[:k], self._bC[:k]
 
     def _cov_to_candidates(self, idx: int) -> np.ndarray:
         """Posterior covariance between candidate idx and every candidate."""
-        prior = mf_kernel_matrix(self._cp[idx:idx + 1], self._cl[idx:idx + 1],
-                                 self._cp, self._cl, self.state.hyper)[0]
+        _, b, nb, sig, _ = self._geometry[0]
+        prior = _matern_scaled(b[idx:idx + 1], nb[idx:idx + 1], b, nb, sig)[0]
+        for cols, b, nb, sig, row in self._geometry[1:]:
+            r = row[idx]
+            if r >= 0:
+                prior[cols] += _matern_scaled(b[r:r + 1], nb[r:r + 1], b, nb, sig)[0]
         if self._Vc is None:
             return prior
         return prior - self._Vc[:, idx] @ self._Vc
@@ -280,30 +303,23 @@ class PendingSet:
         gains = beta_sum - self._beta_block(that_new).sum(axis=0)
         return np.maximum(gains, 0.0)
 
-    def select_next(self):
-        """Pick the candidate minimizing the cost-normalized change in J.
+    def _gain_bounds(self, beta: np.ndarray) -> np.ndarray:
+        """Certified bounds on every candidate's gain, (2, |C|): row 0 the
+        tangent (lower) bound, row 1 the chord (upper) bound; beta is the
+        current beta of the live targets.  ``select_next`` proves the bounds
+        and why E needs no clip at t_hat.
 
-        Returns (chosen AugmentedInput, deltaJ) and folds the choice into
-        the recursion state.  Ties break on lowest point index, then level.
+        Both bounds are linear in E = R^2 / h, so one matmul of the stacked
+        weights per column chunk gives both, and dividing by h, a per-column
+        scale, comes once after the reduction over targets.  Small column
+        chunks keep the working set cache-resident.
         """
-        feas = ~self._mask & (self.h_C > self._h_floor)
-        if not np.any(feas):
-            raise EmptySelectionError("candidate set exhausted")
-        feas_idx = np.flatnonzero(feas)
-
-        beta = self._beta_cur()
-        slope = _beta_slope(self.s_T, self.that_T)
-        uw = beta / np.maximum(self.that_T, 1e-20)
-
-        # certified bound stage; small column chunks keep the working set
-        # cache-resident
         bT, bC = self._stacks()
         TCs = self.TCs
-        h = np.maximum(self.h_C, self._h_floor)
-        that = self.that_T[:, None]
+        W = np.stack([_beta_slope(self.s_T, self.that_T),
+                      beta / np.maximum(self.that_T, 1e-20)])
         n_cand = len(self.candidates)
-        Lg = np.empty(n_cand)
-        Ug = np.empty(n_cand)
+        G = np.empty((2, n_cand))
         chunk = 512
         buf = np.empty((TCs.shape[0], chunk))
         for s0 in range(0, n_cand, chunk):
@@ -312,13 +328,41 @@ class PendingSet:
             if bT is not None:
                 np.matmul(bT.T, bC[:, sl], out=E)
                 np.subtract(TCs[:, sl], E, out=E)
+                np.square(E, out=E)
             else:
-                E[:] = TCs[:, sl]
-            np.square(E, out=E)
-            E /= h[None, sl]
-            np.minimum(E, that, out=E)
-            Lg[sl] = slope @ E
-            Ug[sl] = uw @ E
+                np.square(TCs[:, sl], out=E)
+            np.matmul(W, E, out=G[:, sl])
+        G /= np.maximum(self.h_C, self._h_floor)
+        return G
+
+    def select_next(self):
+        """Pick the candidate minimizing the cost-normalized change in J.
+
+        Returns (chosen AugmentedInput, deltaJ) and folds the choice into
+        the recursion state.  Ties break on lowest point index, then level.
+
+        Bounds.  A target's gain from a candidate is beta(t) - beta(t - E),
+        with t = t_hat and E = R^2 / h the candidate's projection increment
+        (R its conditional covariance with the target, h its conditional
+        variance).  beta is concave in t with beta(s, 0) = 0, so the gain
+        lies between slope(t) * E (the tangent at t) and beta(t) / t * E (the
+        chord from 0 to t), provided E <= t.  That holds in exact arithmetic:
+        t - E is the target's conditional variance after the pick, scaled by
+        its current one, and a variance is never negative; the sweep divides
+        by max(h, h floor) >= h, which only shrinks E.  So E needs no clip at
+        t, and only round-off can push it past; the 0.98 / 1.02 factors and
+        the 1e-7 * scale term absorb that.  Only candidates whose widened
+        upper bound reaches the best widened lower bound get their exact
+        gain, in blocks of ``_BLOCK`` in falling upper-bound order, until no
+        later block can win.
+        """
+        feas = ~self._mask & (self.h_C > self._h_floor)
+        if not np.any(feas):
+            raise EmptySelectionError("candidate set exhausted")
+        feas_idx = np.flatnonzero(feas)
+
+        beta = self._beta_cur()
+        Lg, Ug = self._gain_bounds(beta)
         scale = float(Ug[feas_idx].max(initial=0.0))
         if scale == 0.0:
             # nothing can improve J (always so with no live targets); fall
@@ -333,6 +377,8 @@ class PendingSet:
         surv = feas_idx[Um[feas_idx] >= threshold]
         order = surv[np.argsort(-Um[surv], kind="stable")]
 
+        # the running best is the least (value, rank) pair, the rank breaking
+        # ties lexicographically
         best_idx = -1
         best_val = np.inf
         best_rate = -np.inf
@@ -343,26 +389,30 @@ class PendingSet:
                 break
             gains = self._exact_columns(block, beta_sum)
             vals = -gains / (self.costs[block] * self.n_targets)
-            for j in np.argsort(vals, kind="stable"):
-                c = int(block[j])
-                v = float(vals[j])
-                if (best_idx < 0 or v < best_val
-                        or (v == best_val and self.candidates[c] < self.candidates[best_idx])):
-                    best_idx = c
-                    best_val = v
-                    best_rate = gains[j] / self.costs[c]
+            tied = np.flatnonzero(vals == vals.min())
+            j = tied[np.argmin(self._rank[block[tied]])]
+            c = int(block[j])
+            v = float(vals[j])
+            if (best_idx < 0 or v < best_val
+                    or (v == best_val and self._rank[c] < self._rank[best_idx])):
+                best_idx = c
+                best_val = v
+                best_rate = gains[j] / self.costs[c]
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
         return self.candidates[best_idx], float(delta_j)
 
     def _lexicographic_best(self, feas_idx: np.ndarray) -> int:
-        keys = [(self.candidates[i].point_index, self.candidates[i].level, i)
-                for i in feas_idx]
-        return min(keys)[2]
+        return int(feas_idx[np.argmin(self._rank[feas_idx])])
 
     def _apply(self, idx: int) -> None:
         bT, bC = self._stacks()
-        e_t = self.TCs[:, idx].copy()
+        k = len(self._picked)
+        if k == len(self._bT):
+            self._bT = np.concatenate([self._bT, np.empty_like(self._bT)])
+            self._bC = np.concatenate([self._bC, np.empty_like(self._bC)])
+        e_t = self._bT[k]
+        e_t[:] = self.TCs[:, idx]
         cov_c = self._cov_to_candidates(idx)
         if bT is not None:
             by = bC[:, idx]
@@ -371,12 +421,11 @@ class PendingSet:
         h_y = self.h_C[idx]
         sq = np.sqrt(h_y)
         e_t /= sq
-        e_c = cov_c / sq
+        e_c = np.divide(cov_c, sq, out=self._bC[k])
         self.that_T = np.clip(self.that_T - e_t * e_t, 0.0, 1.0)
         self.h_C = np.maximum(self.h_C - e_c * e_c, 0.0)
-        self._bT.append(e_t)
-        self._bC.append(e_c)
         self._mask[idx] = True
+        self._picked.append(idx)
         self.selected.append(self.candidates[idx])
         self.total_cost += float(self.costs[idx])
 
@@ -400,5 +449,5 @@ def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
             if not out:
                 raise
             break
-        out.append((chosen, dj, float(pending.costs[pending.candidates.index(chosen)])))
+        out.append((chosen, dj, float(pending.costs[pending._picked[-1]])))
     return out

@@ -222,16 +222,19 @@ def cmd_run(args) -> int:
                          default=spec.gamma if spec else None, required=spec is None)
     truth = truth_f <= gamma if truth_f is not None else None
     out_dir = args.out
-    # every input table is read before the artifact directory is made, so a
-    # bad table leaves no empty --out behind
+    # the settings are checked and every input table is read before the
+    # artifact directory is made, so neither leaves an empty --out behind
     if method == "external-scores":
+        run_cfg = None
         source = scores_from_csv(cfg.getstr("method", "scores_path", required=True),
                                  pool.n_points)
     else:
+        run_cfg = _run_config(cfg, method, gamma)
         source = _build_oracle(cfg, pool, spec)
+    alpha = cfg.getfloat("is", "alpha", default=2.5)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        scores = _run_method(cfg, method, pool, source, gamma, out_dir)
+        scores = _run_method(run_cfg, method, pool, source, alpha, out_dir)
     finally:
         if isinstance(source, ExternalOracle):
             source.close()
@@ -248,34 +251,37 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_method(cfg: _Config, method, pool, source, gamma, out_dir) -> ScoreVector:
+def _run_config(cfg: _Config, method, gamma) -> RunConfig:
+    """The run settings of a method that calls an oracle, checked by RunConfig."""
+    return RunConfig(
+        gamma=gamma,
+        fidelities=_build_fidelities(cfg),
+        method=method,
+        m1=cfg.getfloat("budget", "m1", default=20.0),
+        m_b=cfg.getfloat("budget", "m_b", default=15.0),
+        batches=cfg.getint("budget", "batches", default=3),
+        S=cfg.getint("method", "clusters", default=6),
+        S_hat=cfg.getint("method", "initial_clusters", default=None),
+        eta=cfg.getfloat("method", "eta", default=2.0),
+        seed=cfg.getint("seeds", "run", default=0),
+        train=TrainOptions(
+            lr=cfg.getfloat("method", "train_lr", default=0.05),
+            iters=cfg.getint("method", "train_iters", default=200),
+        ),
+    )
+
+
+def _run_method(run_cfg: RunConfig | None, method, pool, source, alpha,
+                out_dir) -> ScoreVector:
     """Run the configured method, write its artifacts, and return its final
-    scores.  For external-scores, ``source`` is the ScoreVector read from
-    scores_path; every other method runs its oracle ``source`` through
-    run_experiment.  The methods whose scores come from no failure field
-    (mc, ce, external-scores) also write them to scores_final.csv."""
-    seed = cfg.getint("seeds", "run", default=0)
-    alpha = cfg.getfloat("is", "alpha", default=2.5)
-    m1 = cfg.getfloat("budget", "m1", default=20.0)
-    m_b = cfg.getfloat("budget", "m_b", default=15.0)
-    batches = cfg.getint("budget", "batches", default=3)
-    if method == "external-scores":
+    scores.  For external-scores (``run_cfg`` None), ``source`` is the
+    ScoreVector read from scores_path; every other method runs its oracle
+    ``source`` through run_experiment.  The methods whose scores come from no
+    failure field (mc, ce, external-scores) also write them to
+    scores_final.csv."""
+    if run_cfg is None:
         scores = source
     else:
-        run_cfg = RunConfig(
-            gamma=gamma,
-            fidelities=_build_fidelities(cfg),
-            method=method,
-            m1=m1, m_b=m_b, batches=batches,
-            S=cfg.getint("method", "clusters", default=6),
-            S_hat=cfg.getint("method", "initial_clusters", default=None),
-            eta=cfg.getfloat("method", "eta", default=2.0),
-            seed=seed,
-            train=TrainOptions(
-                lr=cfg.getfloat("method", "train_lr", default=0.05),
-                iters=cfg.getint("method", "train_iters", default=200),
-            ),
-        )
         result = run_experiment(pool, run_cfg, source)
         result.save(out_dir)
         scores = result.scores(alpha)

@@ -51,10 +51,13 @@ class GpHyperparams:
         fn = np.atleast_1d(np.asarray(self.fid_noise_var, dtype=np.float64))
         if fl.shape[0] != fs.size or fs.size != fn.size:
             raise InvalidInputError("inconsistent per-fidelity hyperparameter shapes")
-        for name, arr in (("lengthscales", ls), ("fid_lengthscales", fl),
-                          ("fid_signal_var", fs), ("fid_noise_var", fn)):
-            if arr.size and not np.all(arr > 0.0):
-                raise InvalidInputError(f"{name} must be strictly positive")
+        # one min() per array group; NaN compares false, so it is rejected too
+        if not (ls.min(initial=np.inf) > 0.0 and fl.min(initial=np.inf) > 0.0
+                and fs.min(initial=np.inf) > 0.0 and fn.min(initial=np.inf) > 0.0):
+            for name, arr in (("lengthscales", ls), ("fid_lengthscales", fl),
+                              ("fid_signal_var", fs), ("fid_noise_var", fn)):
+                if arr.size and not np.all(arr > 0.0):
+                    raise InvalidInputError(f"{name} must be strictly positive")
         if not (self.signal_var > 0.0 and self.jitter > 0.0):
             raise InvalidInputError("signal_var and jitter must be strictly positive")
         object.__setattr__(self, "lengthscales", ls)
@@ -103,24 +106,9 @@ class GpHyperparams:
         d, n_low = self.dim, self.fid_signal_var.size
         if vec.size != self.n_params:
             raise InvalidInputError("hyperparameter vector has wrong length")
-        pos = 0
-
-        def take(k):
-            nonlocal pos
-            out = np.exp(vec[pos:pos + k])
-            pos += k
-            return out
-
-        ls = take(d)
-        sig = take(1)[0]
-        fls, fsig, fnoi = [], [], []
-        for _ in range(n_low):
-            fls.append(take(d))
-            fsig.append(take(1)[0])
-            fnoi.append(take(1)[0])
-        jit = take(1)[0]
-        return GpHyperparams(ls, sig, np.array(fls).reshape(n_low, d),
-                             np.array(fsig), np.array(fnoi), jit)
+        e = np.exp(vec)
+        fid = e[d + 1:-1].reshape(n_low, d + 2)  # per level: lengthscales, signal, noise
+        return GpHyperparams(e[:d], e[d], fid[:, :d], fid[:, d], fid[:, d + 1], e[-1])
 
     @property
     def n_params(self) -> int:
@@ -200,17 +188,23 @@ def _scaled_sqdist(ab: np.ndarray, na: np.ndarray, nb: np.ndarray,
 
 def matern25_matrix(A: np.ndarray, B: np.ndarray, lengthscales: np.ndarray,
                     signal_var: float) -> np.ndarray:
-    """Matern-5/2 ARD kernel matrix between two point sets.
+    """Matern-5/2 ARD kernel matrix between two point sets."""
+    a = A / lengthscales
+    b = B / lengthscales
+    return _matern_scaled(a, np.sum(a * a, axis=1), b, np.sum(b * b, axis=1),
+                          signal_var)
+
+
+def _matern_scaled(a: np.ndarray, na: np.ndarray, b: np.ndarray, nb: np.ndarray,
+                   signal_var: float) -> np.ndarray:
+    """Matern-5/2 kernel matrix between lengthscale-scaled points ``a`` and
+    ``b`` with squared norms ``na`` and ``nb``.
 
     One GEMM writes a b^T into the output (a GEMM per row block would change
     the last bits of some rows), which ``_ROW_BLOCK`` rows at a time becomes
     signal_var * (1 + sr + sr^2 / 3) * exp(-sr) with sr = sqrt5 * r, through
     in-place ufuncs in exactly that operation order.
     """
-    a = A / lengthscales
-    b = B / lengthscales
-    na = np.sum(a * a, axis=1)
-    nb = np.sum(b * b, axis=1)
     out = np.matmul(a, b.T)
     rows = min(len(a), _ROW_BLOCK)
     sr_buf, e_buf = np.empty((rows, len(b))), np.empty((rows, len(b)))
@@ -397,13 +391,14 @@ class _MllWork:
     pairs i < k in row-major upper-triangle order, and the Fortran-ordered n x n
     matrix LAPACK works on in place.  Pairs land in its upper triangle; its
     lower one stays zero.  ``levels[l]`` holds that level's Matern block: the
-    observations it covers, the positions of its pairs among all pairs, and
-    their columns of ``D`` (the base block covers everything; level l >= 1
-    only its own observations)."""
+    indices of the observations it covers, the positions of its pairs among
+    all pairs, and their columns of ``D`` (the base block covers everything;
+    level l >= 1 only its own observations)."""
 
     def __init__(self, pool: EmbeddingPool, log: EvaluationLog, n_levels: int):
         self.inputs, self.values = list(log.inputs), list(log.values)
         self.n_levels = n_levels
+        self.level_ids = np.arange(n_levels)
         pts, self.lvls = gather_points(pool, log.inputs)
         y_mean, y_std = log.normalization()
         self.y = (log.value_array - y_mean) / y_std
@@ -413,9 +408,9 @@ class _MllWork:
         self.D = np.square(pts[I] - pts[J]).T.copy()
         self.levels = [(slice(None), slice(None), self.D)]
         for l in range(1, n_levels):
-            obs = self.lvls == l
-            pos = np.flatnonzero(obs[I] & obs[J])
-            self.levels.append((obs, pos, self.D[:, pos]))
+            mask = self.lvls == l
+            pos = np.flatnonzero(mask[I] & mask[J])
+            self.levels.append((np.flatnonzero(mask), pos, self.D[:, pos]))
         self.K = np.zeros((n, n), order="F")
         self.K_flat = self.K.reshape(-1, order="F")
 
@@ -458,7 +453,9 @@ def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
     k_sum = parts[0][0].copy() if len(parts) > 1 else parts[0][0]
     for (_, pos, _), (k, _) in zip(work.levels[1:], parts[1:]):
         k_sum[pos] += k
-    prior_noise = prior_variances(work.lvls, hyper) + noise_variances(work.lvls, hyper)
+    # K's diagonal takes one value per level
+    prior_noise = (prior_variances(work.level_ids, hyper)
+                   + noise_variances(work.level_ids, hyper))[work.lvls]
     K_flat[work.flat] = k_sum
     diag[:] = prior_noise
     _, info = dpotrf(K, lower=0, clean=0, overwrite_a=1)
@@ -475,16 +472,21 @@ def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
     Mp = K_flat[work.flat]
     Mp *= -1.0
     M_diag = -diag
-    grad = []
+    grad = np.empty(hyper.n_params)
+    p = 0
     for l, ((obs, pos, D), (k, w), ls, sig) in enumerate(zip(work.levels, parts, lss, sigs)):
         trace = M_diag[obs].sum()
         Mp_l = Mp[pos]
-        grad += list(2.0 * (D @ (Mp_l * w)) / (ls * ls))
-        grad.append(2.0 * float(Mp_l @ k) + sig * trace)
+        d = ls.size
+        np.divide(2.0 * (D @ (Mp_l * w)), ls * ls, out=grad[p:p + d])
+        grad[p + d] = 2.0 * float(Mp_l @ k) + sig * trace
+        p += d + 1
         if l:
-            grad.append(hyper.fid_noise_var[l - 1] * trace)
-    grad.append(hyper.jitter * M_diag.sum())
-    return mll, 0.5 * np.array(grad)
+            grad[p] = hyper.fid_noise_var[l - 1] * trace
+            p += 1
+    grad[p] = hyper.jitter * M_diag.sum()
+    grad *= 0.5
+    return mll, grad
 
 
 # Box constraints on the log parameters during training.  Lengthscale bounds

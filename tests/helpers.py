@@ -9,11 +9,16 @@ from rare_sampler import (AugmentedInput, CeState, ClusterAssignment, EmbeddingP
                           EvaluationLog, FidelityConfig, GpHyperparams, InvalidInputError,
                           acquisition_J, fit_posterior, gaussian_pdf_scores, kmeans, mc_scores,
                           run_random_batch, scale_points)
-from rare_sampler.acquisition import point_variance_beta
+from scipy.linalg.blas import dsyr
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+
+from rare_sampler import EmptySelectionError, PendingSet
+from rare_sampler.acquisition import _BLOCK, _beta_slope, point_variance_beta
 from rare_sampler.baselines import CE_ELITES, CE_VAR_FLOOR_REL, _fit_elite_gaussian
 from rare_sampler.clustering import _relabel
 from rare_sampler.estimator import SIGMA_FLOOR
-from rare_sampler.gp import SQRT5, mf_kernel_matrix, noise_variances
+from rare_sampler.gp import (SQRT5, _matern_pairs, _MllWork, _solve_chol, mf_kernel_matrix,
+                             noise_variances, prior_variances)
 from rare_sampler.pool import gather_points
 
 
@@ -129,7 +134,6 @@ def dense_posterior_oracle(pool, log, hyper, q_points, q_levels):
     K[np.diag_indices_from(K)] += noise_variances(lvls, hyper)
     Kinv = np.linalg.inv(K)
     Kq = mf_kernel_matrix(q_points, q_levels, pts, lvls, hyper)
-    from rare_sampler.gp import prior_variances
     prior = prior_variances(q_levels, hyper)
     mu = Kq @ Kinv @ y
     var = prior - np.einsum("ij,jk,ik->i", Kq, Kinv, Kq)
@@ -322,3 +326,195 @@ def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, 
                                         np.asarray(batch_vals), CE_ELITES, var_floor)
         state = CeState(mean=mean, var=var)
     return state, gaussian_pdf_scores(state, pool), log
+
+
+class ReferencePendingSet(PendingSet):
+    """The greedy step before the folded bound sweep, kept as a bitwise oracle:
+    the recursion rows in Python lists re-stacked on every call, each pick's
+    kernel row rebuilt through ``mf_kernel_matrix``, a bound sweep of two
+    matrix-vector products over clipped increments, and a Python loop over
+    each exact-stage block with ``AugmentedInput`` comparisons."""
+
+    def __init__(self, state, pool, targets, candidates, costs):
+        super().__init__(state, pool, targets, candidates, costs)
+        self._cp, self._cl = gather_points(pool, self.candidates)
+        self._bT: list[np.ndarray] = []
+        self._bC: list[np.ndarray] = []
+
+    def _stacks(self):
+        if not self._bT:
+            return None, None
+        return np.asarray(self._bT), np.asarray(self._bC)
+
+    def _cov_to_candidates(self, idx: int) -> np.ndarray:
+        prior = mf_kernel_matrix(self._cp[idx:idx + 1], self._cl[idx:idx + 1],
+                                 self._cp, self._cl, self.state.hyper)[0]
+        if self._Vc is None:
+            return prior
+        return prior - self._Vc[:, idx] @ self._Vc
+
+    def select_next(self):
+        feas = ~self._mask & (self.h_C > self._h_floor)
+        if not np.any(feas):
+            raise EmptySelectionError("candidate set exhausted")
+        feas_idx = np.flatnonzero(feas)
+
+        beta = self._beta_cur()
+        slope = _beta_slope(self.s_T, self.that_T)
+        uw = beta / np.maximum(self.that_T, 1e-20)
+
+        # certified bound stage; small column chunks keep the working set
+        # cache-resident
+        bT, bC = self._stacks()
+        TCs = self.TCs
+        h = np.maximum(self.h_C, self._h_floor)
+        that = self.that_T[:, None]
+        n_cand = len(self.candidates)
+        Lg = np.empty(n_cand)
+        Ug = np.empty(n_cand)
+        chunk = 512
+        buf = np.empty((TCs.shape[0], chunk))
+        for s0 in range(0, n_cand, chunk):
+            sl = slice(s0, min(s0 + chunk, n_cand))
+            E = buf[:, :sl.stop - s0]
+            if bT is not None:
+                np.matmul(bT.T, bC[:, sl], out=E)
+                np.subtract(TCs[:, sl], E, out=E)
+            else:
+                E[:] = TCs[:, sl]
+            np.square(E, out=E)
+            E /= h[None, sl]
+            np.minimum(E, that, out=E)
+            Lg[sl] = slope @ E
+            Ug[sl] = uw @ E
+        scale = float(Ug[feas_idx].max(initial=0.0))
+        if scale == 0.0:
+            # nothing can improve J (always so with no live targets); fall
+            # back to the deterministic tie-break
+            best = self._lexicographic_best(feas_idx)
+            self._apply(best)
+            return self.candidates[best], 0.0
+        Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
+        Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
+
+        threshold = float(Lm[feas_idx].max())
+        surv = feas_idx[Um[feas_idx] >= threshold]
+        order = surv[np.argsort(-Um[surv], kind="stable")]
+
+        best_idx = -1
+        best_val = np.inf
+        best_rate = -np.inf
+        beta_sum = beta.sum()
+        for s0 in range(0, order.size, _BLOCK):
+            block = order[s0:s0 + _BLOCK]
+            if best_idx >= 0 and float(Um[block[0]]) < best_rate:
+                break
+            gains = self._exact_columns(block, beta_sum)
+            vals = -gains / (self.costs[block] * self.n_targets)
+            for j in np.argsort(vals, kind="stable"):
+                c = int(block[j])
+                v = float(vals[j])
+                if (best_idx < 0 or v < best_val
+                        or (v == best_val and self.candidates[c] < self.candidates[best_idx])):
+                    best_idx = c
+                    best_val = v
+                    best_rate = gains[j] / self.costs[c]
+        delta_j = min(best_val * self.costs[best_idx], 0.0)
+        self._apply(best_idx)
+        return self.candidates[best_idx], float(delta_j)
+
+    def _lexicographic_best(self, feas_idx: np.ndarray) -> int:
+        keys = [(self.candidates[i].point_index, self.candidates[i].level, i)
+                for i in feas_idx]
+        return min(keys)[2]
+
+    def _apply(self, idx: int) -> None:
+        bT, bC = self._stacks()
+        e_t = self.TCs[:, idx].copy()
+        cov_c = self._cov_to_candidates(idx)
+        if bT is not None:
+            by = bC[:, idx]
+            e_t -= by @ bT
+            cov_c = cov_c - by @ bC
+        h_y = self.h_C[idx]
+        sq = np.sqrt(h_y)
+        e_t /= sq
+        e_c = cov_c / sq
+        self.that_T = np.clip(self.that_T - e_t * e_t, 0.0, 1.0)
+        self.h_C = np.maximum(self.h_C - e_c * e_c, 0.0)
+        self._bT.append(e_t)
+        self._bC.append(e_c)
+        self._mask[idx] = True
+        self.selected.append(self.candidates[idx])
+        self.total_cost += float(self.costs[idx])
+
+
+def reference_from_vector(template: GpHyperparams, vec: np.ndarray) -> GpHyperparams:
+    """``GpHyperparams.from_vector`` as one exp per field, kept as a bitwise
+    oracle."""
+    self = template
+    vec = np.asarray(vec, dtype=np.float64)
+    d, n_low = self.dim, self.fid_signal_var.size
+    if vec.size != self.n_params:
+        raise InvalidInputError("hyperparameter vector has wrong length")
+    pos = 0
+
+    def take(k):
+        nonlocal pos
+        out = np.exp(vec[pos:pos + k])
+        pos += k
+        return out
+
+    ls = take(d)
+    sig = take(1)[0]
+    fls, fsig, fnoi = [], [], []
+    for _ in range(n_low):
+        fls.append(take(d))
+        fsig.append(take(1)[0])
+        fnoi.append(take(1)[0])
+    jit = take(1)[0]
+    return GpHyperparams(ls, sig, np.array(fls).reshape(n_low, d),
+                         np.array(fsig), np.array(fnoi), jit)
+
+
+def reference_marginal_log_likelihood(pool, log, hyper, *, work=None):
+    """The shipped marginal likelihood with the gradient gathered in a Python
+    list, kept as a bitwise oracle."""
+    if work is None:
+        work = _MllWork(pool, log, hyper.n_levels)
+    y, K, K_flat = work.y, work.K, work.K_flat
+    n = len(y)
+    diag = K_flat[::n + 1]  # K's, then the factor's after potrf, -M's after dsyr
+    lss = [hyper.lengthscales, *hyper.fid_lengthscales]
+    sigs = [hyper.signal_var, *hyper.fid_signal_var]
+    parts = [_matern_pairs(D, ls, sig) for (_, _, D), ls, sig in zip(work.levels, lss, sigs)]
+    k_sum = parts[0][0].copy() if len(parts) > 1 else parts[0][0]
+    for (_, pos, _), (k, _) in zip(work.levels[1:], parts[1:]):
+        k_sum[pos] += k
+    prior_noise = prior_variances(work.lvls, hyper) + noise_variances(work.lvls, hyper)
+    K_flat[work.flat] = k_sum
+    diag[:] = prior_noise
+    _, info = dpotrf(K, lower=0, clean=0, overwrite_a=1)
+    if info:  # potrf stopped part way through K: refill it for the ladder
+        K_flat[work.flat] = k_sum
+        diag[:] = prior_noise
+        L, _ = _solve_chol(K.T, hyper.signal_var)  # K.T's lower triangle is K's upper
+        np.copyto(K, L.T)
+    alpha, _ = dpotrs(K, y, lower=0)
+    mll = -0.5 * float(y @ alpha) - float(np.log(diag).sum()) \
+        - 0.5 * n * np.log(2.0 * np.pi)
+    dpotri(K, lower=0, overwrite_c=1)  # K^{-1} in K's upper triangle
+    dsyr(-1.0, alpha, lower=0, a=K, overwrite_a=1)  # K^{-1} - a a^T = -M
+    Mp = K_flat[work.flat]
+    Mp *= -1.0
+    M_diag = -diag
+    grad = []
+    for l, ((obs, pos, D), (k, w), ls, sig) in enumerate(zip(work.levels, parts, lss, sigs)):
+        trace = M_diag[obs].sum()
+        Mp_l = Mp[pos]
+        grad += list(2.0 * (D @ (Mp_l * w)) / (ls * ls))
+        grad.append(2.0 * float(Mp_l @ k) + sig * trace)
+        if l:
+            grad.append(hyper.fid_noise_var[l - 1] * trace)
+    grad.append(hyper.jitter * M_diag.sum())
+    return mll, 0.5 * np.array(grad)

@@ -10,8 +10,8 @@ from rare_sampler import (AugmentedInput, EmbeddingPool, EmptySelectionError,
 from rare_sampler.acquisition import point_variance_beta
 from rare_sampler.estimator import bivariate_normal_cdf
 
-from helpers import (forward_point_variance, naive_select_batch, random_problem,
-                     simulate_conditioned_posteriors)
+from helpers import (ReferencePendingSet, forward_point_variance, naive_select_batch,
+                     random_problem, simulate_conditioned_posteriors)
 
 
 class TestPointVarianceBeta:
@@ -349,6 +349,127 @@ class TestTargetPruning:
         for expected in sorted(cands)[:3]:
             chosen, dj = pending.select_next()
             assert chosen == expected and dj == 0.0
+
+
+def _duplicated_problem(seed, n_levels=2, jitter=1e-6):
+    """A random problem whose pool repeats every point once (point i + 15
+    sits on point i), with the repeats' candidates at every level."""
+    rng = np.random.default_rng(seed)
+    pool, log, hyper, state = random_problem(rng, n_points=15, n_train=5,
+                                             n_levels=n_levels, jitter=jitter)
+    pool = EmbeddingPool(np.vstack([pool.points, pool.points]))
+    state = fit_posterior(pool, log, hyper, state.gamma)
+    targets = [AugmentedInput(i, 0) for i in range(30)]
+    cands, costs = _problem_candidates(log, 30, n_levels)
+    return pool, log, state, targets, cands, costs
+
+
+# absolute error of the exact stage's Chebyshev fit of beta, per live target
+# (the acquisition module's degree-14 fit; 5.6e-12 measured over s in [-8, 8])
+CHEB_ABS_ERR = 6e-12
+
+
+class TestCertifiedBounds:
+    """The bound sweep drops the clip of E at t_hat: E = R^2 / h <= t_hat holds
+    exactly, and the selection's margins must absorb the round-off.  The exact
+    gains come from ``_exact_columns``, which carries the Chebyshev fit's
+    error; once every gain is below about 1e-10 that error, not the bounds,
+    sets the comparison, so it is allowed for."""
+
+    @staticmethod
+    def assert_bounds_hold(pending):
+        feas_idx = np.flatnonzero(~pending._mask & (pending.h_C > pending._h_floor))
+        beta = pending._beta_cur()
+        Lg, Ug = pending._gain_bounds(beta)
+        scale = float(Ug[feas_idx].max(initial=0.0))
+        exact = pending._exact_columns(feas_idx, beta.sum())
+        cheb = CHEB_ABS_ERR * pending.n_live_targets
+        assert np.all(Lg[feas_idx] * 0.98 - 1e-7 * scale <= exact + cheb)
+        assert np.all(exact <= Ug[feas_idx] * 1.02 + 1e-7 * scale + cheb)
+        return pending.that_T
+
+    @pytest.mark.parametrize("jitter", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bounds_bracket_exact_gains_at_every_step(self, seed, jitter):
+        # level-0 picks of points that are also targets drive those targets'
+        # t_hat to about jitter / variance, and leave the repeated point's
+        # twin with h near 2 * jitter, down to the h floor
+        pool, log, state, targets, cands, costs = _duplicated_problem(1500 + seed,
+                                                                      jitter=jitter)
+        pending = PendingSet(state, pool, targets, cands, np.ones(len(cands)))
+        smallest = []
+        for _ in range(20):
+            smallest.append(float(self.assert_bounds_hold(pending).min(initial=1.0)))
+            pending.select_next()
+        assert min(smallest) < 1e-4  # t_hat near 0 was reached
+
+    @pytest.mark.parametrize("n_levels", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounds_bracket_exact_gains_on_random_problems(self, seed, n_levels):
+        rng = np.random.default_rng(1600 + seed)
+        pool, log, _, state = random_problem(rng, n_points=40, n_train=8,
+                                             n_levels=n_levels, spread=2.0)
+        targets = [AugmentedInput(i, 0) for i in range(40)]
+        cands, costs = _problem_candidates(log, 40, n_levels)
+        pending = PendingSet(state, pool, targets, cands, costs)
+        for _ in range(12):
+            self.assert_bounds_hold(pending)
+            pending.select_next()
+
+
+class TestStepMatchesReference:
+    """Picks, deltaJ and the recursion state equal, bit for bit, the greedy
+    step with list-stacked rows, rebuilt kernel rows and a Python exact-stage
+    loop (helpers.ReferencePendingSet)."""
+
+    @staticmethod
+    def assert_same_steps(state, pool, targets, cands, costs, steps):
+        fast = PendingSet(state, pool, targets, cands, costs)
+        ref = ReferencePendingSet(state, pool, targets, cands, costs)
+        for _ in range(steps):
+            try:
+                expected = ref.select_next()
+            except EmptySelectionError:
+                with pytest.raises(EmptySelectionError):
+                    fast.select_next()
+                break
+            got = fast.select_next()
+            assert got[0] == expected[0]
+            assert np.float64(got[1]).tobytes() == np.float64(expected[1]).tobytes()
+            np.testing.assert_array_equal(fast.that_T, ref.that_T)
+            np.testing.assert_array_equal(fast.h_C, ref.h_C)
+        return fast
+
+    @pytest.mark.parametrize("n_levels", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_repeated_points_with_equal_costs_tie(self, seed, n_levels):
+        pool, _, state, targets, cands, _ = _duplicated_problem(1700 + seed,
+                                                               n_levels=n_levels)
+        fast = self.assert_same_steps(state, pool, targets, cands,
+                                      np.ones(len(cands)), 8)
+        # the first pick's twin gives the same gain, and the lower index wins
+        assert fast.selected[0].point_index < 15
+
+    def test_all_targets_pruned_falls_back_to_lexicographic(self):
+        rng = np.random.default_rng(1401)
+        pool, log, _, state = random_problem(rng, n_points=20, n_train=5, gamma=1e3)
+        targets = [AugmentedInput(i, 0) for i in range(20)]
+        cands, costs = _problem_candidates(log, 20, 2)
+        rev = cands[::-1]  # candidate order must not matter to the fallback
+        fast = self.assert_same_steps(state, pool, targets, rev, costs[::-1], 5)
+        assert fast.n_live_targets == 0
+        assert fast.selected == sorted(cands)[:5]
+
+    @pytest.mark.parametrize("n_levels", [2, 3])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_more_steps_than_the_first_row_buffer(self, seed, n_levels):
+        rng = np.random.default_rng(1800 + seed)
+        pool, log, _, state = random_problem(rng, n_points=30, n_train=6,
+                                             n_levels=n_levels)
+        targets = [AugmentedInput(i, 0) for i in range(30)]
+        cands, costs = _problem_candidates(log, 30, n_levels)
+        fast = self.assert_same_steps(state, pool, targets, cands, costs, 40)
+        assert len(fast.selected) == 40 and len(fast._bT) >= 40
 
 
 class TestCorollaryBound:

@@ -234,6 +234,16 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: batches must be >= 1\n"
 
+    @pytest.mark.parametrize("edit", [("batches = 2", "batches = 0"), ("eta = 1.0", "eta = 0.5")],
+                             ids=["batches", "eta"])
+    @pytest.mark.parametrize("method", ["mc", "bams"])
+    def test_bad_settings_leave_no_artifact_directory(self, tmp_path, capsys, method, edit):
+        cfg = synthetic_config(tmp_path, method=method)
+        cfg.write_text(cfg.read_text().replace(*edit))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_fractional_initial_budget_runs_for_ce(self, tmp_path):
         cfg = synthetic_config(tmp_path, method="ce")
         cfg.write_text(cfg.read_text().replace("m1 = 6", "m1 = 0.5"))

@@ -11,7 +11,8 @@ from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_ke
                              noise_variances)
 
 from helpers import (dense_mll_reference, dense_posterior_oracle, matern25_kernel,
-                     multifidelity_kernel, posterior_cross_cov, random_problem)
+                     multifidelity_kernel, posterior_cross_cov, random_problem,
+                     reference_from_vector, reference_marginal_log_likelihood)
 
 
 def leveled_problem(level_counts, dim=2, seed=0):
@@ -429,11 +430,53 @@ class TestTraining:
         with pytest.raises(InvalidInputError, match="workspace"):
             marginal_log_likelihood(pool, log, three_levels, work=work)
 
+    @pytest.mark.parametrize("level_counts", [(14,), (9, 8), (7, 6, 5)],
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_matches_per_field_decode_and_listed_gradient(self, monkeypatch, level_counts):
+        # bitwise against one exp per field and a gradient gathered in a list
+        pool, log, hyper = leveled_problem(level_counts)
+        opts = TrainOptions(iters=60)
+        shipped = train_hyperparameters(pool, log, hyper, opts)
+        monkeypatch.setattr(gp, "marginal_log_likelihood", reference_marginal_log_likelihood)
+        monkeypatch.setattr(GpHyperparams, "from_vector", reference_from_vector)
+        reference = train_hyperparameters(pool, log, hyper, opts)
+        assert shipped.to_vector().tobytes() == reference.to_vector().tobytes()
+        assert shipped.to_text() == reference.to_text()
+
     def test_positive_parameters_preserved(self):
         rng = np.random.default_rng(12)
         pool, log, hyper, _ = random_problem(rng)
         trained = train_hyperparameters(pool, log, hyper, TrainOptions(iters=25))
         assert np.all(np.exp(trained.to_vector()) > 0)
+
+
+class TestValidation:
+    FIELDS = ("lengthscales", "fid_lengthscales", "fid_signal_var", "fid_noise_var")
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_each_field_rejects_non_positive_entries(self, field, bad):
+        good = unit_hyper(n_levels=3)
+        value = np.array(getattr(good, field), dtype=np.float64)
+        value.flat[-1] = bad
+        args = {f: getattr(good, f) for f in self.FIELDS}
+        args[field] = value
+        with pytest.raises(InvalidInputError, match=f"^{field} must be strictly positive$"):
+            GpHyperparams(signal_var=1.0, jitter=1e-6, **args)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("field", ["signal_var", "jitter"])
+    def test_scalars_reject_non_positive_values(self, field, bad):
+        with pytest.raises(InvalidInputError, match="signal_var and jitter"):
+            unit_hyper(n_levels=2, **{field: bad})
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 3])
+    def test_from_vector_rejects_wrong_length(self, n_levels):
+        hyper = unit_hyper(n_levels=n_levels)
+        vec = hyper.to_vector()
+        for bad in (vec[:-1], np.append(vec, 0.0)):
+            with pytest.raises(InvalidInputError, match="wrong length"):
+                hyper.from_vector(bad)
 
 
 class TestSerialization:
