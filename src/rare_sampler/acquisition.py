@@ -38,7 +38,7 @@ from .errors import EmptySelectionError, InvalidInputError, NumericalError
 from .estimator import SIGMA_FLOOR
 from .gp import (PosteriorState, _matern_scaled, matern25_matrix, mf_kernel_matrix,
                  noise_variances, prior_variances)
-from .pool import AugmentedInput, EmbeddingPool, gather_points
+from .pool import AugmentedInput, EmbeddingPool, gather_points, input_array
 
 # Schur complements below this fraction of the largest candidate variance
 # mean the candidate is already determined by the pending set.
@@ -122,7 +122,10 @@ class PendingSet:
 
     Targets are the pool points whose point variance the acquisition
     averages (level 0 in the driver); candidates are the augmented inputs
-    available for evaluation, each with a cost.  The recursion adds one
+    available for evaluation, each with a cost.  Both come as (n, 2) index
+    arrays of (point index, level) rows or as sequences of such pairs;
+    ``candidates`` keeps the candidate array, ``selected`` the picks as
+    ``AugmentedInput``.  The recursion adds one
     pending input at a time in O(|T_live| * |C|): ``n_live_targets`` of the
     ``n_targets`` targets stay after pruning, and ``dropped_beta`` is the
     summed point variance beta(s, 1) of the pruned ones.
@@ -133,20 +136,19 @@ class PendingSet:
         if len(candidates) == 0:
             raise EmptySelectionError("no candidates to select from")
         self.state = state
-        self.targets = list(targets)
-        self.candidates = [AugmentedInput(int(c[0]), int(c[1])) for c in candidates]
+        self.candidates = input_array(pool, candidates)
         self.costs = np.asarray(costs, dtype=np.float64)
         if self.costs.shape != (len(self.candidates),) or np.any(self.costs <= 0):
             raise InvalidInputError("costs must be positive, one per candidate")
         hyper = state.hyper
 
-        tp, tl = gather_points(pool, self.targets)
-        cp, cl = gather_points(pool, self.candidates)
-        self.n_targets = len(self.targets)
+        tp, tl = gather_points(pool, targets)
+        cand_idx, cl = self.candidates.T
+        cp = pool.points[cand_idx]
+        self.n_targets = len(tl)
 
         # candidate points repeat across fidelity levels: build the base kernel
         # block once per unique point and gather columns
-        cand_idx = np.array([c.point_index for c in self.candidates], dtype=np.intp)
         upts, inv = np.unique(cand_idx, return_inverse=True)
 
         if state.n_train:
@@ -164,13 +166,13 @@ class PendingSet:
                                - np.einsum("ij,ij->j", Vc, Vc), 0.0)
         else:
             Va = Vc = None
-            mu_t = np.zeros(len(self.targets))
+            mu_t = np.zeros(self.n_targets)
             var_t = prior_variances(tl, hyper)
             var_c = prior_variances(cl, hyper)
         self._Vc = Vc
 
         act = var_t >= SIGMA_FLOOR**2
-        s_all = np.zeros(len(self.targets))
+        s_all = np.zeros(self.n_targets)
         s_all[act] = (state.gamma_norm - mu_t[act]) / np.sqrt(var_t[act])
         # one cumulative rule: the beta == 0 rows sort first and always go,
         # then the smallest rows holding at most _ROW_TOL of the total
@@ -369,7 +371,7 @@ class PendingSet:
             # back to the deterministic tie-break
             best = self._lexicographic_best(feas_idx)
             self._apply(best)
-            return self.candidates[best], 0.0
+            return self.selected[-1], 0.0
         Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
         Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
 
@@ -400,7 +402,7 @@ class PendingSet:
                 best_rate = gains[j] / self.costs[c]
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
-        return self.candidates[best_idx], float(delta_j)
+        return self.selected[-1], float(delta_j)
 
     def _lexicographic_best(self, feas_idx: np.ndarray) -> int:
         return int(feas_idx[np.argmin(self._rank[feas_idx])])
@@ -426,7 +428,7 @@ class PendingSet:
         self.h_C = np.maximum(self.h_C - e_c * e_c, 0.0)
         self._mask[idx] = True
         self._picked.append(idx)
-        self.selected.append(self.candidates[idx])
+        self.selected.append(AugmentedInput(*self.candidates[idx].tolist()))
         self.total_cost += float(self.costs[idx])
 
 

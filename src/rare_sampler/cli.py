@@ -202,13 +202,15 @@ def _report(out_dir, method, scores, truth, k, k_multiple, trials, seed) -> None
     report = repeated_is_trials(scores, truth, K, trials, seed=seed)
     write_csv(os.path.join(out_dir, "rate_report.csv"),
               ("method", "p_hat_mean", "rv", "recall", "se_rv", "se_recall"),
-              [(method, report.p_hat_mean, report.rv, report.recall, report.se_rv,
-                report.se_recall)])
+              [[method], [report.p_hat_mean], [report.rv], [report.recall],
+               [report.se_rv], [report.se_recall]])
     write_csv(os.path.join(out_dir, "retention_recall.csv"),
-              ("retention_multiple", "recall"),
-              retention_recall_curve(scores, truth).tolist())
+              ("retention_multiple", "recall"), retention_recall_curve(scores, truth).T)
     print(f"{method}: p_hat={report.p_hat_mean:.6g} 100rv={100 * report.rv:.4g} "
           f"recall@K={report.recall:.4g}")
+    if np.isnan(report.rv):
+        print(f"{method}: no IS trial drew a failure; rv and se_rv are nan",
+              file=sys.stderr)
 
 
 def cmd_run(args) -> int:
@@ -287,7 +289,7 @@ def _run_method(run_cfg: RunConfig | None, method, pool, source, alpha,
         scores = result.scores(alpha)
     if method in ("mc", "ce", "external-scores"):
         write_csv(os.path.join(out_dir, "scores_final.csv"), ("point_index", "score"),
-                  enumerate(scores.scores.tolist()))
+                  (np.arange(scores.scores.size), scores.scores))
     return scores
 
 
@@ -310,9 +312,10 @@ def cmd_gen_synthetic(args) -> int:
     export_pool_csv(pool, spec, args.out)
     if args.oracle_out:
         oracle = SyntheticOracle(pool, spec, noise_seed=args.noise_seed)
+        values = [oracle(i, level) for i in range(pool.n_points) for level in (0, 1)]
         write_csv(args.oracle_out, ("point_index", "level", "f"),
-                  ((i, level, oracle(i, level))
-                   for i in range(pool.n_points) for level in (0, 1)))
+                  (np.repeat(np.arange(pool.n_points), 2), np.tile([0, 1], pool.n_points),
+                   values))
     labels = ground_truth_labels(pool, spec)
     print(f"wrote {pool.n_points} points to {args.out}; "
           f"failure rate {labels.mean():.6g}")

@@ -56,55 +56,85 @@ def scale_points(pool: EmbeddingPool, hyper: GpHyperparams) -> np.ndarray:
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """|p|^2 - 2 p.c + |c|^2 in one output array, in the order of the plain
     expression, so every entry is bitwise equal to it."""
-    out = np.matmul(2.0 * points, centers.T)
-    np.subtract(np.sum(points * points, axis=1)[:, None], out, out=out)
+    return _sq_dists_to(2.0 * points, np.sum(points * points, axis=1)[:, None], centers)
+
+
+def _sq_dists_to(twice_points: np.ndarray, point_norms: np.ndarray,
+                 centers: np.ndarray) -> np.ndarray:
+    """``_sq_dists`` from 2 * points and the (n, 1) squared point norms, which
+    k-means computes once for all its distance passes."""
+    out = np.matmul(twice_points, centers.T)
+    np.subtract(point_norms, out, out=out)
     out += np.sum(centers * centers, axis=1)[None, :]
     return out
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, twice_points: np.ndarray,
+                    point_norms: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.maximum(_sq_dists(points, centers[:1]).ravel(), 0.0)
+    d2 = np.maximum(_sq_dists_to(twice_points, point_norms, centers[:1]).ravel(), 0.0)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             centers[j] = points[rng.integers(n)]
             continue
         centers[j] = points[np.searchsorted(np.cumsum(d2), rng.random() * total)]
-        d2 = np.minimum(d2, np.maximum(_sq_dists(points, centers[j:j + 1]).ravel(), 0.0))
+        d2 = np.minimum(d2, np.maximum(
+            _sq_dists_to(twice_points, point_norms, centers[j:j + 1]).ravel(), 0.0))
     return centers
+
+
+def _by_label(labels: np.ndarray, k: int):
+    """The point order that groups the labels stably, and each label's
+    (start, end) slice of it."""
+    counts = np.bincount(labels, minlength=k)
+    ends = np.cumsum(counts)
+    # equal keys keep point order, so a small key type sorts the same
+    # (and by radix)
+    keys = labels.astype(np.uint16) if k <= 1 << 16 else labels
+    return np.argsort(keys, kind="stable"), (ends - counts).tolist(), ends.tolist()
 
 
 def kmeans(points: np.ndarray, k: int, seed) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding on pre-scaled points.
 
     Converges when assignments stabilize or after 100 iterations; an
-    emptied cluster is re-seeded to the point farthest from its center.
+    emptied cluster, in id order, is re-seeded to the point farthest from
+    its center.  Each center is the mean of its points' rows gathered in
+    point order, the array ``points[labels == j]``, so it is bitwise that
+    array's mean.
     """
+    return ClusterAssignment(_relabel(_lloyd(points, k, seed)[0]))
+
+
+def _lloyd(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``kmeans`` before relabelling: the labels and the final centers."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k, rng)
+    twice = 2.0 * points
+    norms = np.sum(points * points, axis=1)[:, None]
+    centers = _kmeans_pp_init(points, twice, norms, k, rng)
     labels = np.full(n, -1, dtype=np.intp)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = _sq_dists(points, centers)
+        d2 = _sq_dists_to(twice, norms, centers)
         new_labels = np.argmin(d2, axis=1)
+        order, starts, ends = _by_label(new_labels, k)
         for j in range(k):
-            sel = new_labels == j
-            if not np.any(sel):
+            if starts[j] == ends[j]:
                 worst = int(np.argmax(d2[np.arange(n), new_labels]))
-                centers[j] = points[worst]
                 new_labels[worst] = j
-                sel = new_labels == j
-            centers[j] = points[sel].mean(axis=0)
+                order, starts, ends = _by_label(new_labels, k)
+            centers[j] = points[order[starts[j]:ends[j]]].mean(axis=0)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return ClusterAssignment(_relabel(labels))
+    return labels, centers
 
 
 def _relabel(labels: np.ndarray) -> np.ndarray:

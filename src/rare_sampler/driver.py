@@ -23,7 +23,7 @@ from .estimator import FailureField, failure_prob
 from .evaluation import ScoreVector, importance_scores
 from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
                  train_hyperparameters)
-from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig, write_csv
+from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, input_array, write_csv
 
 _ADAPTIVE_METHODS = ("bams", "bas")
 _METHODS = _ADAPTIVE_METHODS + ("mc-gp", "mcm-gp", "mc", "ce")
@@ -60,6 +60,13 @@ class RunConfig:
         if self.method not in ("bams", "mcm-gp") and self.fidelities.n_levels != 1:
             object.__setattr__(self, "fidelities",
                                FidelityConfig(self.fidelities.costs[:1]))
+        cheapest = min(self.fidelities.costs)
+        if self.method in _ADAPTIVE_METHODS and self.m_b <= cheapest:
+            # the merge takes a pick only while the batch cost stays below m_b
+            raise InvalidInputError(
+                f"m_b = {self.m_b:g} fits no {self.method} pick: the cheapest "
+                f"level costs {cheapest:g}, and an adaptive batch's cost must "
+                f"stay below m_b")
 
     @property
     def s_hat_effective(self) -> int:
@@ -81,14 +88,20 @@ def run_random_batch(pool: EmbeddingPool, fidelities: FidelityConfig, budget: fl
 
 def _cluster_queue(state: PosteriorState, pool: EmbeddingPool, members, evaluated,
                    costs_by_level, budget: float):
-    """Build one cluster's ranked queue: [(input, cluster-local deltaJ, cost)]."""
+    """Build one cluster's ranked queue: [(input, cluster-local deltaJ, cost)].
+
+    ``evaluated`` is the N x levels mask of evaluated inputs; the targets are
+    the members at level 0 and the candidates every unevaluated (member,
+    level) pair, point-major, as (n, 2) index arrays."""
     n_levels = len(costs_by_level)
-    targets = [AugmentedInput(int(i), 0) for i in members]
-    candidates = [AugmentedInput(int(i), l) for i in members for l in range(n_levels)
-                  if (int(i), l) not in evaluated]
-    if not candidates:
+    targets = np.column_stack([members, np.zeros_like(members)])
+    points = np.repeat(members, n_levels)
+    levels = np.tile(np.arange(n_levels), members.size)
+    keep = ~evaluated[points, levels]
+    if not keep.any():
         return []
-    costs = np.array([costs_by_level[c.level] for c in candidates])
+    candidates = np.column_stack([points[keep], levels[keep]])
+    costs = np.asarray(costs_by_level, dtype=np.float64)[levels[keep]]
     try:
         return select_batch(state, pool, candidates, costs, targets, budget)
     except EmptySelectionError:
@@ -106,8 +119,10 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
     assign = cluster_with_merges(pool, state.hyper, config.S,
                                  config.s_hat_effective,
                                  seed=[config.seed, batch_index])
-    evaluated = {(i.point_index, i.level) for i in log.inputs}
     n = pool.n_points
+    evaluated = np.zeros((n, config.fidelities.n_levels), dtype=bool)
+    done = input_array(pool, log.inputs)
+    evaluated[done[:, 0], done[:, 1]] = True
     queues = []
     for cid in range(assign.n_clusters):
         members = assign.members(cid)
@@ -200,14 +215,15 @@ class ExperimentResult:
         self.log.write_csv(os.path.join(out_dir, "log.csv"))
         for rec in self.batches:
             k = rec.index
+            sel = rec.selected
             write_csv(os.path.join(out_dir, f"selected_batch{k}.csv"),
                       ("point_index", "level", "deltaJ", "cost"),
-                      ((inp.point_index, inp.level, dj, c) for inp, dj, c in rec.selected))
+                      ([inp.point_index for inp, _, _ in sel], [inp.level for inp, _, _ in sel],
+                       [dj for _, dj, _ in sel], [c for _, _, c in sel]))
             if rec.field is not None:
                 write_csv(os.path.join(out_dir, f"scores_batch{k}.csv"),
                           ("point_index", "p_n", "h_n"),
-                          zip(range(len(rec.field.p)), rec.field.p.tolist(),
-                              rec.field.h.tolist()))
+                          (np.arange(rec.field.p.size), rec.field.p, rec.field.h))
             if rec.hyper is not None:
                 with open(os.path.join(out_dir, f"hyperparams_batch{k}.txt"), "w") as fh:
                     fh.write(rec.hyper.to_text())

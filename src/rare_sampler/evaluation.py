@@ -80,7 +80,9 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
 
     Relative variance is the sample variance of p_hat across trials divided
     by the squared true rate; its standard error uses the fourth-moment
-    variance of the sample variance.
+    variance of the sample variance.  When no trial draws a failure, every
+    p_hat is 0 and their spread says nothing about the sampler's error, so
+    rv and se_rv are NaN.
     """
     if K < 1:
         raise InvalidInputError(f"IS sample size K must be >= 1, got {K}")
@@ -105,12 +107,13 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
     centered = p_hats - p_hats.mean()
     m4 = float((centered**4).mean())
     var_of_var = max(m4 - var**2 * (trials - 3) / (trials - 1), 0.0) / trials
+    drew_failure = bool(p_hats.any())
     return RateReport(
         p_hat_mean=float(p_hats.mean()),
-        rv=var / p_gamma**2,
+        rv=var / p_gamma**2 if drew_failure else float("nan"),
         recall=recall_at_budget(scores, truth, K),
         recall_drawn_mean=float(recalls.mean()),
-        se_rv=float(np.sqrt(var_of_var)) / p_gamma**2,
+        se_rv=float(np.sqrt(var_of_var)) / p_gamma**2 if drew_failure else float("nan"),
         se_recall=float(recalls.std(ddof=1)) / np.sqrt(trials),
         trials=trials,
     )

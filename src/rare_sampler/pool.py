@@ -133,9 +133,9 @@ class EvaluationLog:
 
     def write_csv(self, path) -> None:
         """The log.csv artifact: one point_index,level,f,batch row per evaluation."""
+        idx = np.array(self.inputs, dtype=np.intp).reshape(-1, 2)
         write_csv(path, ("point_index", "level", "f", "batch"),
-                  ((inp.point_index, inp.level, v, b)
-                   for inp, v, b in zip(self.inputs, self.values, self.batches)))
+                  (idx[:, 0], idx[:, 1], self.values, self.batches))
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -165,25 +165,45 @@ class EvaluationLog:
         )
 
 
-def gather_points(pool: EmbeddingPool, inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Split a sequence of augmented inputs into coordinate and level arrays."""
-    if len(inputs) == 0:
-        return np.empty((0, pool.dim)), np.empty(0, dtype=np.intp)
-    idx = np.array([i[0] for i in inputs], dtype=np.intp)
-    lvl = np.array([i[1] for i in inputs], dtype=np.intp)
-    if idx.min() < 0 or idx.max() >= pool.n_points:
+def input_array(pool: EmbeddingPool, inputs) -> np.ndarray:
+    """Augmented inputs as an (n, 2) index array of (point index, level) rows,
+    from such an array or a sequence of pairs; point indices must lie in
+    the pool."""
+    arr = np.asarray(inputs, dtype=np.intp)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InvalidInputError(f"augmented inputs must be (point, level) pairs, "
+                                f"got shape {arr.shape}")
+    if arr[:, 0].min() < 0 or arr[:, 0].max() >= pool.n_points:
         raise InvalidInputError("point index out of pool bounds")
-    return pool.points[idx], lvl
+    return arr
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a CSV artifact: a header row, then floats at 17 significant digits
-    (exact round trip) and every other value as str."""
+def gather_points(pool: EmbeddingPool, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Split augmented inputs into coordinate and level arrays."""
+    arr = input_array(pool, inputs)
+    return pool.points[arr[:, 0]], arr[:, 1]
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a CSV artifact from one sequence per column: a header line, then
+    one line per row, every line ending in \\r\\n.  Integer columns print as
+    decimal ints, float columns at 17 significant digits (``%.17g``, an exact
+    round trip, with ``nan``, ``inf``, ``-inf`` and ``-0``) and any other
+    column as str, unquoted, so its cells must hold no comma, quote or line
+    break.  The whole table is formatted by one ``%`` call."""
+    cols = [np.asarray(c) for c in columns]
+    n = len(cols[0])
+    cells = [None] * (n * len(cols))
+    specs = []
+    for j, col in enumerate(cols):
+        cells[j::len(cols)] = col.tolist()
+        kind = col.dtype.kind
+        specs.append("%d" if kind in "iu" else "%.17g" if kind == "f" else "%s")
+    row = ",".join(specs) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
-                    for row in rows)
+        fh.write(",".join(header) + "\r\n" + (row * n) % tuple(cells))
 
 
 class CsvTable(NamedTuple):

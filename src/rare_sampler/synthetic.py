@@ -70,5 +70,4 @@ def ground_truth_labels(pool: EmbeddingPool, spec: SyntheticSpec) -> np.ndarray:
 def export_pool_csv(pool: EmbeddingPool, spec: SyntheticSpec, path) -> None:
     f0 = metric_level0(pool.points, spec)
     write_csv(path, ("index", "x0", "x1", "truth_f_level0"),
-              ((i, x0, x1, fx) for i, ((x0, x1), fx)
-               in enumerate(zip(pool.points.tolist(), f0.tolist()))))
+              (np.arange(pool.n_points), pool.points[:, 0], pool.points[:, 1], f0))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 from scipy.special import ndtr
 
@@ -12,7 +14,7 @@ from rare_sampler import (AugmentedInput, CeState, ClusterAssignment, EmbeddingP
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
-from rare_sampler import EmptySelectionError, PendingSet
+from rare_sampler import EmptySelectionError, PendingSet, select_batch
 from rare_sampler.acquisition import _BLOCK, _beta_slope, point_variance_beta
 from rare_sampler.baselines import CE_ELITES, CE_VAR_FLOOR_REL, _fit_elite_gaussian
 from rare_sampler.clustering import _relabel
@@ -239,6 +241,68 @@ def reference_sq_dists(points, centers):
     )
 
 
+def reference_write_csv(path, header, rows) -> None:
+    """The artifact writer as a csv-module row loop: floats at 17 significant
+    digits, every other value as str."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                    for row in rows)
+
+
+def reference_cluster_queue(state, pool, members, evaluated, costs_by_level, budget):
+    """One cluster's queue from ``AugmentedInput`` lists: the targets are the
+    members at level 0, the candidates every (member, level) pair not in the
+    ``evaluated`` set, point-major."""
+    n_levels = len(costs_by_level)
+    targets = [AugmentedInput(int(i), 0) for i in members]
+    candidates = [AugmentedInput(int(i), l) for i in members for l in range(n_levels)
+                  if (int(i), l) not in evaluated]
+    if not candidates:
+        return []
+    costs = np.array([costs_by_level[c.level] for c in candidates])
+    try:
+        return select_batch(state, pool, candidates, costs, targets, budget)
+    except EmptySelectionError:
+        return []
+
+
+def reference_kmeans(points, k, seed):
+    """k-means as one boolean-mask pass per center, with the distances built
+    afresh each iteration: (labels before relabelling, final centers)."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.maximum(reference_sq_dists(points, centers[:1]).ravel(), 0.0)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = points[rng.integers(n)]
+            continue
+        centers[j] = points[np.searchsorted(np.cumsum(d2), rng.random() * total)]
+        d2 = np.minimum(d2, np.maximum(reference_sq_dists(points, centers[j:j + 1]).ravel(),
+                                       0.0))
+    labels = np.full(n, -1, dtype=np.intp)
+    for _ in range(100):
+        d2 = reference_sq_dists(points, centers)
+        new_labels = np.argmin(d2, axis=1)
+        for j in range(k):
+            sel = new_labels == j
+            if not np.any(sel):
+                worst = int(np.argmax(d2[np.arange(n), new_labels]))
+                centers[j] = points[worst]
+                new_labels[worst] = j
+                sel = new_labels == j
+            centers[j] = points[sel].mean(axis=0)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels, centers
+
+
 def reference_cluster_with_merges(pool, hyper, S, S_hat, seed) -> ClusterAssignment:
     """The merge loop over per-group index arrays: one distance block from the
     smallest group to all points per merge, sliced per neighbor by column
@@ -393,7 +457,7 @@ class ReferencePendingSet(PendingSet):
             # back to the deterministic tie-break
             best = self._lexicographic_best(feas_idx)
             self._apply(best)
-            return self.candidates[best], 0.0
+            return self.selected[-1], 0.0
         Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
         Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
 
@@ -415,17 +479,17 @@ class ReferencePendingSet(PendingSet):
                 c = int(block[j])
                 v = float(vals[j])
                 if (best_idx < 0 or v < best_val
-                        or (v == best_val and self.candidates[c] < self.candidates[best_idx])):
+                        or (v == best_val and tuple(self.candidates[c])
+                            < tuple(self.candidates[best_idx]))):
                     best_idx = c
                     best_val = v
                     best_rate = gains[j] / self.costs[c]
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
-        return self.candidates[best_idx], float(delta_j)
+        return self.selected[-1], float(delta_j)
 
     def _lexicographic_best(self, feas_idx: np.ndarray) -> int:
-        keys = [(self.candidates[i].point_index, self.candidates[i].level, i)
-                for i in feas_idx]
+        keys = [(*self.candidates[i].tolist(), i) for i in feas_idx]
         return min(keys)[2]
 
     def _apply(self, idx: int) -> None:
@@ -445,7 +509,7 @@ class ReferencePendingSet(PendingSet):
         self._bT.append(e_t)
         self._bC.append(e_c)
         self._mask[idx] = True
-        self.selected.append(self.candidates[idx])
+        self.selected.append(AugmentedInput(*self.candidates[idx].tolist()))
         self.total_cost += float(self.costs[idx])
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rare_sampler
 from rare_sampler import ConfigError, InvalidInputError, OracleError, scores_from_csv
 from rare_sampler.cli import METHODS, _load_pool_csv, main, parse_config
 from rare_sampler.oracles import CsvOracle, ExternalOracle
@@ -243,6 +244,31 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_m_b_that_fits_no_pick_is_an_error(self, tmp_path, capsys):
+        # bas evaluates level 0 at cost 1, so m_b = 1 would leave every
+        # adaptive batch empty
+        cfg = synthetic_config(tmp_path, method="bas", n=200)
+        cfg.write_text(cfg.read_text().replace("m1 = 6", "m1 = 5")
+                       .replace("m_b = 3", "m_b = 1"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: m_b = 1 fits no bas pick: the cheapest level costs 1, and an "
+            "adaptive batch's cost must stay below m_b\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["mc", "ce"])
+    def test_no_failure_drawn_reports_nan_rv(self, tmp_path, capsys, method):
+        # one failure in a 600-point pool and K = 2: no IS trial draws it
+        cfg = synthetic_config(tmp_path, method=method, n=600)
+        cfg.write_text(cfg.read_text().replace("seed = 0\n", "seed = 3\n", 1))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert (out / "rate_report.csv").read_text() == (
+            f"method,p_hat_mean,rv,recall,se_rv,se_recall\n{method},0,nan,0,nan,0\n")
+        captured = capsys.readouterr()
+        assert f"{method}: p_hat=0 100rv=nan recall@K=0\n" in captured.out
+        assert captured.err == f"{method}: no IS trial drew a failure; rv and se_rv are nan\n"
 
     def test_fractional_initial_budget_runs_for_ce(self, tmp_path):
         cfg = synthetic_config(tmp_path, method="ce")
@@ -582,6 +608,24 @@ class TestScoreReport:
         assert float(row["recall"]) == 1.0  # oracle ranking finds everything
 
 
+    def test_no_failure_drawn_reports_nan_rv(self, tmp_path, capsys):
+        pool_csv = tmp_path / "pool.csv"
+        main(["gen-synthetic", "--n", "600", "--seed", "3", "--out", str(pool_csv)])
+        with open(pool_csv, newline="") as fh:
+            truth = [float(r["truth_f_level0"]) <= 0.56 for r in csv.DictReader(fh)]
+        scores = tmp_path / "scores.csv"
+        # every failure scored 0: the sampler never draws one
+        scores.write_text("point_index,score\n" + "".join(
+            f"{i},{0 if fail else 1}\n" for i, fail in enumerate(truth)))
+        out = tmp_path / "rep"
+        assert main(["score-report", "--scores", str(scores), "--pool-csv", str(pool_csv),
+                     "--gamma", "0.56", "--trials", "20", "--out", str(out)]) == 0
+        with open(out / "rate_report.csv") as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert (row["p_hat_mean"], row["rv"], row["se_rv"]) == ("0", "nan", "nan")
+        assert capsys.readouterr().err == (
+            "external-scores: no IS trial drew a failure; rv and se_rv are nan\n")
+
     def test_pool_without_truth_names_file_and_header(self, tmp_path, capsys):
         pool_csv = tmp_path / "pool.csv"
         pool_csv.write_text("index,x0,x1\n0,0.0,0.0\n1,1.0,0.0\n")
@@ -608,6 +652,17 @@ class TestScoreReport:
         assert f"K must be >= 1, got {k}" in capsys.readouterr().err
         assert not (tmp_path / "rep" / "rate_report.csv").exists()
         assert not (tmp_path / "out" / "rate_report.csv").exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(rare_sampler.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "rare_sampler", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: rare-sampler ")
+        assert "gen-synthetic" in proc.stdout
 
 
 class TestCsvOracle:

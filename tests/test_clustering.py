@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import rare_sampler.clustering as clustering
-from helpers import reference_cluster_with_merges, reference_sq_dists
+from helpers import reference_cluster_with_merges, reference_kmeans, reference_sq_dists
 from rare_sampler import (EmbeddingPool, GpHyperparams, InvalidInputError,
                           cluster_with_merges, hausdorff_distance, kmeans,
                           scale_points)
-from rare_sampler.clustering import ClusterAssignment, _relabel, _sq_dists
+from rare_sampler.clustering import ClusterAssignment, _lloyd, _relabel, _sq_dists
 
 
 def hyper_with_lengthscales(ls):
@@ -90,6 +90,44 @@ class TestKmeans:
     def test_k_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             kmeans(np.zeros((3, 2)), 4, seed=0)
+
+
+class TestKmeansMatchesReference:
+    """Lloyd's loop with hoisted point terms and label-sorted center means
+    against the boolean-mask loop: bitwise-equal labels and centers."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labels_and_centers_bitwise(self, d, seed):
+        rng = np.random.default_rng(1000 * d + seed)
+        pts = rng.standard_normal((int(rng.integers(40, 600)), d)) * rng.uniform(0.1, 10.0, d)
+        for k in (1, 3, 8):
+            labels, centers = _lloyd(pts, k, seed)
+            want_labels, want_centers = reference_kmeans(pts, k, seed)
+            np.testing.assert_array_equal(labels, want_labels)
+            assert centers.tobytes() == want_centers.tobytes()
+            np.testing.assert_array_equal(kmeans(pts, k, seed).labels, _relabel(want_labels))
+
+    def test_empty_cluster_reseed_matches_reference(self, monkeypatch):
+        # five distinct points repeated and k = 8: k-means++ repeats centers,
+        # so clusters empty and are re-seeded
+        by_label = clustering._by_label
+        empty = []
+
+        def recording_by_label(labels, k):
+            empty.append(np.bincount(labels, minlength=k).min() == 0)
+            return by_label(labels, k)
+
+        monkeypatch.setattr(clustering, "_by_label", recording_by_label)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((5, 3))
+        for seed in range(6):
+            pts = values[rng.integers(0, 5, 60)]
+            labels, centers = _lloyd(pts, 8, seed)
+            want_labels, want_centers = reference_kmeans(pts, 8, seed)
+            np.testing.assert_array_equal(labels, want_labels)
+            assert centers.tobytes() == want_centers.tobytes()
+        assert any(empty)
 
 
 class TestHausdorff:

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
-                          FidelityConfig, GpHyperparams, RunConfig, SyntheticOracle,
+                          FidelityConfig, GpHyperparams, InvalidInputError, RunConfig,
+                          SyntheticOracle,
                           SyntheticSpec, cluster_with_merges, fit_posterior,
                           generate_pool, random_acquisition, run_bams_batch,
                           run_experiment, run_random_batch)
-from rare_sampler.driver import _merge_queues
+from rare_sampler.driver import _cluster_queue, _merge_queues
 from rare_sampler.gp import TrainOptions
 
-from helpers import naive_select_batch
+from helpers import naive_select_batch, reference_cluster_queue
 
 
 def small_synthetic(n=60, seed=0):
@@ -239,13 +240,71 @@ class TestExperiment:
         assign = cluster_with_merges(pool, state.hyper, config.S,
                                      config.s_hat_effective, seed=[config.seed, 2])
         from rare_sampler.driver import _cluster_queue
-        evaluated = {(i.point_index, i.level) for i in log.inputs}
+        evaluated = np.zeros((pool.n_points, 2), dtype=bool)
+        for i in log.inputs:
+            evaluated[i] = True
         for cid in range(assign.n_clusters):
             members = assign.members(cid)
             budget = float(np.ceil(config.eta * config.m_b * len(members) /
                                    pool.n_points))
             queue = _cluster_queue(state, pool, members, evaluated,
                                    config.fidelities.costs, budget)
-            n_cands = sum(1 for i in members for l in range(2)
-                          if (int(i), l) not in evaluated)
+            n_cands = int((~evaluated[members]).sum())
             assert sum(q[2] for q in queue) >= budget or len(queue) == n_cands
+
+
+class TestClusterQueueArrays:
+    """Queues built from index arrays and an evaluated mask against queues
+    built from AugmentedInput lists and an evaluated set."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("method,costs", [("bas", (1.0,)), ("bams", (1.0, 0.10))])
+    def test_matches_list_built_queue(self, seed, method, costs):
+        spec, pool, oracle = small_synthetic(n=80, seed=seed)
+        config = base_config(seed=seed, method=method, fidelities=FidelityConfig(costs),
+                             eta=2.0, m1=8.0)
+        log = initial_log(pool, config, oracle)
+        state = fit_posterior(pool, log, GpHyperparams.defaults(pool, len(costs)),
+                              config.gamma)
+        assign = cluster_with_merges(pool, state.hyper, config.S, config.s_hat_effective,
+                                     seed=[seed, 2])
+        evaluated = np.zeros((pool.n_points, len(costs)), dtype=bool)
+        for inp in log.inputs:
+            evaluated[inp] = True
+        cases = [(assign.members(cid), evaluated, set(log.inputs))
+                 for cid in range(assign.n_clusters)]
+        # a cluster whose every input is evaluated gets an empty queue
+        members = assign.members(0)
+        cases.append((members, np.ones_like(evaluated),
+                      {(int(i), l) for i in members for l in range(len(costs))}))
+        for members, mask, done in cases:
+            budget = float(np.ceil(config.eta * config.m_b * len(members) / pool.n_points))
+            got = _cluster_queue(state, pool, members, mask, costs, budget)
+            want = reference_cluster_queue(state, pool, members, done, costs, budget)
+            assert [g[0] for g in got] == [w[0] for w in want]
+            assert all(type(g[0]) is AugmentedInput for g in got)
+            assert (np.array([g[1] for g in got]).tobytes()
+                    == np.array([w[1] for w in want]).tobytes())
+            assert [g[2] for g in got] == [w[2] for w in want]
+        assert any(len(_cluster_queue(state, pool, assign.members(cid), evaluated, costs,
+                                      5.0)) > 1 for cid in range(assign.n_clusters))
+
+
+class TestAdaptiveBudgetFloor:
+    """An adaptive batch takes a pick only while its cost stays below m_b, so
+    an m_b at or below the cheapest level's cost is a settings error."""
+
+    @pytest.mark.parametrize("method,costs,m_b,cheapest", [
+        ("bas", (1.0,), 1.0, 1), ("bas", (1.0,), 0.5, 1),
+        ("bas", (1.0, 0.10), 0.5, 1),      # bas runs level 0 only
+        ("bams", (1.0, 0.10), 0.1, 0.1), ("bams", (1.0, 0.25), 0.2, 0.25)])
+    def test_m_b_that_fits_no_pick_is_rejected(self, method, costs, m_b, cheapest):
+        with pytest.raises(InvalidInputError,
+                           match=rf"m_b = {m_b:g} fits no {method} pick: the cheapest "
+                                 rf"level costs {cheapest:g}"):
+            base_config(method=method, fidelities=FidelityConfig(costs), m_b=m_b)
+
+    @pytest.mark.parametrize("method,m_b", [("bas", 1.5), ("bams", 0.15), ("mc", 0.5),
+                                            ("mcm-gp", 0.05), ("ce", 1.0)])
+    def test_other_budgets_accepted(self, method, m_b):
+        assert base_config(method=method, m_b=m_b).m_b == m_b

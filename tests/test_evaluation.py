@@ -109,6 +109,18 @@ class TestRepeatedTrials:
         assert report.p_hat_mean == pytest.approx(truth.mean())
         assert report.recall == 1.0
 
+    def test_no_failure_drawn_gives_nan_rv(self):
+        # the failure has q = 0: every trial's p_hat is 0, which says nothing
+        # about the sampler's error, so rv is not reported as 0
+        truth = np.zeros(40, dtype=bool)
+        truth[5] = True
+        q = np.where(truth, 0.0, 1.0 / 39)
+        sv = ScoreVector(scores=q, q=q)
+        report = repeated_is_trials(sv, truth, K=10, trials=20, seed=0)
+        assert report.p_hat_mean == 0.0
+        assert np.isnan(report.rv) and np.isnan(report.se_rv)
+        assert report.recall_drawn_mean == 0.0
+
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(2)
         truth = rng.random(300) < 0.04
