@@ -120,15 +120,15 @@ def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
 class PendingSet:
     """Greedy selection state over a fixed target set and candidate set.
 
-    Targets are the pool points whose point variance the acquisition
-    averages (level 0 in the driver); candidates are the augmented inputs
-    available for evaluation, each with a cost.  Both come as (n, 2) index
-    arrays of (point index, level) rows or as sequences of such pairs;
-    ``candidates`` keeps the candidate array, ``selected`` the picks as
-    ``AugmentedInput``.  The recursion adds one
-    pending input at a time in O(|T_live| * |C|): ``n_live_targets`` of the
-    ``n_targets`` targets stay after pruning, and ``dropped_beta`` is the
-    summed point variance beta(s, 1) of the pruned ones.
+    Targets are the level-0 inputs whose point variance the acquisition
+    averages; candidates are the augmented inputs available for evaluation,
+    each with a cost.  Both come as (n, 2) index arrays of (point index,
+    level) rows or as sequences of such pairs; ``candidates`` keeps the
+    candidate array, ``selected`` the picks as ``AugmentedInput``.  The
+    recursion adds one pending input at a time in O(|T_live| * |C|):
+    ``n_live_targets`` of the ``n_targets`` targets stay after pruning, and
+    ``dropped_beta`` is the summed point variance beta(s, 1) of the pruned
+    ones.
     """
 
     def __init__(self, state: PosteriorState, pool: EmbeddingPool, targets,
@@ -143,6 +143,11 @@ class PendingSet:
         hyper = state.hyper
 
         tp, tl = gather_points(pool, targets)
+        if tl.any():
+            # a level-0 target's covariance with every candidate is the base
+            # kernel alone, so the target rows hold no discrepancy term
+            raise InvalidInputError(f"targets must be level-0 inputs, got level "
+                                    f"{tl[tl != 0][0]}")
         cand_idx, cl = self.candidates.T
         cp = pool.points[cand_idx]
         self.n_targets = len(tl)
@@ -201,14 +206,6 @@ class PendingSet:
                 chunk = chunk - VaT @ Vc[:, sl]
             chunk *= inv_sd
             TC[:, sl] = chunk
-        for l in range(1, hyper.n_levels):
-            rows = np.flatnonzero(tl[act] == l)
-            cols = np.flatnonzero(cl == l)
-            if rows.size and cols.size:
-                disc = matern25_matrix(tp[act][rows], cp[cols],
-                                       hyper.fid_lengthscales[l - 1],
-                                       hyper.fid_signal_var[l - 1])
-                TC[np.ix_(rows, cols)] += disc * inv_sd[rows]
         self.TCs = TC
 
         self.h_C = var_c + noise_variances(cl, hyper)

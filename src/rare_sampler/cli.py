@@ -14,13 +14,14 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .baselines import scores_from_csv
-from .driver import RunConfig, run_experiment
+from .driver import ORACLE_METHODS, RunConfig, run_experiment
 from .errors import ConfigError, InvalidInputError, RareSamplerError
-from .evaluation import (ScoreVector, repeated_is_trials, retention_recall_curve,
+from .evaluation import (IsOptions, repeated_is_trials, retention_recall_curve,
                          splitting_bound)
 from .gp import TrainOptions
 from .oracles import CsvOracle, ExternalOracle
@@ -28,7 +29,7 @@ from .pool import EmbeddingPool, FidelityConfig, read_csv, write_csv
 from .synthetic import (SyntheticOracle, SyntheticSpec, export_pool_csv,
                         generate_pool, ground_truth_labels, metric_level0)
 
-METHODS = ("bams", "bas", "mc", "mc-gp", "mcm-gp", "ce", "external-scores")
+METHODS = ORACLE_METHODS + ("external-scores",)
 
 
 @dataclass(frozen=True)
@@ -37,17 +38,51 @@ class ConfigValue:
     line: int
 
 
-# the keys each section accepts; [fidelity] also takes cost.<level>
+class KeySpec(NamedTuple):
+    """A config key: the type of its value, the class whose parameter it
+    fills (named as the key unless ``param`` says otherwise), whose default
+    an absent key keeps, and the values it may take (any when None)."""
+
+    type: type
+    owner: type | None = None
+    param: str | None = None
+    choices: tuple | None = None
+
+
+# the keys each section accepts; [fidelity] also takes cost.<level>, a number
 CONFIG_KEYS = {
-    "pool": {"source", "n", "seed", "center", "path"},
-    "fidelity": {"levels", "synthetic_noise_std"},
-    "method": {"name", "gamma", "clusters", "initial_clusters", "eta", "train_lr",
-               "train_iters", "scores_path"},
-    "budget": {"m1", "m_b", "batches"},
-    "is": {"alpha", "k_multiple", "k", "trials"},
-    "seeds": {"run", "trials"},
-    "oracle": {"kind", "noise_seed", "path", "command", "timeout"},
+    "pool": {"source": KeySpec(str, choices=("synthetic", "csv")),
+             "n": KeySpec(int, SyntheticSpec, "n_points"),
+             "seed": KeySpec(int, SyntheticSpec), "center": KeySpec(float, SyntheticSpec),
+             "path": KeySpec(str)},
+    "fidelity": {"levels": KeySpec(int),
+                 "synthetic_noise_std": KeySpec(float, SyntheticSpec, "noise_std")},
+    "method": {"name": KeySpec(str, choices=METHODS),
+               "gamma": KeySpec(float, SyntheticSpec),
+               "clusters": KeySpec(int, RunConfig, "S"),
+               "initial_clusters": KeySpec(int, RunConfig, "S_hat"),
+               "eta": KeySpec(float, RunConfig),
+               "train_lr": KeySpec(float, TrainOptions, "lr"),
+               "train_iters": KeySpec(int, TrainOptions, "iters"),
+               "scores_path": KeySpec(str)},
+    "budget": {"m1": KeySpec(float, RunConfig), "m_b": KeySpec(float, RunConfig),
+               "batches": KeySpec(int, RunConfig)},
+    "is": {"alpha": KeySpec(float, IsOptions), "k_multiple": KeySpec(float, IsOptions),
+           "k": KeySpec(int, IsOptions), "trials": KeySpec(int, IsOptions)},
+    "seeds": {"run": KeySpec(int, RunConfig, "seed"), "trials": KeySpec(int)},
+    "oracle": {"kind": KeySpec(str, choices=("synthetic", "csv", "command")),
+               "noise_seed": KeySpec(int, SyntheticOracle), "path": KeySpec(str),
+               "command": KeySpec(str), "timeout": KeySpec(float, ExternalOracle)},
 }
+_COST_KEY = re.compile(r"cost\.(0|[1-9][0-9]*)")
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def key_spec(section: str, key: str) -> KeySpec | None:
+    """The table entry of ``key`` in [section], None for a key it does not accept."""
+    if section == "fidelity" and _COST_KEY.fullmatch(key):
+        return KeySpec(float)
+    return CONFIG_KEYS[section].get(key)
 
 
 def parse_config(path) -> dict[str, dict[str, ConfigValue]]:
@@ -79,8 +114,7 @@ def parse_config(path) -> dict[str, dict[str, ConfigValue]]:
         if current is None:
             raise ConfigError(f"line {no}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS[current] and not (
-                current == "fidelity" and re.fullmatch(r"cost\.(0|[1-9][0-9]*)", key)):
+        if key_spec(current, key) is None:
             raise ConfigError(f"line {no}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {no}: duplicate key {key!r} in [{current}]")
@@ -89,60 +123,57 @@ def parse_config(path) -> dict[str, dict[str, ConfigValue]]:
 
 
 class _Config:
-    """Typed accessors over the parsed sections with line-numbered errors."""
+    """The parsed sections, read through CONFIG_KEYS with line-numbered errors."""
 
     def __init__(self, sections):
         self.sections = sections
 
-    def get(self, section, key, default=None, required=False):
-        sec = self.sections.get(section, {})
-        if key not in sec:
+    def value(self, section, key, default=None, required=False):
+        """The typed value of one key, or ``default`` when the file leaves it out."""
+        cv = self.sections.get(section, {}).get(key)
+        if cv is None:
             if required:
                 raise ConfigError(f"missing required key {key!r} in [{section}]")
             return default
-        return sec[key]
-
-    def _convert(self, section, key, conv, default, required, kind):
-        cv = self.get(section, key, required=required)
-        if cv is None:
-            return default
+        spec = key_spec(section, key)
         try:
-            return conv(cv.value)
+            value = spec.type(cv.value)
         except ValueError:
-            raise ConfigError(
-                f"line {cv.line}: [{section}] {key} must be {kind}, got {cv.value!r}"
-            ) from None
+            raise ConfigError(f"line {cv.line}: [{section}] {key} must be "
+                              f"{_KINDS[spec.type]}, got {cv.value!r}") from None
+        if spec.choices is not None and value not in spec.choices:
+            raise ConfigError(f"line {cv.line}: [{section}] {key} must be one of "
+                              f"{spec.choices}, got {value!r}")
+        return value
 
-    def getfloat(self, section, key, default=None, required=False):
-        return self._convert(section, key, float, default, required, "a number")
-
-    def getint(self, section, key, default=None, required=False):
-        return self._convert(section, key, int, default, required, "an integer")
-
-    def getstr(self, section, key, default=None, required=False):
-        cv = self.get(section, key, required=required)
-        return default if cv is None else cv.value
-
-    def line_of(self, section, key):
-        cv = self.get(section, key)
-        return cv.line if cv else 0
+    def settings(self, owner) -> dict:
+        """The values of the keys the file sets that fill ``owner``'s parameters,
+        by parameter name, so every absent key keeps owner's default."""
+        return {spec.param or key: self.value(section, key)
+                for section, keys in CONFIG_KEYS.items() for key, spec in keys.items()
+                if spec.owner is owner and key in self.sections.get(section, {})}
 
 
 def _build_fidelities(cfg: _Config) -> FidelityConfig:
-    levels = cfg.getint("fidelity", "levels", default=1)
-    costs = [1.0]
-    if cfg.getfloat("fidelity", "cost.0", default=1.0) != 1.0:
-        raise ConfigError(f"line {cfg.line_of('fidelity', 'cost.0')}: "
-                          f"level-0 cost must be exactly 1")
-    for l in range(1, levels):
-        c = cfg.getfloat("fidelity", f"cost.{l}", required=True)
-        ln = cfg.line_of("fidelity", f"cost.{l}")
-        if not 0.0 < c <= 1.0:
-            raise ConfigError(f"line {ln}: cost.{l} must lie in (0, 1], got {c}")
-        if c == 1.0:
-            raise ConfigError(f"line {ln}: cost.{l} must be < 1 for levels >= 1")
-        costs.append(c)
-    return FidelityConfig(tuple(costs))
+    """The [fidelity] costs, checked by FidelityConfig: levels and cost.0 take
+    its default (level 0 alone, at cost 1), cost.1 .. cost.<levels-1> are
+    required, and a cost of a level past them is an error.  Every error
+    names the line of the key at fault."""
+    default = FidelityConfig()
+    levels = cfg.value("fidelity", "levels", default.n_levels)
+    for key, cv in cfg.sections.get("fidelity", {}).items():
+        if key.startswith("cost.") and int(key[5:]) >= levels:
+            raise ConfigError(f"line {cv.line}: {key} is set, but levels = {levels} "
+                              f"has no level {key[5:]}")
+    costs, key = (), "levels"
+    try:
+        for level in range(levels):
+            key = f"cost.{level}"
+            costs += (cfg.value("fidelity", key, default.costs[0], required=level > 0),)
+            FidelityConfig(costs)              # each level is checked as it is added
+        return FidelityConfig(costs)
+    except InvalidInputError as exc:
+        raise ConfigError(f"line {cfg.sections['fidelity'][key].line}: {exc}") from None
 
 
 def _load_pool_csv(path, need_truth=False):
@@ -160,46 +191,30 @@ def _load_pool_csv(path, need_truth=False):
 
 
 def _build_pool(cfg: _Config):
-    source = cfg.getstr("pool", "source", default="synthetic")
-    if source == "synthetic":
-        spec = SyntheticSpec(
-            n_points=cfg.getint("pool", "n", default=20000),
-            seed=cfg.getint("pool", "seed", default=0),
-            gamma=cfg.getfloat("method", "gamma", default=0.56),
-            center=cfg.getfloat("pool", "center", default=1.95),
-            noise_std=cfg.getfloat("fidelity", "synthetic_noise_std", default=0.1),
-        )
-        pool = generate_pool(spec)
-        truth_f = metric_level0(pool.points, spec)
-        return pool, truth_f, spec
-    if source == "csv":
-        path = cfg.getstr("pool", "path", required=True)
-        pool, truth_f = _load_pool_csv(path)
+    if cfg.value("pool", "source") == "csv":
+        pool, truth_f = _load_pool_csv(cfg.value("pool", "path", required=True))
         return pool, truth_f, None
-    raise ConfigError(f"line {cfg.line_of('pool', 'source')}: "
-                      f"pool source must be 'synthetic' or 'csv', got {source!r}")
+    spec = SyntheticSpec(**cfg.settings(SyntheticSpec))
+    pool = generate_pool(spec)
+    return pool, metric_level0(pool.points, spec), spec
 
 
 def _build_oracle(cfg: _Config, pool, spec):
-    kind = cfg.getstr("oracle", "kind", default="synthetic")
-    if kind == "synthetic":
-        if spec is None:
-            raise ConfigError("synthetic oracle requires a synthetic pool")
-        return SyntheticOracle(pool, spec,
-                               noise_seed=cfg.getint("oracle", "noise_seed", default=0))
+    kind = cfg.value("oracle", "kind")
     if kind == "csv":
-        return CsvOracle(cfg.getstr("oracle", "path", required=True))
+        return CsvOracle(cfg.value("oracle", "path", required=True))
     if kind == "command":
-        return ExternalOracle(cfg.getstr("oracle", "command", required=True),
-                              timeout=cfg.getfloat("oracle", "timeout", default=300.0))
-    raise ConfigError(f"line {cfg.line_of('oracle', 'kind')}: "
-                      f"oracle kind must be synthetic, csv, or command; got {kind!r}")
+        return ExternalOracle(cfg.value("oracle", "command", required=True),
+                              **cfg.settings(ExternalOracle))
+    if spec is None:
+        raise ConfigError("synthetic oracle requires a synthetic pool")
+    return SyntheticOracle(pool, spec, **cfg.settings(SyntheticOracle))
 
 
-def _report(out_dir, method, scores, truth, k, k_multiple, trials, seed) -> None:
+def _report(out_dir, method, scores, truth, opts: IsOptions, seed) -> None:
     """Write rate_report.csv and retention_recall.csv and print the summary."""
-    K = k if k is not None else int(round(k_multiple * int(truth.sum())))
-    report = repeated_is_trials(scores, truth, K, trials, seed=seed)
+    K = opts.k if opts.k is not None else int(round(opts.k_multiple * int(truth.sum())))
+    report = repeated_is_trials(scores, truth, K, opts.trials, seed=seed)
     write_csv(os.path.join(out_dir, "rate_report.csv"),
               ("method", "p_hat_mean", "rv", "recall", "se_rv", "se_recall"),
               [[method], [report.p_hat_mean], [report.rv], [report.recall],
@@ -215,82 +230,43 @@ def _report(out_dir, method, scores, truth, k, k_multiple, trials, seed) -> None
 
 def cmd_run(args) -> int:
     cfg = _Config(parse_config(args.config))
-    method = cfg.getstr("method", "name", required=True)
-    if method not in METHODS:
-        raise ConfigError(f"line {cfg.line_of('method', 'name')}: "
-                          f"method must be one of {METHODS}, got {method!r}")
+    method = cfg.value("method", "name", required=True)
     pool, truth_f, spec = _build_pool(cfg)
-    gamma = cfg.getfloat("method", "gamma",
-                         default=spec.gamma if spec else None, required=spec is None)
+    gamma = spec.gamma if spec else cfg.value("method", "gamma", required=True)
     truth = truth_f <= gamma if truth_f is not None else None
-    out_dir = args.out
+    is_opts = IsOptions(**cfg.settings(IsOptions))
+    run_seed = cfg.value("seeds", "run", RunConfig.seed)
+    trials_seed = cfg.value("seeds", "trials", run_seed + 1)
     # the settings are checked and every input table is read before the
     # artifact directory is made, so neither leaves an empty --out behind
     if method == "external-scores":
-        run_cfg = None
-        source = scores_from_csv(cfg.getstr("method", "scores_path", required=True),
+        scores = scores_from_csv(cfg.value("method", "scores_path", required=True),
                                  pool.n_points)
+        os.makedirs(args.out, exist_ok=True)
     else:
-        run_cfg = _run_config(cfg, method, gamma)
-        source = _build_oracle(cfg, pool, spec)
-    alpha = cfg.getfloat("is", "alpha", default=2.5)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        scores = _run_method(run_cfg, method, pool, source, alpha, out_dir)
-    finally:
-        if isinstance(source, ExternalOracle):
-            source.close()
+        run_cfg = RunConfig(gamma=gamma, fidelities=_build_fidelities(cfg), method=method,
+                            train=TrainOptions(**cfg.settings(TrainOptions)),
+                            **cfg.settings(RunConfig))
+        oracle = _build_oracle(cfg, pool, spec)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            result = run_experiment(pool, run_cfg, oracle)
+        finally:
+            if isinstance(oracle, ExternalOracle):
+                oracle.close()
+        result.save(args.out)
+        scores = result.scores(is_opts.alpha)
+    if method in ("mc", "ce", "external-scores"):
+        # the final scores of the methods without a failure field
+        write_csv(os.path.join(args.out, "scores_final.csv"), ("point_index", "score"),
+                  (np.arange(scores.scores.size), scores.scores))
 
     if truth is not None and truth.any():
-        _report(out_dir, method, scores, truth, cfg.getint("is", "k", default=None),
-                cfg.getfloat("is", "k_multiple", default=5.0),
-                cfg.getint("is", "trials", default=200),
-                cfg.getint("seeds", "trials",
-                           default=cfg.getint("seeds", "run", default=0) + 1))
+        _report(args.out, method, scores, truth, is_opts, trials_seed)
     else:
         print(f"{method}: no ground truth available; skipped rate_report.csv "
               f"and retention_recall.csv", file=sys.stderr)
     return 0
-
-
-def _run_config(cfg: _Config, method, gamma) -> RunConfig:
-    """The run settings of a method that calls an oracle, checked by RunConfig."""
-    return RunConfig(
-        gamma=gamma,
-        fidelities=_build_fidelities(cfg),
-        method=method,
-        m1=cfg.getfloat("budget", "m1", default=20.0),
-        m_b=cfg.getfloat("budget", "m_b", default=15.0),
-        batches=cfg.getint("budget", "batches", default=3),
-        S=cfg.getint("method", "clusters", default=6),
-        S_hat=cfg.getint("method", "initial_clusters", default=None),
-        eta=cfg.getfloat("method", "eta", default=2.0),
-        seed=cfg.getint("seeds", "run", default=0),
-        train=TrainOptions(
-            lr=cfg.getfloat("method", "train_lr", default=0.05),
-            iters=cfg.getint("method", "train_iters", default=200),
-        ),
-    )
-
-
-def _run_method(run_cfg: RunConfig | None, method, pool, source, alpha,
-                out_dir) -> ScoreVector:
-    """Run the configured method, write its artifacts, and return its final
-    scores.  For external-scores (``run_cfg`` None), ``source`` is the
-    ScoreVector read from scores_path; every other method runs its oracle
-    ``source`` through run_experiment.  The methods whose scores come from no
-    failure field (mc, ce, external-scores) also write them to
-    scores_final.csv."""
-    if run_cfg is None:
-        scores = source
-    else:
-        result = run_experiment(pool, run_cfg, source)
-        result.save(out_dir)
-        scores = result.scores(alpha)
-    if method in ("mc", "ce", "external-scores"):
-        write_csv(os.path.join(out_dir, "scores_final.csv"), ("point_index", "score"),
-                  (np.arange(scores.scores.size), scores.scores))
-    return scores
 
 
 def cmd_splitting_bound(args) -> int:
@@ -305,13 +281,19 @@ def cmd_splitting_bound(args) -> int:
     return 0
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` given on the command line; the parsers of
+    gen-synthetic and score-report leave out the ones not given, so each
+    takes the default of the class it fills."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def cmd_gen_synthetic(args) -> int:
-    spec = SyntheticSpec(n_points=args.n, seed=args.seed, gamma=args.gamma,
-                         center=args.center)
+    spec = SyntheticSpec(**_given(args, "n_points", "seed", "gamma", "center"))
     pool = generate_pool(spec)
     export_pool_csv(pool, spec, args.out)
     if args.oracle_out:
-        oracle = SyntheticOracle(pool, spec, noise_seed=args.noise_seed)
+        oracle = SyntheticOracle(pool, spec, **_given(args, "noise_seed"))
         values = [oracle(i, level) for i in range(pool.n_points) for level in (0, 1)]
         write_csv(args.oracle_out, ("point_index", "level", "f"),
                   (np.repeat(np.arange(pool.n_points), 2), np.tile([0, 1], pool.n_points),
@@ -329,8 +311,8 @@ def cmd_score_report(args) -> int:
         raise InvalidInputError("no failures below gamma in the pool CSV")
     scores = scores_from_csv(args.scores, pool.n_points)
     os.makedirs(args.out, exist_ok=True)
-    _report(args.out, "external-scores", scores, truth, args.k, args.k_multiple,
-            args.trials, args.seed)
+    _report(args.out, "external-scores", scores, truth,
+            IsOptions(**_given(args, "k", "k_multiple", "trials")), args.seed)
     return 0
 
 
@@ -354,25 +336,27 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--budget", type=float)
     sb.set_defaults(fn=cmd_splitting_bound)
 
-    gen = sub.add_parser("gen-synthetic", help="generate the synthetic benchmark pool")
-    gen.add_argument("--n", type=int, default=20000)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--gamma", type=float, default=0.56)
-    gen.add_argument("--center", type=float, default=1.95)
-    gen.add_argument("--noise-seed", type=int, default=0, dest="noise_seed")
+    gen = sub.add_parser("gen-synthetic", help="generate the synthetic benchmark pool",
+                         argument_default=argparse.SUPPRESS)
+    gen.add_argument("--n", type=int, dest="n_points")
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--gamma", type=float)
+    gen.add_argument("--center", type=float)
+    gen.add_argument("--noise-seed", type=int, dest="noise_seed")
     gen.add_argument("--out", default="pool.csv")
     gen.add_argument("--oracle-out", default=None, dest="oracle_out",
                      help="also write a precomputed (point_index, level, f) table")
     gen.set_defaults(fn=cmd_gen_synthetic)
 
     sr = sub.add_parser("score-report",
-                        help="evaluate externally supplied per-point scores")
+                        help="evaluate externally supplied per-point scores",
+                        argument_default=argparse.SUPPRESS)
     sr.add_argument("--scores", required=True, help="CSV of (point_index, score)")
     sr.add_argument("--pool-csv", required=True, dest="pool_csv")
     sr.add_argument("--gamma", type=float, required=True)
-    sr.add_argument("--k", type=int, default=None)
-    sr.add_argument("--k-multiple", type=float, default=5.0, dest="k_multiple")
-    sr.add_argument("--trials", type=int, default=200)
+    sr.add_argument("--k", type=int)
+    sr.add_argument("--k-multiple", type=float, dest="k_multiple")
+    sr.add_argument("--trials", type=int)
     sr.add_argument("--seed", type=int, default=0)
     sr.add_argument("--out", default="out")
     sr.set_defaults(fn=cmd_score_report)

@@ -26,7 +26,7 @@ from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
 from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, input_array, write_csv
 
 _ADAPTIVE_METHODS = ("bams", "bas")
-_METHODS = _ADAPTIVE_METHODS + ("mc-gp", "mcm-gp", "mc", "ce")
+ORACLE_METHODS = _ADAPTIVE_METHODS + ("mc-gp", "mcm-gp", "mc", "ce")
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class RunConfig:
             raise InvalidInputError("eta must be >= 1")
         if self.S < 1 or (self.S_hat is not None and self.S_hat < self.S):
             raise InvalidInputError("need 1 <= S <= S_hat")
-        if self.method not in _METHODS:
-            raise InvalidInputError(f"driver method must be one of {_METHODS}, "
+        if self.method not in ORACLE_METHODS:
+            raise InvalidInputError(f"driver method must be one of {ORACLE_METHODS}, "
                                     f"got {self.method!r}")
         if self.method not in ("bams", "mcm-gp") and self.fidelities.n_levels != 1:
             object.__setattr__(self, "fidelities",

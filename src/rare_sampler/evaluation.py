@@ -64,6 +64,17 @@ class RateReport:
     trials: int
 
 
+@dataclass(frozen=True)
+class IsOptions:
+    """Settings of a rate report: the importance exponent of a GP method's
+    scores, the IS sample size K and the trial count."""
+
+    alpha: float = 2.5
+    k_multiple: float = 5.0    # K = k_multiple * (failure count), unless k is set
+    k: int | None = None
+    trials: int = 200
+
+
 def recall_at_budget(scores: ScoreVector, truth: np.ndarray, K: int) -> float:
     """Fraction of failures among the K highest-scored points (ties by index)."""
     truth = np.asarray(truth, dtype=bool)

@@ -18,8 +18,6 @@ import threading
 from .errors import InvalidInputError, OracleError
 from .pool import read_csv
 
-DEFAULT_TIMEOUT = 300.0
-
 
 class CsvOracle:
     """Precomputed values from CSV rows of (point_index, level, f)."""
@@ -45,7 +43,7 @@ class CsvOracle:
 class ExternalOracle:
     """Child-process oracle speaking the EVAL/OK/ERR line protocol."""
 
-    def __init__(self, command: str, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, command: str, timeout: float = 300.0):
         self.command = command
         self.timeout = timeout
         self._lock = threading.Lock()

@@ -186,24 +186,29 @@ def gather_points(pool: EmbeddingPool, inputs) -> tuple[np.ndarray, np.ndarray]:
     return pool.points[arr[:, 0]], arr[:, 1]
 
 
+# rows formatted per ``%`` call of write_csv, which bounds its transient memory
+CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path, header, columns) -> None:
     """Write a CSV artifact from one sequence per column: a header line, then
     one line per row, every line ending in \\r\\n.  Integer columns print as
     decimal ints, float columns at 17 significant digits (``%.17g``, an exact
     round trip, with ``nan``, ``inf``, ``-inf`` and ``-0``) and any other
     column as str, unquoted, so its cells must hold no comma, quote or line
-    break.  The whole table is formatted by one ``%`` call."""
+    break.  Each block of CSV_BLOCK_ROWS rows is formatted by one ``%`` call."""
     cols = [np.asarray(c) for c in columns]
-    n = len(cols[0])
-    cells = [None] * (n * len(cols))
-    specs = []
-    for j, col in enumerate(cols):
-        cells[j::len(cols)] = col.tolist()
-        kind = col.dtype.kind
-        specs.append("%d" if kind in "iu" else "%.17g" if kind == "f" else "%s")
-    row = ",".join(specs) + "\r\n"
+    kinds = [col.dtype.kind for col in cols]
+    row = ",".join("%d" if k in "iu" else "%.17g" if k == "f" else "%s"
+                   for k in kinds) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + (row * n) % tuple(cells))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+            block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in cols]
+            cells = [None] * (len(block[0]) * len(cols))
+            for j, values in enumerate(block):
+                cells[j::len(cols)] = values
+            fh.write((row * len(block[0])) % tuple(cells))
 
 
 class CsvTable(NamedTuple):

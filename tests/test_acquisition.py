@@ -3,8 +3,8 @@ import pytest
 from scipy.special import ndtr
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EmptySelectionError,
-                          EvaluationLog, GpHyperparams, NumericalError, PendingSet,
-                          acquisition_J,
+                          EvaluationLog, GpHyperparams, InvalidInputError,
+                          NumericalError, PendingSet, acquisition_J,
                           failure_prob, fit_posterior, select_batch,
                           variance_upper_bound)
 from rare_sampler.acquisition import point_variance_beta
@@ -223,6 +223,16 @@ class TestSelection:
         targets = [AugmentedInput(i, 0) for i in range(5)]
         with pytest.raises(EmptySelectionError):
             select_batch(state, pool, [], [], targets, budget=1.0)
+
+    def test_target_above_level_0_is_rejected(self):
+        pool = EmbeddingPool(np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.7]]))
+        hyper = GpHyperparams(np.ones(2), 1.0, np.ones((1, 2)), np.array([0.05]),
+                              np.array([0.01]), 1e-8)
+        state = fit_posterior(pool, EvaluationLog(), hyper, gamma=0.2)
+        targets = [AugmentedInput(0, 0), AugmentedInput(2, 1), AugmentedInput(1, 0)]
+        cands = [AugmentedInput(1, 0), AugmentedInput(1, 1)]
+        with pytest.raises(InvalidInputError, match="level-0 inputs, got level 1"):
+            PendingSet(state, pool, targets, cands, [1.0, 0.1])
 
     def test_deltaj_nonpositive_and_decreasing_J(self):
         rng = np.random.default_rng(15)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import os
 import re
 import subprocess
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import rare_sampler
-from rare_sampler import ConfigError, InvalidInputError, OracleError, scores_from_csv
-from rare_sampler.cli import METHODS, _load_pool_csv, main, parse_config
+from rare_sampler import (ConfigError, FidelityConfig, InvalidInputError, OracleError,
+                          scores_from_csv)
+from rare_sampler.cli import (CONFIG_KEYS, METHODS, _load_pool_csv, key_spec, main,
+                              parse_config)
 from rare_sampler.oracles import CsvOracle, ExternalOracle
 
 ECHO_ORACLE = textwrap.dedent("""\
@@ -170,6 +173,84 @@ class TestConfigParsing:
         cfg = synthetic_config(tmp_path, method="bogus")
         rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("levels, costs, stray", [
+        (1, "cost.1 = 0.1\ncost.7 = 5", "cost.1"),
+        (2, "cost.1 = 0.1\ncost.7 = 5", "cost.7"),
+        (2, "cost.2 = 0.5\ncost.1 = 0.1", "cost.2"),
+    ])
+    def test_cost_of_a_level_past_levels_is_an_error(self, tmp_path, capsys, levels, costs,
+                                                      stray):
+        cfg = synthetic_config(tmp_path)
+        text = cfg.read_text().replace("levels = 2\ncost.1 = 0.10",
+                                       f"levels = {levels}\n{costs}")
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        line = next(no for no, raw in enumerate(text.splitlines(), start=1)
+                    if raw.startswith(stray))
+        assert capsys.readouterr().err == (
+            f"config error: line {line}: {stray} is set, but levels = {levels} has no "
+            f"level {stray[5:]}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_levels_below_one_names_its_line(self, tmp_path, capsys):
+        cfg = synthetic_config(tmp_path)
+        text = cfg.read_text().replace("levels = 2\ncost.1 = 0.10", "levels = 0")
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        line = text.splitlines().index("levels = 0") + 1
+        assert capsys.readouterr().err == (
+            f"config error: line {line}: at least one fidelity level is required\n")
+        assert not (tmp_path / "o").exists()
+
+
+class TestReadmeConfig:
+    """The README's config block and the CLI's key table agree: every key is
+    documented, and every default the README states is the default of the
+    parameter that key fills."""
+
+    @staticmethod
+    def documented():
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1]
+        keys, section = {}, None
+        for raw in block.split("```", 1)[0].splitlines():
+            if raw.startswith("["):
+                section = raw.strip("[]")
+            elif "=" in raw:
+                key, _, rest = raw.partition("=")
+                found = re.search(r"\((?:synthetic default )?([-+.0-9e]+)\)\s*$", rest)
+                keys[(section, key.strip())] = float(found.group(1)) if found else None
+        return keys
+
+    @staticmethod
+    def default_of(section, key):
+        spec = CONFIG_KEYS[section][key]
+        if spec.owner is None:
+            # levels sizes FidelityConfig's costs; no other owner-less key has one
+            assert (section, key) == ("fidelity", "levels")
+            return FidelityConfig().n_levels
+        return inspect.signature(spec.owner).parameters[spec.param or key].default
+
+    def test_every_key_in_the_table_is_documented(self):
+        documented = self.documented()
+        table = {(section, key) for section, keys in CONFIG_KEYS.items() for key in keys}
+        assert table - set(documented) == set()
+        assert any(key_spec(s, k) is not None and k.startswith("cost.")
+                   for s, k in documented)
+
+    def test_documented_defaults_are_the_parameter_defaults(self):
+        documented = self.documented()
+        stated = {sk: v for sk, v in documented.items() if v is not None}
+        assert len(stated) >= 15
+        for (section, key), value in stated.items():
+            assert self.default_of(section, key) == value, (section, key)
+        # and every numeric default a parameter owns is stated
+        for section, keys in CONFIG_KEYS.items():
+            for key, spec in keys.items():
+                default = self.default_of(section, key) if spec.owner else None
+                if isinstance(default, (int, float)):
+                    assert documented[(section, key)] == default, (section, key)
 
 
 class TestRunCommand:

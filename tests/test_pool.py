@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import reference_write_csv
 from rare_sampler import AugmentedInput, EmbeddingPool, EvaluationLog, InvalidInputError
-from rare_sampler.pool import gather_points, input_array, write_csv
+from rare_sampler.pool import CSV_BLOCK_ROWS, gather_points, input_array, write_csv
 
 # floats whose text form the writer must get right: round-trip digits, signed
 # zero, infinities, NaN, subnormals and the largest and smallest magnitudes
@@ -44,6 +46,29 @@ class TestWriteCsv:
     def test_header_only_table(self, tmp_path):
         self.check(tmp_path, ("point_index", "level", "deltaJ", "cost"),
                    ([], [], [], []), [])
+
+    @pytest.mark.parametrize("n_rows", [2 * CSV_BLOCK_ROWS + 37, 3 * CSV_BLOCK_ROWS,
+                                        CSV_BLOCK_ROWS + 1])
+    def test_tables_spanning_row_blocks(self, tmp_path, n_rows):
+        # several blocks, an exact multiple of the block, one row past a block
+        rng = np.random.default_rng(n_rows)
+        x = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+        names = [("bams", "mc", "ce")[i % 3] for i in range(n_rows)]
+        idx = np.arange(n_rows)
+        self.check(tmp_path, ("point_index", "x", "method"), (idx, x, names),
+                   zip(idx.tolist(), x.tolist(), names))
+
+    def test_transient_memory_stays_with_the_block(self, tmp_path):
+        # one % call over all 102400 rows peaks near 20 MB; one block, under 1 MB
+        n = 25 * CSV_BLOCK_ROWS
+        columns = (np.arange(n), np.linspace(0.0, 1.0, n), np.linspace(1.0, 2.0, n))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", ("i", "a", "b"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     def test_log_matches_row_loop(self, tmp_path):
         log = EvaluationLog()
