@@ -37,6 +37,6 @@ mu, var = posterior_mean_var(state, pool.points, np.zeros(200, dtype=int))
 err = np.abs(mu - f(pool.points[:, 0]))
 print(f"mean abs error over the pool: {err.mean():.4f}")
 
-ev = [i.point_index for i in log.inputs if i.level == 0]
+ev = log.inputs[log.inputs[:, 1] == 0, 0]
 print(f"abs error at the {len(ev)} exact observations: {err[ev].max():.2e}")
 print(f"posterior sd range: [{np.sqrt(var).min():.4f}, {np.sqrt(var).max():.4f}]")

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .evaluation import ScoreVector
-from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig, read_csv
+from .pool import (AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig,
+                   input_array, read_csv)
 
 CE_ELITES = 5
 CE_VAR_FLOOR_REL = 1e-6
@@ -27,26 +28,21 @@ def random_acquisition(pool: EmbeddingPool, fidelities: FidelityConfig,
                        budget: float, seed, exclude=()) -> list[AugmentedInput]:
     """Uniformly random distinct augmented inputs until the cost reaches budget.
 
-    Runs over all (point, level) pairs not in ``exclude``; an exhausted pool
-    returns the partial selection.
+    Runs over all (point, level) pairs not in ``exclude`` (pairs or an
+    (n, 2) array) in one seeded permutation; an exhausted pool returns the
+    partial selection.
     """
     if budget <= 0:
         raise InvalidInputError("budget must be positive")
     rng = np.random.default_rng(seed)
-    excluded = {AugmentedInput(int(i), int(l)) for i, l in exclude}
-    n_all = pool.n_points * fidelities.n_levels
-    order = rng.permutation(n_all)
-    out: list[AugmentedInput] = []
-    total = 0.0
-    for flat in order:
-        inp = AugmentedInput(int(flat % pool.n_points), int(flat // pool.n_points))
-        if inp in excluded:
-            continue
-        out.append(inp)
-        total += fidelities.cost(inp.level)
-        if total >= budget:
-            break
-    return out
+    excluded = input_array(pool, exclude)
+    n = pool.n_points
+    order = rng.permutation(n * fidelities.n_levels)
+    order = order[~np.isin(order, excluded[:, 1] * n + excluded[:, 0])]
+    costs = np.asarray(fidelities.costs)[order // n]
+    order = order[:np.searchsorted(np.cumsum(costs), budget) + 1]
+    return [AugmentedInput(i, level) for i, level in zip((order % n).tolist(),
+                                                         (order // n).tolist())]
 
 
 def mc_scores(n: int, seed) -> ScoreVector:
@@ -99,21 +95,20 @@ class CrossEntropy:
                                     replace=False).tolist()
         else:
             draws = state.mean + np.sqrt(state.var) * self.rng.standard_normal((m, pool.dim))
-            taken = {inp.point_index for inp in log.inputs}
+            taken = np.isin(np.arange(pool.n_points), log.inputs[:, 0])
             picks = []
             for x in draws:
-                d2 = np.sum((pool.points - x) ** 2, axis=1)
-                d2[list(taken)] = np.inf
-                if np.isinf(d2).all():
+                if taken.all():
                     break
+                d2 = np.sum((pool.points - x) ** 2, axis=1)
+                d2[taken] = np.inf
                 picks.append(int(np.argmin(d2)))
-                taken.add(picks[-1])
+                taken[picks[-1]] = True
         if not picks:
             return []
-        for i in picks:
-            log.evaluate(oracle, AugmentedInput(i, 0), batch_index)
-        mean, var = _fit_elite_gaussian(pool.points[picks], log.batch_values(batch_index),
-                                        CE_ELITES, self.var_floor)
+        values = log.evaluate(oracle, [(i, 0) for i in picks], batch_index)
+        mean, var = _fit_elite_gaussian(pool.points[picks], values, CE_ELITES,
+                                        self.var_floor)
         self.state = CeState(mean=mean, var=var)
         return [(AugmentedInput(i, 0), float("nan"), 1.0) for i in picks]
 

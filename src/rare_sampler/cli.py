@@ -122,36 +122,42 @@ def parse_config(path) -> dict[str, dict[str, ConfigValue]]:
     return sections
 
 
+def _typed(section: str, key: str, cv: ConfigValue):
+    """The value of one key as its CONFIG_KEYS type, checked against its choices."""
+    spec = key_spec(section, key)
+    try:
+        value = spec.type(cv.value)
+    except ValueError:
+        raise ConfigError(f"line {cv.line}: [{section}] {key} must be "
+                          f"{_KINDS[spec.type]}, got {cv.value!r}") from None
+    if spec.choices is not None and value not in spec.choices:
+        raise ConfigError(f"line {cv.line}: [{section}] {key} must be one of "
+                          f"{spec.choices}, got {value!r}")
+    return value
+
+
 class _Config:
-    """The parsed sections, read through CONFIG_KEYS with line-numbered errors."""
+    """The parsed sections with every key the file sets typed and checked
+    once, whether or not the method reads it; errors name the line."""
 
     def __init__(self, sections):
         self.sections = sections
+        self.values = {section: {key: _typed(section, key, cv) for key, cv in keys.items()}
+                       for section, keys in sections.items()}
 
     def value(self, section, key, default=None, required=False):
         """The typed value of one key, or ``default`` when the file leaves it out."""
-        cv = self.sections.get(section, {}).get(key)
-        if cv is None:
-            if required:
-                raise ConfigError(f"missing required key {key!r} in [{section}]")
-            return default
-        spec = key_spec(section, key)
-        try:
-            value = spec.type(cv.value)
-        except ValueError:
-            raise ConfigError(f"line {cv.line}: [{section}] {key} must be "
-                              f"{_KINDS[spec.type]}, got {cv.value!r}") from None
-        if spec.choices is not None and value not in spec.choices:
-            raise ConfigError(f"line {cv.line}: [{section}] {key} must be one of "
-                              f"{spec.choices}, got {value!r}")
-        return value
+        values = self.values.get(section, {})
+        if required and key not in values:
+            raise ConfigError(f"missing required key {key!r} in [{section}]")
+        return values.get(key, default)
 
     def settings(self, owner) -> dict:
         """The values of the keys the file sets that fill ``owner``'s parameters,
         by parameter name, so every absent key keeps owner's default."""
-        return {spec.param or key: self.value(section, key)
+        return {spec.param or key: self.values[section][key]
                 for section, keys in CONFIG_KEYS.items() for key, spec in keys.items()
-                if spec.owner is owner and key in self.sections.get(section, {})}
+                if spec.owner is owner and key in self.values.get(section, {})}
 
 
 def _build_fidelities(cfg: _Config) -> FidelityConfig:
@@ -235,6 +241,7 @@ def cmd_run(args) -> int:
     gamma = spec.gamma if spec else cfg.value("method", "gamma", required=True)
     truth = truth_f <= gamma if truth_f is not None else None
     is_opts = IsOptions(**cfg.settings(IsOptions))
+    fidelities = _build_fidelities(cfg)
     run_seed = cfg.value("seeds", "run", RunConfig.seed)
     trials_seed = cfg.value("seeds", "trials", run_seed + 1)
     # the settings are checked and every input table is read before the
@@ -244,7 +251,7 @@ def cmd_run(args) -> int:
                                  pool.n_points)
         os.makedirs(args.out, exist_ok=True)
     else:
-        run_cfg = RunConfig(gamma=gamma, fidelities=_build_fidelities(cfg), method=method,
+        run_cfg = RunConfig(gamma=gamma, fidelities=fidelities, method=method,
                             train=TrainOptions(**cfg.settings(TrainOptions)),
                             **cfg.settings(RunConfig))
         oracle = _build_oracle(cfg, pool, spec)

@@ -23,7 +23,7 @@ from .estimator import FailureField, failure_prob
 from .evaluation import ScoreVector, importance_scores
 from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
                  train_hyperparameters)
-from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, input_array, write_csv
+from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, write_csv
 
 _ADAPTIVE_METHODS = ("bams", "bas")
 ORACLE_METHODS = _ADAPTIVE_METHODS + ("mc-gp", "mcm-gp", "mc", "ce")
@@ -81,8 +81,7 @@ def run_random_batch(pool: EmbeddingPool, fidelities: FidelityConfig, budget: fl
     the evaluations are appended to the log under batch_index.
     """
     picks = random_acquisition(pool, fidelities, budget, seed=seed, exclude=log.inputs)
-    for inp in picks:
-        log.evaluate(oracle, inp, batch_index)
+    log.evaluate(oracle, picks, batch_index)
     return [(inp, float("nan"), fidelities.cost(inp.level)) for inp in picks]
 
 
@@ -121,8 +120,7 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
                                  seed=[config.seed, batch_index])
     n = pool.n_points
     evaluated = np.zeros((n, config.fidelities.n_levels), dtype=bool)
-    done = input_array(pool, log.inputs)
-    evaluated[done[:, 0], done[:, 1]] = True
+    evaluated[log.inputs[:, 0], log.inputs[:, 1]] = True
     queues = []
     for cid in range(assign.n_clusters):
         members = assign.members(cid)
@@ -134,8 +132,7 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
         queues.append([(inp, dj * w, cost) for inp, dj, cost in queue])
 
     selected = _merge_queues(queues, config)
-    for inp, _, _ in selected:
-        log.evaluate(oracle, inp, batch_index)
+    log.evaluate(oracle, [inp for inp, _, _ in selected], batch_index)
     return selected
 
 
@@ -257,7 +254,7 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
                 hyper = train_hyperparameters(pool, log, hyper, config.train)
             state = fit_posterior(pool, log, hyper, config.gamma)
             snapshot = failure_prob(state, pool.points)
-        vals = log.batch_values(b)
+        vals = log.values[log.batches == b]
         mean_f = float(vals.mean()) if vals.size else float("nan")
         records.append(BatchRecord(b, selected, mean_f, snapshot, hyper))
     return ExperimentResult(config=config, pool=pool, log=log, batches=records,

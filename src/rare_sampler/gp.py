@@ -128,39 +128,6 @@ class GpHyperparams:
         lines = [f"{k} = {format(v, '.17g')}" for k, v in zip(self.param_names(), vals)]
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_text(text: str) -> "GpHyperparams":
-        kv: dict[str, float] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"malformed hyperparameter line: {raw!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = float(v.strip())
-        dims = sorted(int(k.split(".")[1]) for k in kv if k.startswith("lengthscale."))
-        if dims != list(range(len(dims))) or not dims and "lengthscale.0" not in kv:
-            if not dims:
-                raise InvalidInputError("missing lengthscale.<dim> keys")
-            raise InvalidInputError("lengthscale dimensions are not dense")
-        d = len(dims)
-        levels = sorted({int(k[3:].split(".")[0]) for k in kv if k.startswith("fid")})
-        n_low = len(levels)
-        if levels != list(range(1, n_low + 1)):
-            raise InvalidInputError("fidelity levels in file are not dense from 1")
-        ls = np.array([kv[f"lengthscale.{j}"] for j in range(d)])
-        fls = np.array([[kv[f"fid{l}.lengthscale.{j}"] for j in range(d)]
-                        for l in range(1, n_low + 1)]).reshape(n_low, d)
-        return GpHyperparams(
-            lengthscales=ls,
-            signal_var=kv["signal_var"],
-            fid_lengthscales=fls,
-            fid_signal_var=np.array([kv[f"fid{l}.signal_var"] for l in range(1, n_low + 1)]),
-            fid_noise_var=np.array([kv[f"fid{l}.noise_var"] for l in range(1, n_low + 1)]),
-            jitter=kv["jitter"],
-        )
-
 
 # ---------------------------------------------------------------------------
 # Kernels
@@ -344,7 +311,7 @@ def fit_posterior(pool: EmbeddingPool, log: EvaluationLog, hyper: GpHyperparams,
     if len(log) == 0:
         return PosteriorState(pts, lvls, 0.0, 1.0, np.empty(0), float(gamma),
                               hyper, None, None)
-    y_norm = (log.value_array - y_mean) / y_std
+    y_norm = (log.values - y_mean) / y_std
     K = mf_kernel_matrix(pts, lvls, pts, lvls, hyper)
     K[np.diag_indices_from(K)] += noise_variances(lvls, hyper)
     L, extra = _solve_chol(K, hyper.signal_var)
@@ -396,12 +363,12 @@ class _MllWork:
     level l >= 1 only its own observations)."""
 
     def __init__(self, pool: EmbeddingPool, log: EvaluationLog, n_levels: int):
-        self.inputs, self.values = list(log.inputs), list(log.values)
+        self.inputs, self.values = log.inputs.copy(), log.values.copy()
         self.n_levels = n_levels
         self.level_ids = np.arange(n_levels)
         pts, self.lvls = gather_points(pool, log.inputs)
         y_mean, y_std = log.normalization()
-        self.y = (log.value_array - y_mean) / y_std
+        self.y = (log.values - y_mean) / y_std
         n = len(pts)
         I, J = np.triu_indices(n, 1)
         self.flat = I + n * J  # (i, k) in K's column-major storage
@@ -415,8 +382,8 @@ class _MllWork:
         self.K_flat = self.K.reshape(-1, order="F")
 
     def fits(self, log: EvaluationLog, hyper: GpHyperparams) -> bool:
-        return (hyper.n_levels == self.n_levels and log.inputs == self.inputs
-                and log.values == self.values)
+        return (hyper.n_levels == self.n_levels and np.array_equal(log.inputs, self.inputs)
+                and np.array_equal(log.values, self.values))
 
 
 def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,

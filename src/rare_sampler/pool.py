@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -87,95 +87,100 @@ class FidelityConfig:
         return self.costs[level]
 
 
-@dataclass
 class EvaluationLog:
-    """Observed simulator values keyed by augmented input.
+    """Observed simulator values keyed by augmented input, as arrays:
+    ``inputs`` holds (n, 2) ``intp`` rows of (point index, level), and
+    ``values`` and ``batches`` hold each row's value and batch index.
 
     Duplicate (point, level) pairs are rejected: simulators are treated as
     deterministic per augmented input, so a repeat evaluation carries no
     information and would break the selection bookkeeping.
     """
 
-    inputs: list[AugmentedInput] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    batches: list[int] = field(default_factory=list)
-    _seen: set[AugmentedInput] = field(default_factory=set, repr=False)
+    def __init__(self):
+        self.inputs = np.empty((0, 2), dtype=np.intp)
+        self.values = np.empty(0)
+        self.batches = np.empty(0, dtype=np.intp)
 
-    def append(self, inp: AugmentedInput, value: float, batch_index: int) -> None:
-        inp = AugmentedInput(int(inp[0]), int(inp[1]))
-        if inp in self._seen:
-            raise InvalidInputError(f"duplicate evaluation of {inp}")
-        if not np.isfinite(value):
-            raise InvalidInputError(f"non-finite observation {value!r} at {inp}")
-        self._seen.add(inp)
-        self.inputs.append(inp)
-        self.values.append(float(value))
-        self.batches.append(int(batch_index))
+    def _new_rows(self, inputs) -> np.ndarray:
+        """One pair or (m, 2) rows as an (m, 2) array; a logged or repeated row is an error."""
+        rows = input_array(None, np.atleast_2d(inputs))
+        both = np.concatenate([self.inputs, rows])
+        repeat = np.ones(len(both), dtype=bool)
+        repeat[np.unique(both, axis=0, return_index=True)[1]] = False
+        if repeat.any():
+            raise InvalidInputError(f"duplicate evaluation of "
+                                    f"{AugmentedInput(*both[repeat.argmax()].tolist())}")
+        return rows
 
-    def evaluate(self, oracle, inp: AugmentedInput, batch_index: int) -> float:
-        """Query the oracle at one input and record the value.
+    def append(self, inputs, values, batch_index: int) -> None:
+        """Log one pair and its value, or (m, 2) rows and their m values."""
+        rows = self._new_rows(inputs)
+        values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+        if values.shape != (len(rows),):
+            raise InvalidInputError(f"{len(rows)} inputs need as many values, "
+                                    f"got shape {values.shape}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise InvalidInputError(f"non-finite observation {float(values[bad][0])!r} at "
+                                    f"{AugmentedInput(*rows[bad][0].tolist())}")
+        self.inputs = np.concatenate([self.inputs, rows])
+        self.values = np.append(self.values, values)
+        self.batches = np.append(self.batches, np.full(len(rows), batch_index, dtype=np.intp))
 
-        Any oracle failure, including a non-finite value, raises OracleError
-        naming the point and level.
-        """
-        inp = AugmentedInput(int(inp[0]), int(inp[1]))
-        where = f"point {inp.point_index} level {inp.level}"
+    def evaluate(self, oracle, inputs, batch_index: int) -> np.ndarray:
+        """Query the oracle at one pair or (m, 2) rows in order, after the duplicate
+        check, and log and return the values.  An oracle failure or non-finite
+        value raises OracleError naming the point and level; earlier rows stay logged."""
+        rows = self._new_rows(inputs)
+        values = []
         try:
-            value = float(oracle(inp.point_index, inp.level))
-        except OracleError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - surface the offending input
-            raise OracleError(f"oracle failed at {where}: {exc}") from exc
-        if not math.isfinite(value):
-            raise OracleError(f"oracle returned non-finite value {value!r} at {where}")
-        self.append(inp, value, batch_index)
-        return value
+            for i, level in rows.tolist():
+                where = f"point {i} level {level}"
+                try:
+                    value = float(oracle(i, level))
+                except OracleError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - surface the offending input
+                    raise OracleError(f"oracle failed at {where}: {exc}") from exc
+                if not math.isfinite(value):
+                    raise OracleError(f"oracle returned non-finite value {value!r} at {where}")
+                values.append(value)
+        finally:
+            self.append(rows[:len(values)], values, batch_index)
+        return np.array(values)
 
     def write_csv(self, path) -> None:
         """The log.csv artifact: one point_index,level,f,batch row per evaluation."""
-        idx = np.array(self.inputs, dtype=np.intp).reshape(-1, 2)
         write_csv(path, ("point_index", "level", "f", "batch"),
-                  (idx[:, 0], idx[:, 1], self.values, self.batches))
+                  (self.inputs[:, 0], self.inputs[:, 1], self.values, self.batches))
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return len(self.values)
 
-    def __contains__(self, inp: AugmentedInput) -> bool:
-        return AugmentedInput(int(inp[0]), int(inp[1])) in self._seen
-
-    @property
-    def value_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+    def __contains__(self, inp) -> bool:
+        return bool((self.inputs == (int(inp[0]), int(inp[1]))).all(axis=1).any())
 
     def normalization(self) -> tuple[float, float]:
         """Mean and std of observed values; std falls back to 1 when degenerate."""
-        if not self.values:
+        if len(self) == 0:
             return 0.0, 1.0
-        y = self.value_array
-        mean = float(y.mean())
-        std = float(y.std())
-        if std <= 0.0 or len(y) < 2:
-            std = 1.0
-        return mean, std
-
-    def batch_values(self, batch_index: int) -> np.ndarray:
-        return np.array(
-            [v for v, b in zip(self.values, self.batches) if b == batch_index],
-            dtype=np.float64,
-        )
+        mean = float(self.values.mean())
+        std = float(self.values.std())  # exactly 0 for one value
+        return mean, std if std > 0.0 else 1.0
 
 
-def input_array(pool: EmbeddingPool, inputs) -> np.ndarray:
+def input_array(pool: EmbeddingPool | None, inputs) -> np.ndarray:
     """Augmented inputs as an (n, 2) index array of (point index, level) rows,
     from such an array or a sequence of pairs; point indices must lie in
-    the pool."""
+    the pool, when one is given."""
     arr = np.asarray(inputs, dtype=np.intp)
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidInputError(f"augmented inputs must be (point, level) pairs, "
                                 f"got shape {arr.shape}")
-    if arr[:, 0].min() < 0 or arr[:, 0].max() >= pool.n_points:
+    if pool is not None and (arr[:, 0].min() < 0 or arr[:, 0].max() >= pool.n_points):
         raise InvalidInputError("point index out of pool bounds")
     return arr
 

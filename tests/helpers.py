@@ -122,7 +122,7 @@ def random_problem(rng, n_points=30, dim=2, n_train=8, n_levels=2, gamma=None,
         lvl = int(rng.integers(0, n_levels))
         log.append(AugmentedInput(int(i), lvl), float(rng.standard_normal()), 1)
     if gamma is None:
-        gamma = float(np.quantile(log.value_array, 0.3)) if n_train else 0.0
+        gamma = float(np.quantile(log.values, 0.3)) if n_train else 0.0
     state = fit_posterior(pool, log, hyper, gamma)
     return pool, log, hyper, state
 
@@ -131,7 +131,7 @@ def dense_posterior_oracle(pool, log, hyper, q_points, q_levels):
     """Posterior mean/variance through plain dense solves (no Cholesky reuse)."""
     pts, lvls = gather_points(pool, log.inputs)
     y_mean, y_std = log.normalization()
-    y = (log.value_array - y_mean) / y_std
+    y = (log.values - y_mean) / y_std
     K = mf_kernel_matrix(pts, lvls, pts, lvls, hyper)
     K[np.diag_indices_from(K)] += noise_variances(lvls, hyper)
     Kinv = np.linalg.inv(K)
@@ -151,7 +151,7 @@ def dense_mll_reference(pool, log, hyper, *, work=None, extra=0.0):
     ignored."""
     pts, lvls = gather_points(pool, log.inputs)
     y_mean, y_std = log.normalization()
-    y = (log.value_array - y_mean) / y_std
+    y = (log.values - y_mean) / y_std
     n = len(y)
     K = mf_kernel_matrix(pts, lvls, pts, lvls, hyper)
     K[np.diag_indices_from(K)] += noise_variances(lvls, hyper) + extra
@@ -368,7 +368,7 @@ def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, 
     for i in first:
         log.evaluate(oracle, AugmentedInput(int(i), 0), 1)
     pts = pool.points[first]
-    vals = log.value_array
+    vals = log.values
     mean, var = _fit_elite_gaussian(pts, vals, CE_ELITES, var_floor)
     state = CeState(mean=mean, var=var)
 
@@ -384,7 +384,7 @@ def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, 
             batch_idx.append(int(np.argmin(d2)))
         if not batch_idx:
             break
-        batch_vals = [log.evaluate(oracle, AugmentedInput(i, 0), b) for i in batch_idx]
+        batch_vals = [log.evaluate(oracle, AugmentedInput(i, 0), b)[0] for i in batch_idx]
         evaluated.update(batch_idx)
         mean, var = _fit_elite_gaussian(pool.points[batch_idx],
                                         np.asarray(batch_vals), CE_ELITES, var_floor)
@@ -539,6 +539,26 @@ def reference_from_vector(template: GpHyperparams, vec: np.ndarray) -> GpHyperpa
     jit = take(1)[0]
     return GpHyperparams(ls, sig, np.array(fls).reshape(n_low, d),
                          np.array(fsig), np.array(fnoi), jit)
+
+
+def hyper_from_text(text: str) -> GpHyperparams:
+    """Parse ``GpHyperparams.to_text``: one ``name = value`` line per
+    parameter, the names of ``param_names``."""
+    kv = {}
+    for raw in text.splitlines():
+        if raw.strip():
+            if "=" not in raw:
+                raise InvalidInputError(f"malformed hyperparameter line: {raw!r}")
+            key, value = raw.split("=", 1)
+            kv[key.strip()] = float(value)
+    d = sum(key.startswith("lengthscale.") for key in kv)
+    n_low = sum(key.endswith(".noise_var") for key in kv)
+    fid = np.array([[kv[f"fid{l}.lengthscale.{j}"] for j in range(d)]
+                    + [kv[f"fid{l}.signal_var"], kv[f"fid{l}.noise_var"]]
+                    for l in range(1, n_low + 1)]).reshape(n_low, d + 2)
+    return GpHyperparams(np.array([kv[f"lengthscale.{j}"] for j in range(d)]),
+                         kv["signal_var"], fid[:, :d], fid[:, d], fid[:, d + 1],
+                         kv["jitter"])
 
 
 def reference_marginal_log_likelihood(pool, log, hyper, *, work=None):

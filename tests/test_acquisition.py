@@ -322,7 +322,7 @@ class TestTargetPruning:
         log = EvaluationLog()
         for i in range(18, 24):
             log.append(AugmentedInput(i, 0), float(rng.standard_normal()), 1)
-        state = fit_posterior(pool, log, hyper, float(np.quantile(log.value_array, 0.3)))
+        state = fit_posterior(pool, log, hyper, float(np.quantile(log.values, 0.3)))
         targets = [AugmentedInput(i, 0) for i in range(24)]
         cands, costs = _problem_candidates(log, 24, 2)
         pending = PendingSet(state, pool, targets, cands, costs)

@@ -388,21 +388,46 @@ class TestRunCommand:
 
         assert rv_of("mc") > rv_of("bams")
 
-    def test_external_scores_method(self, tmp_path):
+    @staticmethod
+    def external_scores_config(tmp_path, extra=""):
         scores = tmp_path / "scores.csv"
         with open(scores, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["point_index", "score"])
             for i in range(300):
                 w.writerow([i, 1.0 + (i % 7)])
-        cfg = synthetic_config(tmp_path, method="external-scores",
-                               extra=f"")
+        cfg = synthetic_config(tmp_path, method="external-scores", extra=extra)
         text = cfg.read_text().replace("[budget]",
                                        f"scores_path = {scores}\n\n[budget]")
         cfg.write_text(text)
+        return cfg
+
+    def test_external_scores_method(self, tmp_path):
+        cfg = self.external_scores_config(tmp_path)
         out = tmp_path / "ext"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert (out / "rate_report.csv").exists()
+
+    @pytest.mark.parametrize("faults,named", [
+        (("cost.7 = 5", "batches = abc", "timeout = xyz"), "batches = abc"),
+        (("timeout = xyz",), "timeout = xyz"),
+        (("cost.7 = 5",), "cost.7 = 5"),
+    ], ids=["all", "unread-type", "unread-cost"])
+    def test_external_scores_checks_every_key(self, tmp_path, capsys, faults, named):
+        # external-scores reads neither [fidelity], [budget] nor [oracle], yet
+        # every key there is checked, and the first fault names its line
+        cfg = self.external_scores_config(
+            tmp_path, extra="timeout = xyz" if "timeout = xyz" in faults else "")
+        text = cfg.read_text().replace(
+            "levels = 2\ncost.1 = 0.10",
+            "levels = 1\ncost.7 = 5" if "cost.7 = 5" in faults else "levels = 1")
+        if "batches = abc" in faults:
+            text = text.replace("batches = 2", "batches = abc")
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        line = text.splitlines().index(named) + 1
+        assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestCommandOracleRun:

@@ -58,7 +58,7 @@ class TestInitialBatch:
         spec, pool, oracle = small_synthetic(n=500)
         config = base_config(m1=10.0)
         log = initial_log(pool, config, oracle)
-        costs = [config.fidelities.cost(i.level) for i in log.inputs]
+        costs = [config.fidelities.cost(level) for level in log.inputs[:, 1].tolist()]
         assert sum(costs) >= 10.0
         assert len(log) > 10  # cheap level stretches the budget
 
@@ -67,8 +67,8 @@ class TestInitialBatch:
         config = base_config(m1=5.0)
         a = initial_log(pool, config, oracle)
         b = initial_log(pool, config, oracle)
-        assert a.inputs == b.inputs
-        assert a.values == b.values
+        np.testing.assert_array_equal(a.inputs, b.inputs)
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 def reference_bams_batch(pool, state, config, log):
@@ -77,7 +77,7 @@ def reference_bams_batch(pool, state, config, log):
     assign = cluster_with_merges(pool, state.hyper, config.S,
                                  config.s_hat_effective,
                                  seed=[config.seed, 2])
-    evaluated = set(log.inputs)
+    evaluated = set(map(tuple, log.inputs.tolist()))
     n = pool.n_points
     queues = []
     for cid in range(assign.n_clusters):
@@ -165,7 +165,7 @@ class TestBamsBatch:
         spec, pool, oracle = small_synthetic(n=50, seed=4)
         config = base_config(seed=4, batches=3)
         result = run_experiment(pool, config, oracle)
-        assert len(set(result.log.inputs)) == len(result.log.inputs)
+        assert len(set(map(tuple, result.log.inputs.tolist()))) == len(result.log.inputs)
 
 
 class TestExperiment:
@@ -182,7 +182,7 @@ class TestExperiment:
         config = base_config(seed=6)
         r1 = run_experiment(pool, config, oracle)
         r2 = run_experiment(pool, config, oracle)
-        assert r1.log.inputs == r2.log.inputs
+        np.testing.assert_array_equal(r1.log.inputs, r2.log.inputs)
         np.testing.assert_array_equal(r1.final_field().p, r2.final_field().p)
 
     def test_random_methods_share_initialization_with_adaptive(self):
@@ -190,7 +190,7 @@ class TestExperiment:
         bams = run_experiment(pool, base_config(seed=7, batches=1), oracle)
         mcm = run_experiment(pool, base_config(seed=7, batches=1, method="mcm-gp"),
                              oracle)
-        assert bams.log.inputs == mcm.log.inputs
+        np.testing.assert_array_equal(bams.log.inputs, mcm.log.inputs)
 
     def test_seed_streams(self):
         # mc draws batch b from [seed, b], batch 1 included; the GP methods
@@ -200,12 +200,12 @@ class TestExperiment:
         mc = run_experiment(pool, base_config(seed=7, method="mc"), oracle)
         first = random_acquisition(pool, level0, 6.0, seed=[7, 1])
         second = random_acquisition(pool, level0, 3.0, seed=[7, 2], exclude=first)
-        assert mc.log.inputs == first + second
+        np.testing.assert_array_equal(mc.log.inputs, first + second)
         init = random_acquisition(pool, base_config().fidelities, 6.0, seed=[7, 0])
         for method in ("bams", "mcm-gp"):
             result = run_experiment(pool, base_config(seed=7, batches=1, method=method),
                                     oracle)
-            assert result.log.inputs == init
+            np.testing.assert_array_equal(result.log.inputs, init)
 
     def test_single_fidelity_methods_drop_extra_levels(self):
         config = base_config(method="bas")
@@ -241,8 +241,8 @@ class TestExperiment:
                                      config.s_hat_effective, seed=[config.seed, 2])
         from rare_sampler.driver import _cluster_queue
         evaluated = np.zeros((pool.n_points, 2), dtype=bool)
-        for i in log.inputs:
-            evaluated[i] = True
+        for i, level in log.inputs.tolist():
+            evaluated[i, level] = True
         for cid in range(assign.n_clusters):
             members = assign.members(cid)
             budget = float(np.ceil(config.eta * config.m_b * len(members) /
@@ -269,9 +269,9 @@ class TestClusterQueueArrays:
         assign = cluster_with_merges(pool, state.hyper, config.S, config.s_hat_effective,
                                      seed=[seed, 2])
         evaluated = np.zeros((pool.n_points, len(costs)), dtype=bool)
-        for inp in log.inputs:
-            evaluated[inp] = True
-        cases = [(assign.members(cid), evaluated, set(log.inputs))
+        for i, level in log.inputs.tolist():
+            evaluated[i, level] = True
+        cases = [(assign.members(cid), evaluated, set(map(tuple, log.inputs.tolist())))
                  for cid in range(assign.n_clusters)]
         # a cluster whose every input is evaluated gets an empty queue
         members = assign.members(0)

@@ -10,9 +10,10 @@ from rare_sampler import gp
 from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_kernel_matrix,
                              noise_variances)
 
-from helpers import (dense_mll_reference, dense_posterior_oracle, matern25_kernel,
-                     multifidelity_kernel, posterior_cross_cov, random_problem,
-                     reference_from_vector, reference_marginal_log_likelihood)
+from helpers import (dense_mll_reference, dense_posterior_oracle, hyper_from_text,
+                     matern25_kernel, multifidelity_kernel, posterior_cross_cov,
+                     random_problem, reference_from_vector,
+                     reference_marginal_log_likelihood)
 
 
 def leveled_problem(level_counts, dim=2, seed=0):
@@ -414,15 +415,14 @@ class TestTraining:
 
         def rebuilt(inputs, values):
             out = EvaluationLog()
-            for inp, v in zip(inputs, values):
-                out.append(inp, v, 1)
+            out.append(inputs, values, 1)
             return out
 
         spare = next(i for i in range(pool.n_points) if (i, 0) not in log)
-        longer = rebuilt(log.inputs + [AugmentedInput(spare, 0)], log.values + [0.5])
-        relevelled = rebuilt([AugmentedInput(i.point_index, 1 - i.level)
-                              for i in log.inputs], log.values)
-        revalued = rebuilt(log.inputs, [v + 1.0 for v in log.values])
+        longer = rebuilt(np.vstack([log.inputs, [(spare, 0)]]), np.append(log.values, 0.5))
+        relevelled = rebuilt(np.column_stack([log.inputs[:, 0], 1 - log.inputs[:, 1]]),
+                             log.values)
+        revalued = rebuilt(log.inputs, log.values + 1.0)
         for other in (longer, relevelled, revalued):
             with pytest.raises(InvalidInputError, match="workspace"):
                 marginal_log_likelihood(pool, other, hyper, work=work)
@@ -483,7 +483,7 @@ class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         _, _, hyper, _ = random_problem(rng, n_levels=3)
-        back = GpHyperparams.from_text(hyper.to_text())
+        back = hyper_from_text(hyper.to_text())
         np.testing.assert_allclose(back.to_vector(), hyper.to_vector(), rtol=1e-15)
 
     def test_documented_keys_present(self):
@@ -497,4 +497,4 @@ class TestSerialization:
 
     def test_malformed_text_rejected(self):
         with pytest.raises(InvalidInputError):
-            GpHyperparams.from_text("signal_var 1.0\n")
+            hyper_from_text("signal_var 1.0\n")

@@ -1,10 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import reference_write_csv
-from rare_sampler import AugmentedInput, EmbeddingPool, EvaluationLog, InvalidInputError
+from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig,
+                          InvalidInputError, OracleError, random_acquisition)
 from rare_sampler.pool import CSV_BLOCK_ROWS, gather_points, input_array, write_csv
 
 # floats whose text form the writer must get right: round-trip digits, signed
@@ -77,8 +79,9 @@ class TestWriteCsv:
             log.append(AugmentedInput(i, i % 2), float(rng.standard_normal()), 1 + i // 15)
         log.write_csv(tmp_path / "got.csv")
         reference_write_csv(tmp_path / "want.csv", ("point_index", "level", "f", "batch"),
-                            ((inp.point_index, inp.level, v, b) for inp, v, b
-                             in zip(log.inputs, log.values, log.batches)))
+                            ((i, level, v, b) for (i, level), v, b
+                             in zip(log.inputs.tolist(), log.values.tolist(),
+                                    log.batches.tolist())))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -106,3 +109,91 @@ class TestInputArray:
         pool = EmbeddingPool(np.zeros((5, 2)))
         with pytest.raises(InvalidInputError, match="out of pool bounds"):
             input_array(pool, [(0, 0), (index, 0)])
+
+
+class TestEvaluationLog:
+    """The log as arrays: one pair or (m, 2) rows per append, one oracle
+    query per row in order, and no input logged twice."""
+
+    @staticmethod
+    def counting_oracle(fail_at=None):
+        calls = []
+
+        def oracle(i, level):
+            if len(calls) == fail_at:
+                raise RuntimeError("simulator crashed")
+            calls.append((i, level))
+            return 0.5 * i + level
+
+        return oracle, calls
+
+    def test_rows_and_pairs_agree(self):
+        rows, pairs = EvaluationLog(), EvaluationLog()
+        rows.append([(3, 1), (0, 0)], [0.5, -1.0], 1)
+        rows.append(np.array([[7, 0]]), [2.0], 2)
+        for inp, value, batch in (((3, 1), 0.5, 1), (AugmentedInput(0, 0), -1.0, 1),
+                                  ((7, 0), 2.0, 2)):
+            pairs.append(inp, value, batch)
+        for log in (rows, pairs):
+            assert log.inputs.dtype == np.intp and log.batches.dtype == np.intp
+            np.testing.assert_array_equal(log.inputs, [[3, 1], [0, 0], [7, 0]])
+            np.testing.assert_array_equal(log.values, [0.5, -1.0, 2.0])
+            np.testing.assert_array_equal(log.batches, [1, 1, 2])
+        assert (0, 0) in rows and (0, 1) not in rows and len(rows) == 3
+
+    @pytest.mark.parametrize("rows,named", [([(4, 0), (2, 1), (4, 0)], (4, 0)),
+                                            ([(5, 0), (1, 1)], (1, 1))],
+                             ids=["within-batch", "already-logged"])
+    def test_repeated_input_raises_before_any_query(self, rows, named):
+        log = EvaluationLog()
+        log.append((1, 1), 0.0, 1)
+        oracle, calls = self.counting_oracle()
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"duplicate evaluation of {AugmentedInput(*named)}")):
+            log.evaluate(oracle, rows, 2)
+        assert calls == [] and len(log) == 1
+
+    def test_oracle_failure_keeps_the_rows_before_it(self):
+        log = EvaluationLog()
+        oracle, calls = self.counting_oracle(fail_at=3)
+        with pytest.raises(OracleError, match="point 9 level 0: simulator crashed"):
+            log.evaluate(oracle, [(2, 0), (4, 1), (6, 0), (9, 0), (11, 1)], 1)
+        np.testing.assert_array_equal(log.inputs, [[2, 0], [4, 1], [6, 0]])
+        np.testing.assert_array_equal(log.values, [1.0, 3.0, 3.0])
+        np.testing.assert_array_equal(log.batches, [1, 1, 1])
+
+    def test_evaluate_returns_the_logged_values(self):
+        log = EvaluationLog()
+        oracle, calls = self.counting_oracle()
+        values = log.evaluate(oracle, np.array([[4, 1], [2, 0]]), 3)
+        assert calls == [(4, 1), (2, 0)]
+        np.testing.assert_array_equal(values, [3.0, 1.0])
+        np.testing.assert_array_equal(log.values, values)
+
+    def test_non_finite_value_names_the_input(self):
+        log = EvaluationLog()
+        with pytest.raises(InvalidInputError, match=r"^non-finite observation nan at "
+                           r"AugmentedInput\(point_index=5, level=1\)$"):
+            log.append([(2, 0), (5, 1)], np.array([1.0, np.nan]), 1)
+        with pytest.raises(OracleError, match=r"^oracle returned non-finite value nan at "
+                           r"point 5 level 1$"):
+            log.evaluate(lambda i, level: np.float64(np.nan), (5, 1), 1)
+        assert len(log) == 0
+
+
+class TestRandomAcquisitionExclude:
+    def test_array_matches_pairs(self):
+        pool = EmbeddingPool(np.zeros((30, 2)))
+        fid = FidelityConfig((1.0, 0.25))
+        pairs = [(i, i % 2) for i in range(0, 30, 3)]
+        from_pairs = random_acquisition(pool, fid, 6.0, seed=4, exclude=pairs)
+        from_array = random_acquisition(pool, fid, 6.0, seed=4, exclude=np.array(pairs))
+        assert from_pairs == from_array
+        assert not set(from_pairs) & set(pairs)
+
+    @pytest.mark.parametrize("index", [-1, 30])
+    def test_out_of_pool_exclude_raises(self, index):
+        pool = EmbeddingPool(np.zeros((30, 2)))
+        with pytest.raises(InvalidInputError, match="out of pool bounds"):
+            random_acquisition(pool, FidelityConfig((1.0,)), 3.0, seed=0,
+                               exclude=[(0, 0), (index, 0)])
