@@ -124,11 +124,11 @@ class PendingSet:
     averages; candidates are the augmented inputs available for evaluation,
     each with a cost.  Both come as (n, 2) index arrays of (point index,
     level) rows or as sequences of such pairs; ``candidates`` keeps the
-    candidate array, ``selected`` the picks as ``AugmentedInput``.  The
-    recursion adds one pending input at a time in O(|T_live| * |C|):
-    ``n_live_targets`` of the ``n_targets`` targets stay after pruning, and
-    ``dropped_beta`` is the summed point variance beta(s, 1) of the pruned
-    ones.
+    candidate array, ``selected`` the picks in order as (k, 2) rows of it
+    and ``selected_costs`` their costs.  The recursion adds one pending input
+    at a time in O(|T_live| * |C|): ``n_live_targets`` of the ``n_targets``
+    targets stay after pruning, and ``dropped_beta`` is the summed point
+    variance beta(s, 1) of the pruned ones.
     """
 
     def __init__(self, state: PosteriorState, pool: EmbeddingPool, targets,
@@ -143,6 +143,8 @@ class PendingSet:
         hyper = state.hyper
 
         tp, tl = gather_points(pool, targets)
+        if not tl.size:
+            raise InvalidInputError("target set is empty")
         if tl.any():
             # a level-0 target's covariance with every candidate is the base
             # kernel alone, so the target rows hold no discrepancy term
@@ -236,8 +238,15 @@ class PendingSet:
         self._bC = np.empty((16, len(self.candidates)))
         self._mask = np.zeros(len(self.candidates), dtype=bool)
         self._picked: list[int] = []
-        self.selected: list[AugmentedInput] = []
         self.total_cost = 0.0
+
+    @property
+    def selected(self) -> np.ndarray:
+        return self.candidates[self._picked]
+
+    @property
+    def selected_costs(self) -> np.ndarray:
+        return self.costs[self._picked]
 
     # -- current objective ----------------------------------------------------
 
@@ -368,7 +377,7 @@ class PendingSet:
             # back to the deterministic tie-break
             best = self._lexicographic_best(feas_idx)
             self._apply(best)
-            return self.selected[-1], 0.0
+            return AugmentedInput(*self.candidates[best].tolist()), 0.0
         Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
         Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
 
@@ -399,7 +408,7 @@ class PendingSet:
                 best_rate = gains[j] / self.costs[c]
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
-        return self.selected[-1], float(delta_j)
+        return AugmentedInput(*self.candidates[best_idx].tolist()), float(delta_j)
 
     def _lexicographic_best(self, feas_idx: np.ndarray) -> int:
         return int(feas_idx[np.argmin(self._rank[feas_idx])])
@@ -425,7 +434,6 @@ class PendingSet:
         self.h_C = np.maximum(self.h_C - e_c * e_c, 0.0)
         self._mask[idx] = True
         self._picked.append(idx)
-        self.selected.append(AugmentedInput(*self.candidates[idx].tolist()))
         self.total_cost += float(self.costs[idx])
 
 
@@ -433,20 +441,19 @@ def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
                  targets, budget: float):
     """Repeat greedy selection until the accumulated cost reaches the budget.
 
-    Returns [(input, deltaJ, cost)] in selection order.  Exhausting the
-    candidates mid-way returns the partial list; an initially empty
-    candidate set raises EmptySelectionError.
+    Returns (inputs, delta_j, cost) in selection order: (m, 2) index rows and
+    (m,) arrays.  Exhausting the candidates mid-way returns the partial
+    selection; an initially empty candidate set raises EmptySelectionError.
     """
     if budget <= 0:
         raise InvalidInputError("budget must be positive")
     pending = PendingSet(state, pool, targets, candidates, costs)
-    out = []
+    delta_j = []
     while pending.total_cost < budget:
         try:
-            chosen, dj = pending.select_next()
+            delta_j.append(pending.select_next()[1])
         except EmptySelectionError:
-            if not out:
+            if not delta_j:
                 raise
             break
-        out.append((chosen, dj, float(pending.costs[pending._picked[-1]])))
-    return out
+    return pending.selected, np.array(delta_j), pending.selected_costs

@@ -17,16 +17,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .evaluation import ScoreVector
-from .pool import (AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig,
-                   input_array, read_csv)
+from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, input_array, read_csv
 
 CE_ELITES = 5
 CE_VAR_FLOOR_REL = 1e-6
 
 
 def random_acquisition(pool: EmbeddingPool, fidelities: FidelityConfig,
-                       budget: float, seed, exclude=()) -> list[AugmentedInput]:
-    """Uniformly random distinct augmented inputs until the cost reaches budget.
+                       budget: float, seed, exclude=()) -> np.ndarray:
+    """Uniformly random distinct augmented inputs, as (m, 2) index rows in draw
+    order, until the cost reaches budget.
 
     Runs over all (point, level) pairs not in ``exclude`` (pairs or an
     (n, 2) array) in one seeded permutation; an exhausted pool returns the
@@ -41,8 +41,7 @@ def random_acquisition(pool: EmbeddingPool, fidelities: FidelityConfig,
     order = order[~np.isin(order, excluded[:, 1] * n + excluded[:, 0])]
     costs = np.asarray(fidelities.costs)[order // n]
     order = order[:np.searchsorted(np.cumsum(costs), budget) + 1]
-    return [AugmentedInput(i, level) for i, level in zip((order % n).tolist(),
-                                                         (order // n).tolist())]
+    return np.column_stack([order % n, order // n]).astype(np.intp, copy=False)
 
 
 def mc_scores(n: int, seed) -> ScoreVector:
@@ -87,8 +86,8 @@ class CrossEntropy:
         self.state: CeState | None = None
 
     def run_batch(self, oracle, log: EvaluationLog, batch_index: int, budget: float):
-        """Evaluate one batch into the log; returns [(input, NaN deltaJ, 1)]
-        in evaluation order, empty once every pool point is evaluated."""
+        """Evaluate one batch into the log; returns the selection of level-0
+        rows, NaN delta_j and cost 1, empty once every pool point is evaluated."""
         pool, state, m = self.pool, self.state, math.ceil(budget)
         if state is None:
             picks = self.rng.choice(pool.n_points, size=min(m, pool.n_points),
@@ -104,13 +103,13 @@ class CrossEntropy:
                 d2[taken] = np.inf
                 picks.append(int(np.argmin(d2)))
                 taken[picks[-1]] = True
-        if not picks:
-            return []
-        values = log.evaluate(oracle, [(i, 0) for i in picks], batch_index)
-        mean, var = _fit_elite_gaussian(pool.points[picks], values, CE_ELITES,
-                                        self.var_floor)
-        self.state = CeState(mean=mean, var=var)
-        return [(AugmentedInput(i, 0), float("nan"), 1.0) for i in picks]
+        rows = np.column_stack([picks, np.zeros(len(picks))]).astype(np.intp)
+        if len(picks):
+            values = log.evaluate(oracle, rows, batch_index)
+            mean, var = _fit_elite_gaussian(pool.points[picks], values, CE_ELITES,
+                                            self.var_floor)
+            self.state = CeState(mean=mean, var=var)
+        return rows, np.full(len(rows), np.nan), np.ones(len(rows))
 
 
 def gaussian_pdf_scores(state: CeState, pool: EmbeddingPool) -> ScoreVector:

@@ -217,10 +217,16 @@ def _build_oracle(cfg: _Config, pool, spec):
     return SyntheticOracle(pool, spec, **cfg.settings(SyntheticOracle))
 
 
-def _report(out_dir, method, scores, truth, opts: IsOptions, seed) -> None:
+def _trials_seed(seed: int) -> int:
+    """The root seed of the IS trial streams, checked before any work."""
+    if seed < 0:
+        raise InvalidInputError(f"trials seed must be >= 0, got {seed}")
+    return seed
+
+
+def _report(out_dir, method, scores, truth, K: int, trials: int, seed) -> None:
     """Write rate_report.csv and retention_recall.csv and print the summary."""
-    K = opts.k if opts.k is not None else int(round(opts.k_multiple * int(truth.sum())))
-    report = repeated_is_trials(scores, truth, K, opts.trials, seed=seed)
+    report = repeated_is_trials(scores, truth, K, trials, seed=seed)
     write_csv(os.path.join(out_dir, "rate_report.csv"),
               ("method", "p_hat_mean", "rv", "recall", "se_rv", "se_recall"),
               [[method], [report.p_hat_mean], [report.rv], [report.recall],
@@ -241,11 +247,12 @@ def cmd_run(args) -> int:
     gamma = spec.gamma if spec else cfg.value("method", "gamma", required=True)
     truth = truth_f <= gamma if truth_f is not None else None
     is_opts = IsOptions(**cfg.settings(IsOptions))
+    K = is_opts.sample_size(truth) if truth is not None and truth.any() else None
     fidelities = _build_fidelities(cfg)
     run_seed = cfg.value("seeds", "run", RunConfig.seed)
-    trials_seed = cfg.value("seeds", "trials", run_seed + 1)
-    # the settings are checked and every input table is read before the
-    # artifact directory is made, so neither leaves an empty --out behind
+    trials_seed = _trials_seed(cfg.value("seeds", "trials", run_seed + 1))
+    # the settings, K among them, are checked and every input table is read
+    # before the artifact directory is made, so none leaves an empty --out behind
     if method == "external-scores":
         scores = scores_from_csv(cfg.value("method", "scores_path", required=True),
                                  pool.n_points)
@@ -268,8 +275,8 @@ def cmd_run(args) -> int:
         write_csv(os.path.join(args.out, "scores_final.csv"), ("point_index", "score"),
                   (np.arange(scores.scores.size), scores.scores))
 
-    if truth is not None and truth.any():
-        _report(args.out, method, scores, truth, is_opts, trials_seed)
+    if K is not None:
+        _report(args.out, method, scores, truth, K, is_opts.trials, trials_seed)
     else:
         print(f"{method}: no ground truth available; skipped rate_report.csv "
               f"and retention_recall.csv", file=sys.stderr)
@@ -298,9 +305,10 @@ def _given(args, *names) -> dict:
 def cmd_gen_synthetic(args) -> int:
     spec = SyntheticSpec(**_given(args, "n_points", "seed", "gamma", "center"))
     pool = generate_pool(spec)
+    # built before any file is written, so a bad --noise-seed writes nothing
+    oracle = SyntheticOracle(pool, spec, **_given(args, "noise_seed"))
     export_pool_csv(pool, spec, args.out)
     if args.oracle_out:
-        oracle = SyntheticOracle(pool, spec, **_given(args, "noise_seed"))
         values = [oracle(i, level) for i in range(pool.n_points) for level in (0, 1)]
         write_csv(args.oracle_out, ("point_index", "level", "f"),
                   (np.repeat(np.arange(pool.n_points), 2), np.tile([0, 1], pool.n_points),
@@ -312,14 +320,16 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_score_report(args) -> int:
+    opts = IsOptions(**_given(args, "k", "k_multiple", "trials"))
+    seed = _trials_seed(args.seed)
     pool, truth_f = _load_pool_csv(args.pool_csv, need_truth=True)
     truth = truth_f <= args.gamma
     if not truth.any():
         raise InvalidInputError("no failures below gamma in the pool CSV")
+    K = opts.sample_size(truth)
     scores = scores_from_csv(args.scores, pool.n_points)
     os.makedirs(args.out, exist_ok=True)
-    _report(args.out, "external-scores", scores, truth,
-            IsOptions(**_given(args, "k", "k_multiple", "trials")), args.seed)
+    _report(args.out, "external-scores", scores, truth, K, opts.trials, seed)
     return 0
 
 

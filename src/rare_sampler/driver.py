@@ -52,6 +52,8 @@ class RunConfig:
             raise InvalidInputError("batches must be >= 1")
         if self.eta < 1.0:
             raise InvalidInputError("eta must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"run seed must be >= 0, got {self.seed}")
         if self.S < 1 or (self.S_hat is not None and self.S_hat < self.S):
             raise InvalidInputError("need 1 <= S <= S_hat")
         if self.method not in ORACLE_METHODS:
@@ -77,17 +79,17 @@ def run_random_batch(pool: EmbeddingPool, fidelities: FidelityConfig, budget: fl
                      oracle, log: EvaluationLog, batch_index: int, seed):
     """Evaluate uniformly random unevaluated inputs until the cost reaches budget.
 
-    Returns the selected list [(input, NaN deltaJ, cost)] in draw order;
-    the evaluations are appended to the log under batch_index.
+    Returns the selection (inputs, NaN delta_j, cost) in draw order; the
+    evaluations are appended to the log under batch_index.
     """
     picks = random_acquisition(pool, fidelities, budget, seed=seed, exclude=log.inputs)
     log.evaluate(oracle, picks, batch_index)
-    return [(inp, float("nan"), fidelities.cost(inp.level)) for inp in picks]
+    return picks, np.full(len(picks), np.nan), np.asarray(fidelities.costs)[picks[:, 1]]
 
 
 def _cluster_queue(state: PosteriorState, pool: EmbeddingPool, members, evaluated,
                    costs_by_level, budget: float):
-    """Build one cluster's ranked queue: [(input, cluster-local deltaJ, cost)].
+    """One cluster's ranked queue as a selection with cluster-local delta_j.
 
     ``evaluated`` is the N x levels mask of evaluated inputs; the targets are
     the members at level 0 and the candidates every unevaluated (member,
@@ -97,23 +99,21 @@ def _cluster_queue(state: PosteriorState, pool: EmbeddingPool, members, evaluate
     points = np.repeat(members, n_levels)
     levels = np.tile(np.arange(n_levels), members.size)
     keep = ~evaluated[points, levels]
-    if not keep.any():
-        return []
     candidates = np.column_stack([points[keep], levels[keep]])
     costs = np.asarray(costs_by_level, dtype=np.float64)[levels[keep]]
     try:
         return select_batch(state, pool, candidates, costs, targets, budget)
     except EmptySelectionError:
-        return []
+        return np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0)
 
 
 def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig,
                    oracle, log: EvaluationLog, batch_index: int):
     """One adaptive batch: cluster, build queues, merge globally, evaluate.
 
-    Returns the selected list [(input, deltaJ, cost)] with deltaJ scaled to
-    the pool-wide objective (cluster values weighted by N_s / N), in merge
-    order.  Selected inputs are evaluated and appended to the log.
+    Returns the selection (inputs, delta_j, cost) in merge order, delta_j
+    scaled to the pool-wide objective (cluster values weighted by N_s / N).
+    Selected inputs are evaluated and appended to the log.
     """
     assign = cluster_with_merges(pool, state.hyper, config.S,
                                  config.s_hat_effective,
@@ -125,52 +125,47 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
     for cid in range(assign.n_clusters):
         members = assign.members(cid)
         budget = float(np.ceil(config.eta * config.m_b * len(members) / n))
-        queue = _cluster_queue(state, pool, members, evaluated,
-                               config.fidelities.costs, budget)
+        inputs, delta_j, cost = _cluster_queue(state, pool, members, evaluated,
+                                               config.fidelities.costs, budget)
         # scale cluster-local deltaJ (a mean over N_s targets) to the pool objective
-        w = len(members) / n
-        queues.append([(inp, dj * w, cost) for inp, dj, cost in queue])
+        queues.append((inputs, delta_j * (len(members) / n), cost))
 
-    selected = _merge_queues(queues, config)
-    log.evaluate(oracle, [inp for inp, _, _ in selected], batch_index)
-    return selected
+    selection = _merge_queues(queues, config.m_b)
+    log.evaluate(oracle, selection[0], batch_index)
+    return selection
 
 
-def _merge_queues(queues, config: RunConfig):
+def _merge_queues(queues, m_b: float):
     """Algorithm-1 global merge over per-cluster queue heads.
 
-    A head whose cost does not fit under the remaining budget blocks its
-    queue; the merge stops when the budget is spent or no head fits.
+    Each step takes the least (deltaJ / cost, point, level) head that keeps
+    the batch cost below m_b; a head that does not fit blocks its queue.
     """
-    ptrs = [0] * len(queues)
+    inputs, delta_j, cost = (np.concatenate(col) for col in zip(*queues))
+    sizes = [len(q[2]) for q in queues]
+    ends = np.cumsum(sizes)
+    heads = ends - sizes
+    rate = delta_j / cost
+    taken = []
     cost_g = 0.0
-    out = []
-    while cost_g < config.m_b:
-        best = None
-        for qi, queue in enumerate(queues):
-            if ptrs[qi] >= len(queue):
-                continue
-            inp, dj, cost = queue[ptrs[qi]]
-            if cost_g + cost >= config.m_b:
-                continue
-            key = (dj / cost, inp.point_index, inp.level)
-            if best is None or key < best[0]:
-                best = (key, qi)
-        if best is None:
+    while cost_g < m_b:
+        live = heads[heads < ends]
+        live = live[cost_g + cost[live] < m_b]
+        if not live.size:
             break
-        qi = best[1]
-        item = queues[qi][ptrs[qi]]
-        ptrs[qi] += 1
-        out.append(item)
-        cost_g += item[2]
-    return out
+        j = live[np.lexsort((inputs[live, 1], inputs[live, 0], rate[live]))[0]]
+        heads[np.searchsorted(ends, j, side="right")] += 1
+        taken.append(j)
+        cost_g += cost[j]
+    return inputs[taken], delta_j[taken], cost[taken]
 
 
 @dataclass
 class BatchRecord:
     index: int
-    # (AugmentedInput, deltaJ, cost); deltaJ NaN for random and ce batches
-    selected: list
+    inputs: np.ndarray              # (m, 2) (point index, level) rows, in selection order
+    delta_j: np.ndarray             # (m,) pool-scaled deltaJ; NaN for random and ce picks
+    cost: np.ndarray                # (m,) cost of each pick
     mean_f: float
     field: FailureField | None      # None for mc and ce
     hyper: GpHyperparams | None     # None for mc and ce
@@ -212,11 +207,9 @@ class ExperimentResult:
         self.log.write_csv(os.path.join(out_dir, "log.csv"))
         for rec in self.batches:
             k = rec.index
-            sel = rec.selected
             write_csv(os.path.join(out_dir, f"selected_batch{k}.csv"),
                       ("point_index", "level", "deltaJ", "cost"),
-                      ([inp.point_index for inp, _, _ in sel], [inp.level for inp, _, _ in sel],
-                       [dj for _, dj, _ in sel], [c for _, _, c in sel]))
+                      (rec.inputs[:, 0], rec.inputs[:, 1], rec.delta_j, rec.cost))
             if rec.field is not None:
                 write_csv(os.path.join(out_dir, f"scores_batch{k}.csv"),
                           ("point_index", "p_n", "h_n"),
@@ -243,12 +236,12 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
     for b in range(1, config.batches + 1):
         budget = config.m1 if b == 1 else config.m_b
         if ce is not None:
-            selected = ce.run_batch(oracle, log, b, budget)
+            selection = ce.run_batch(oracle, log, b, budget)
         elif b > 1 and config.method in _ADAPTIVE_METHODS:
-            selected = run_bams_batch(pool, state, config, oracle, log, b)
+            selection = run_bams_batch(pool, state, config, oracle, log, b)
         else:
-            selected = run_random_batch(pool, fidelities, budget, oracle, log, b,
-                                        seed=[config.seed, 0 if b == 1 and gp else b])
+            selection = run_random_batch(pool, fidelities, budget, oracle, log, b,
+                                         seed=[config.seed, 0 if b == 1 and gp else b])
         if gp:
             if len(log) >= 2:
                 hyper = train_hyperparameters(pool, log, hyper, config.train)
@@ -256,6 +249,6 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
             snapshot = failure_prob(state, pool.points)
         vals = log.values[log.batches == b]
         mean_f = float(vals.mean()) if vals.size else float("nan")
-        records.append(BatchRecord(b, selected, mean_f, snapshot, hyper))
+        records.append(BatchRecord(b, *selection, mean_f, snapshot, hyper))
     return ExperimentResult(config=config, pool=pool, log=log, batches=records,
                             state=ce.state if ce is not None else state)

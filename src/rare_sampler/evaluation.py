@@ -74,6 +74,27 @@ class IsOptions:
     k: int | None = None
     trials: int = 200
 
+    def __post_init__(self):
+        if not 0.0 <= self.alpha < np.inf:
+            raise InvalidInputError(f"alpha must be >= 0 and finite, got {self.alpha!r}")
+        if not 0.0 < self.k_multiple < np.inf:
+            raise InvalidInputError(f"k_multiple must be positive and finite, "
+                                    f"got {self.k_multiple!r}")
+        if self.k is not None and self.k < 1:
+            raise InvalidInputError(f"IS sample size K must be >= 1, got {self.k}")
+        if self.trials < 2:
+            raise InvalidInputError(f"trials must be >= 2, got {self.trials}")
+
+    def sample_size(self, truth) -> int:
+        """The IS sample size K: k when set, else k_multiple times the number
+        of failures in the truth labels, rounded."""
+        n_fail = int(np.count_nonzero(truth))
+        K = self.k if self.k is not None else int(round(self.k_multiple * n_fail))
+        if K < 1:
+            raise InvalidInputError(f"IS sample size K must be >= 1, got {K} "
+                                    f"(k_multiple {self.k_multiple:g} x {n_fail} failures)")
+        return K
+
 
 def recall_at_budget(scores: ScoreVector, truth: np.ndarray, K: int) -> float:
     """Fraction of failures among the K highest-scored points (ties by index)."""

@@ -468,10 +468,16 @@ _JITTER_BOUNDS = (1e-10, 1e-1)
 
 @dataclass(frozen=True)
 class TrainOptions:
-    """Adam schedule for hyperparameter training."""
+    """Adam schedule for hyperparameter training; iters = 0 trains nothing."""
 
     lr: float = 0.05
     iters: int = 200
+
+    def __post_init__(self):
+        if not 0.0 < self.lr < np.inf:
+            raise InvalidInputError(f"training lr must be positive and finite, got {self.lr!r}")
+        if self.iters < 0:
+            raise InvalidInputError(f"training iters must be >= 0, got {self.iters}")
 
 
 def _log_bounds(pool: EmbeddingPool, template: GpHyperparams):

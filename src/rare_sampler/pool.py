@@ -2,9 +2,11 @@
 plus the CSV format that every artifact and every input table shares.
 
 The empirical distribution lives on a finite pool of N embedding points.
-Every evaluation target is an ``AugmentedInput``: a (point index, fidelity
+Every evaluation target is an augmented input: a (point index, fidelity
 level) pair, where level 0 is the expensive ground-truth simulator and
-higher levels are cheaper, noisier proxies.
+higher levels are cheaper, noisier proxies.  The pipeline holds sets of
+them as (n, 2) integer index rows (``input_array``); ``AugmentedInput`` is
+the named pair that callers may pass instead.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ class SyntheticSpec:
     level1_cost: float = 0.10
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"pool seed must be >= 0, got {self.seed}")
+
 
 def generate_pool(spec: SyntheticSpec) -> EmbeddingPool:
     """N seeded standard-normal points in the plane."""
@@ -49,6 +53,8 @@ class SyntheticOracle:
         self.pool = pool
         self.spec = spec
         self.noise_seed = int(noise_seed)
+        if self.noise_seed < 0:
+            raise InvalidInputError(f"noise_seed must be >= 0, got {self.noise_seed}")
         self._f0 = metric_level0(pool.points, spec)
 
     def __call__(self, point_index: int, level: int) -> float:

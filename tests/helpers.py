@@ -211,6 +211,43 @@ def naive_select_batch(state, pool, candidates, costs, targets, budget):
     return out
 
 
+def selection_arrays(items):
+    """A reference's [(input, deltaJ, cost)] list as the (inputs, delta_j, cost)
+    arrays of a batch step: (m, 2) index rows and two (m,) float arrays."""
+    inputs = np.array([tuple(inp) for inp, _, _ in items], dtype=np.intp).reshape(-1, 2)
+    return (inputs, np.array([dj for _, dj, _ in items], dtype=np.float64),
+            np.array([cost for _, _, cost in items], dtype=np.float64))
+
+
+def reference_merge_queues(queues, m_b):
+    """Algorithm-1 global merge over queues of (AugmentedInput, deltaJ, cost)
+    tuples, one head at a time: the least (deltaJ / cost, point, level) head
+    that keeps the batch cost below m_b, the first queue's on a full tie.  A
+    head that does not fit blocks its queue.  Returns the merged tuples."""
+    ptrs = [0] * len(queues)
+    cost_g = 0.0
+    out = []
+    while cost_g < m_b:
+        best = None
+        for qi, queue in enumerate(queues):
+            if ptrs[qi] >= len(queue):
+                continue
+            inp, dj, cost = queue[ptrs[qi]]
+            if cost_g + cost >= m_b:
+                continue
+            key = (dj / cost, inp.point_index, inp.level)
+            if best is None or key < best[0]:
+                best = (key, qi)
+        if best is None:
+            break
+        qi = best[1]
+        item = queues[qi][ptrs[qi]]
+        ptrs[qi] += 1
+        out.append(item)
+        cost_g += item[2]
+    return out
+
+
 def simulate_conditioned_posteriors(state, pool, pending, n_draws, rng):
     """Sample future observations at the pending inputs and return, per draw,
     the updated posterior mean at every pool point together with the fixed
@@ -260,12 +297,12 @@ def reference_cluster_queue(state, pool, members, evaluated, costs_by_level, bud
     candidates = [AugmentedInput(int(i), l) for i in members for l in range(n_levels)
                   if (int(i), l) not in evaluated]
     if not candidates:
-        return []
+        return selection_arrays([])
     costs = np.array([costs_by_level[c.level] for c in candidates])
     try:
         return select_batch(state, pool, candidates, costs, targets, budget)
     except EmptySelectionError:
-        return []
+        return selection_arrays([])
 
 
 def reference_kmeans(points, k, seed):
@@ -457,7 +494,7 @@ class ReferencePendingSet(PendingSet):
             # back to the deterministic tie-break
             best = self._lexicographic_best(feas_idx)
             self._apply(best)
-            return self.selected[-1], 0.0
+            return AugmentedInput(*self.candidates[best].tolist()), 0.0
         Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
         Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
 
@@ -486,7 +523,7 @@ class ReferencePendingSet(PendingSet):
                     best_rate = gains[j] / self.costs[c]
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
-        return self.selected[-1], float(delta_j)
+        return AugmentedInput(*self.candidates[best_idx].tolist()), float(delta_j)
 
     def _lexicographic_best(self, feas_idx: np.ndarray) -> int:
         keys = [(*self.candidates[i].tolist(), i) for i in feas_idx]
@@ -509,7 +546,7 @@ class ReferencePendingSet(PendingSet):
         self._bT.append(e_t)
         self._bC.append(e_c)
         self._mask[idx] = True
-        self.selected.append(AugmentedInput(*self.candidates[idx].tolist()))
+        self._picked.append(idx)
         self.total_cost += float(self.costs[idx])
 
 

@@ -11,7 +11,7 @@ from rare_sampler.acquisition import point_variance_beta
 from rare_sampler.estimator import bivariate_normal_cdf
 
 from helpers import (ReferencePendingSet, forward_point_variance, naive_select_batch,
-                     random_problem, simulate_conditioned_posteriors)
+                     random_problem, selection_arrays, simulate_conditioned_posteriors)
 
 
 class TestPointVarianceBeta:
@@ -138,8 +138,9 @@ class TestSelection:
         rng = np.random.default_rng(10)
         pool, _, _, state = random_problem(rng, n_points=10, n_train=3)
         targets = [AugmentedInput(i, 0) for i in range(10)]
-        sel = select_batch(state, pool, [AugmentedInput(4, 0)], [1.0], targets, 1.0)
-        assert [s[0] for s in sel] == [AugmentedInput(4, 0)]
+        inputs, _, _ = select_batch(state, pool, [AugmentedInput(4, 0)], [1.0], targets,
+                                    1.0)
+        np.testing.assert_array_equal(inputs, [[4, 0]])
 
     def test_cheaper_level_wins_on_cost_ratio(self):
         # two-point pool: same point offered at both levels; the cheap level's
@@ -169,10 +170,10 @@ class TestSelection:
                  if AugmentedInput(i, l) not in log]
         costs = np.array([1.0 if c.level == 0 else 0.25 for c in cands])
         fast = select_batch(state, pool, cands, costs, targets, budget=2.0)
-        naive = naive_select_batch(state, pool, cands, costs, targets, budget=2.0)
-        assert [f[0] for f in fast] == [n[0] for n in naive]
-        np.testing.assert_allclose([f[1] for f in fast], [n[1] for n in naive],
-                                   atol=1e-10)
+        naive = selection_arrays(naive_select_batch(state, pool, cands, costs, targets,
+                                                    budget=2.0))
+        np.testing.assert_array_equal(fast[0], naive[0])
+        np.testing.assert_allclose(fast[1], naive[1], atol=1e-10)
 
     def test_pruned_and_unpruned_sweeps_agree(self):
         # pruning must be behaviorally invisible: force full evaluation by
@@ -191,9 +192,8 @@ class TestSelection:
             ref = select_batch(state, pool, cands, costs, targets, budget=3.0)
         finally:
             acq._BLOCK = original
-        assert [f[0] for f in fast] == [r[0] for r in ref]
-        np.testing.assert_allclose([f[1] for f in fast], [r[1] for r in ref],
-                                   atol=1e-12)
+        np.testing.assert_array_equal(fast[0], ref[0])
+        np.testing.assert_allclose(fast[1], ref[1], atol=1e-12)
 
     def test_budget_cost_accounting(self):
         rng = np.random.default_rng(12)
@@ -202,8 +202,8 @@ class TestSelection:
         cands = [AugmentedInput(i, 1) for i in range(12)
                  if AugmentedInput(i, 1) not in log]
         costs = np.full(len(cands), 0.3)
-        sel = select_batch(state, pool, cands, costs, targets, budget=1.0)
-        total = sum(s[2] for s in sel)
+        _, _, sel_costs = select_batch(state, pool, cands, costs, targets, budget=1.0)
+        total = sum(sel_costs.tolist())
         assert total >= 1.0 and total - 0.3 < 1.0  # stops at the crossing pick
 
     def test_budget_beyond_supply_returns_everything_ordered(self):
@@ -212,10 +212,10 @@ class TestSelection:
         targets = [AugmentedInput(i, 0) for i in range(8)]
         cands = [AugmentedInput(i, 0) for i in range(8)
                  if AugmentedInput(i, 0) not in log]
-        sel = select_batch(state, pool, cands, np.ones(len(cands)), targets,
-                           budget=100.0)
-        assert len(sel) == len(cands)
-        assert sorted(s[0] for s in sel) == sorted(cands)
+        inputs, _, _ = select_batch(state, pool, cands, np.ones(len(cands)), targets,
+                                    budget=100.0)
+        assert len(inputs) == len(cands)
+        assert sorted(map(tuple, inputs.tolist())) == sorted(cands)
 
     def test_empty_candidates_raise(self):
         rng = np.random.default_rng(14)
@@ -223,6 +223,14 @@ class TestSelection:
         targets = [AugmentedInput(i, 0) for i in range(5)]
         with pytest.raises(EmptySelectionError):
             select_batch(state, pool, [], [], targets, budget=1.0)
+
+    @pytest.mark.parametrize("targets", [[], np.empty((0, 2), dtype=np.intp)])
+    def test_empty_target_set_is_rejected(self, targets):
+        # J averages over the targets, so an empty set has no objective
+        rng = np.random.default_rng(16)
+        pool, _, _, state = random_problem(rng, n_points=6, n_train=2)
+        with pytest.raises(InvalidInputError, match="target set is empty"):
+            PendingSet(state, pool, targets, [AugmentedInput(0, 1)], [0.1])
 
     def test_target_above_level_0_is_rejected(self):
         pool = EmbeddingPool(np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.7]]))
@@ -329,11 +337,11 @@ class TestTargetPruning:
         assert pending.dropped_beta == 0.0
         assert pending.n_live_targets == 18
         fast = select_batch(state, pool, cands, costs, targets, budget=2.0)
-        naive = naive_select_batch(state, pool, cands, costs, targets, budget=2.0)
-        assert [f[0] for f in fast] == [n[0] for n in naive]
-        np.testing.assert_allclose([f[1] for f in fast], [n[1] for n in naive],
-                                   atol=1e-10)
-        assert [f[2] for f in fast] == [n[2] for n in naive]
+        naive = selection_arrays(naive_select_batch(state, pool, cands, costs, targets,
+                                                    budget=2.0))
+        np.testing.assert_array_equal(fast[0], naive[0])
+        np.testing.assert_allclose(fast[1], naive[1], atol=1e-10)
+        np.testing.assert_array_equal(fast[2], naive[2])
 
     def test_live_count_and_full_target_average(self):
         rng = np.random.default_rng(1400)
@@ -458,7 +466,7 @@ class TestStepMatchesReference:
         fast = self.assert_same_steps(state, pool, targets, cands,
                                       np.ones(len(cands)), 8)
         # the first pick's twin gives the same gain, and the lower index wins
-        assert fast.selected[0].point_index < 15
+        assert fast.selected[0, 0] < 15
 
     def test_all_targets_pruned_falls_back_to_lexicographic(self):
         rng = np.random.default_rng(1401)
@@ -468,7 +476,7 @@ class TestStepMatchesReference:
         rev = cands[::-1]  # candidate order must not matter to the fallback
         fast = self.assert_same_steps(state, pool, targets, rev, costs[::-1], 5)
         assert fast.n_live_targets == 0
-        assert fast.selected == sorted(cands)[:5]
+        np.testing.assert_array_equal(fast.selected, sorted(cands)[:5])
 
     @pytest.mark.parametrize("n_levels", [2, 3])
     @pytest.mark.parametrize("seed", range(2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rare_sampler import (AugmentedInput, CeState, EmbeddingPool, FidelityConfig, RunConfig,
+from rare_sampler import (CeState, EmbeddingPool, FidelityConfig, RunConfig,
                           gaussian_pdf_scores, mc_scores, random_acquisition,
                           run_experiment)
 from rare_sampler.baselines import scores_from_csv
@@ -26,15 +26,15 @@ class TestRandomAcquisition:
     def test_unit_cost_budget_is_exact_count(self):
         pool = EmbeddingPool(np.random.default_rng(0).standard_normal((100, 2)))
         picks = random_acquisition(pool, FidelityConfig((1.0,)), budget=15, seed=1)
-        assert len(picks) == 15
-        assert len(set(picks)) == 15
-        assert all(p.level == 0 for p in picks)
+        assert picks.shape == (15, 2) and picks.dtype == np.intp
+        assert len(np.unique(picks, axis=0)) == 15
+        assert not picks[:, 1].any()
 
     def test_multifidelity_cost_accounting(self):
         pool = EmbeddingPool(np.random.default_rng(1).standard_normal((500, 2)))
         fid = FidelityConfig((1.0, 0.1))
         picks = random_acquisition(pool, fid, budget=10.0, seed=2)
-        total = sum(fid.cost(p.level) for p in picks)
+        total = sum(fid.cost(level) for level in picks[:, 1].tolist())
         assert total >= 10.0
         assert total - min(fid.costs) < 10.0 + 1.0
 
@@ -43,14 +43,14 @@ class TestRandomAcquisition:
         fid = FidelityConfig((1.0, 0.5))
         a = random_acquisition(pool, fid, budget=5, seed=7)
         b = random_acquisition(pool, fid, budget=5, seed=7)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_exclusion_respected(self):
         pool = EmbeddingPool(np.random.default_rng(3).standard_normal((10, 2)))
         exclude = [(i, 0) for i in range(9)]
         picks = random_acquisition(pool, FidelityConfig((1.0,)), budget=5, seed=0,
                                    exclude=exclude)
-        assert picks == [AugmentedInput(9, 0)]  # pool exhausted -> partial set
+        np.testing.assert_array_equal(picks, [[9, 0]])  # pool exhausted -> partial set
 
 
 class TestMcScores:

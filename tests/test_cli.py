@@ -13,7 +13,7 @@ import pytest
 
 import rare_sampler
 from rare_sampler import (ConfigError, FidelityConfig, InvalidInputError, OracleError,
-                          scores_from_csv)
+                          SyntheticOracle, scores_from_csv)
 from rare_sampler.cli import (CONFIG_KEYS, METHODS, _load_pool_csv, key_spec, main,
                               parse_config)
 from rare_sampler.oracles import CsvOracle, ExternalOracle
@@ -289,8 +289,11 @@ class TestRunCommand:
             assert (out / "rate_report.csv").exists()
             assert (out / "scores_final.csv").exists()
 
-    @pytest.mark.parametrize("method", ["mc", "ce"])
+    @pytest.mark.parametrize("method", ["mc", "ce", "bams", "bas", "mc-gp", "mcm-gp"])
     def test_mc_and_ce_selected_batches_follow_the_log(self, tmp_path, method):
+        # every oracle method's selected_batch<k>.csv holds batch k's log.csv
+        # rows in order; a random or ce pick has deltaJ nan, an adaptive one
+        # a finite deltaJ <= 0, and every cost is its level's cost
         cfg = synthetic_config(tmp_path, method=method)
         cfg.write_text(cfg.read_text().replace("batches = 2", "batches = 3"))
         out = tmp_path / "out"
@@ -307,7 +310,13 @@ class TestRunCommand:
             expected = [(r["point_index"], r["level"]) for r in log_rows
                         if int(r["batch"]) == b]
             assert [(r["point_index"], r["level"]) for r in rows] == expected
-            assert all(r["deltaJ"] == "nan" and r["cost"] == "1" for r in rows)
+            assert rows
+            for r in rows:
+                assert r["cost"] == ("1", "0.10000000000000001")[int(r["level"])]
+                if b > 1 and method in ("bams", "bas"):
+                    assert float(r["deltaJ"]) <= 0.0
+                else:
+                    assert r["deltaJ"] == "nan"
 
     @pytest.mark.parametrize("method", ["mc", "ce", "bams"])
     def test_zero_batches_is_one_error_for_every_method(self, tmp_path, capsys, method):
@@ -336,6 +345,49 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             "error: m_b = 1 fits no bas pick: the cheapest level costs 1, and an "
             "adaptive batch's cost must stay below m_b\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method,edit,error", [
+        ("bas", ("trials = 50", "trials = 1"), "trials must be >= 2, got 1"),
+        ("bas", ("k_multiple = 2", "k = 0"), "IS sample size K must be >= 1, got 0"),
+        ("bas", ("k_multiple = 2", "k_multiple = -1"),
+         "k_multiple must be positive and finite, got -1.0"),
+        ("bas", ("k_multiple = 2", "k_multiple = 0.01"),
+         "IS sample size K must be >= 1, got 0 (k_multiple 0.01 x "),
+        ("bas", ("alpha = 2.5", "alpha = -1"), "alpha must be >= 0 and finite, got -1.0"),
+        ("bas", ("train_iters = 20", "train_iters = -5"), "training iters must be >= 0, got -5"),
+        ("bas", ("train_iters = 20", "train_lr = -0.05"),
+         "training lr must be positive and finite, got -0.05"),
+        ("bas", ("train_iters = 20", "train_lr = 0"),
+         "training lr must be positive and finite, got 0.0"),
+        ("bas", ("train_iters = 20", "train_lr = nan"),
+         "training lr must be positive and finite, got nan"),
+        ("bams", ("run = 0", "run = -1"), "run seed must be >= 0, got -1"),
+        ("bams", ("trials = 99", "trials = -1"), "trials seed must be >= 0, got -1"),
+        ("bams", ("seed = 0\n", "seed = -3\n"), "pool seed must be >= 0, got -3"),
+        ("bams", ("kind = synthetic", "kind = synthetic\nnoise_seed = -2"),
+         "noise_seed must be >= 0, got -2")],
+        ids=["is-trials", "is-k", "is-k_multiple", "is-K-from-truth", "is-alpha",
+             "train_iters", "train_lr-negative", "train_lr-zero", "train_lr-nan",
+             "seeds-run", "seeds-trials", "pool-seed", "oracle-noise_seed"])
+    def test_bad_settings_fail_before_the_run(self, tmp_path, capsys, monkeypatch, method,
+                                              edit, error):
+        # IS, training and seed settings are checked, and K computed from the
+        # truth labels, before the oracle is called or --out is made
+        calls = []
+
+        def refuse(oracle, i, level):
+            calls.append((i, level))
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(SyntheticOracle, "__call__", refuse)
+        cfg = synthetic_config(tmp_path, method=method, n=600)
+        assert edit[0] in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(*edit))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not calls
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["mc", "ce"])
@@ -493,6 +545,15 @@ class TestSplittingBoundCommand:
 
 
 class TestGenSynthetic:
+    @pytest.mark.parametrize("flag,error", [("--seed", "pool seed must be >= 0, got -1"),
+                                            ("--noise-seed", "noise_seed must be >= 0, got -1")],
+                             ids=["seed", "noise-seed"])
+    def test_negative_seed_is_named_and_writes_nothing(self, tmp_path, capsys, flag, error):
+        assert main(["gen-synthetic", "--n", "50", flag, "-1", "--out",
+                     str(tmp_path / "pool.csv"), "--oracle-out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_pool_csv_and_oracle_table(self, tmp_path, capsys):
         pool_csv = tmp_path / "pool.csv"
         oracle_csv = tmp_path / "oracle.csv"
@@ -741,6 +802,16 @@ class TestScoreReport:
                      "--gamma", "0.5", "--out", str(tmp_path / "rep")]) == 2
         assert (f"config error: {pool_csv} line 1: need one 'truth_f_level0' column in "
                 "['index', 'x0', 'x1']") in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_negative_trials_seed_is_named_before_any_work(self, tmp_path, capsys):
+        pool_csv = tmp_path / "pool.csv"
+        main(["gen-synthetic", "--n", "600", "--seed", "3", "--out", str(pool_csv)])
+        scores = tmp_path / "scores.csv"
+        scores.write_text("point_index,score\n" + "".join(f"{i},1\n" for i in range(600)))
+        assert main(["score-report", "--scores", str(scores), "--pool-csv", str(pool_csv),
+                     "--gamma", "0.56", "--seed", "-1", "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.endswith("error: trials seed must be >= 0, got -1\n")
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])

@@ -10,7 +10,8 @@ from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
 from rare_sampler.driver import _cluster_queue, _merge_queues
 from rare_sampler.gp import TrainOptions
 
-from helpers import naive_select_batch, reference_cluster_queue
+from helpers import (naive_select_batch, reference_cluster_queue, reference_merge_queues,
+                     selection_arrays)
 
 
 def small_synthetic(n=60, seed=0):
@@ -73,7 +74,8 @@ class TestInitialBatch:
 
 def reference_bams_batch(pool, state, config, log):
     """Straight-line simulation of the clustered batch: queues via the naive
-    from-scratch selector, then the literal merge loop."""
+    from-scratch selector, then the literal merge loop; returns the selection
+    arrays."""
     assign = cluster_with_merges(pool, state.hyper, config.S,
                                  config.s_hat_effective,
                                  seed=[config.seed, 2])
@@ -113,7 +115,7 @@ def reference_bams_batch(pool, state, config, log):
         ptrs[qi] += 1
         out.append(item)
         cost_g += item[2]
-    return out
+    return selection_arrays(out)
 
 
 class TestBamsBatch:
@@ -126,10 +128,9 @@ class TestBamsBatch:
         state = fit_posterior(pool, log, hyper, config.gamma)
         expected = reference_bams_batch(pool, state, config, log)
         got = run_bams_batch(pool, state, config, oracle, log, batch_index=2)
-        assert [g[0] for g in got] == [e[0] for e in expected]
-        np.testing.assert_allclose([g[1] for g in got], [e[1] for e in expected],
-                                   atol=1e-8)
-        np.testing.assert_allclose([g[2] for g in got], [e[2] for e in expected])
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_allclose(got[1], expected[1], atol=1e-8)
+        np.testing.assert_allclose(got[2], expected[2])
 
     def test_strict_budget_rule(self):
         spec, pool, oracle = small_synthetic(n=50, seed=3)
@@ -137,29 +138,62 @@ class TestBamsBatch:
         log = initial_log(pool, config, oracle)
         hyper = GpHyperparams.defaults(pool, 2)
         state = fit_posterior(pool, log, hyper, config.gamma)
-        selected = run_bams_batch(pool, state, config, oracle, log, 2)
-        assert sum(s[2] for s in selected) < config.m_b
+        _, _, cost = run_bams_batch(pool, state, config, oracle, log, 2)
+        assert sum(cost.tolist()) < config.m_b
 
     def test_budget_equality_does_not_fit(self):
         queues = [[(AugmentedInput(0, 0), -0.5, 1.0), (AugmentedInput(1, 0), -0.4, 1.0)]]
-        strict = _merge_queues(queues, base_config(m_b=2.0,
-                                                   fidelities=FidelityConfig((1.0,)),
-                                                   method="bas"))
-        assert len(strict) == 1
+        strict = _merge_queues([selection_arrays(q) for q in queues], 2.0)
+        assert len(strict[0]) == 1
 
     def test_merge_is_cost_normalized(self):
         # cheap item: good per-cost, worse raw
         q1 = [(AugmentedInput(0, 1), -0.02, 0.1)]
         q2 = [(AugmentedInput(1, 0), -0.10, 1.0)]
-        cn = _merge_queues([q1, q2], base_config(m_b=5.0))
-        assert cn[0][0] == AugmentedInput(0, 1)
+        cn = _merge_queues([selection_arrays(q) for q in (q1, q2)], 5.0)
+        np.testing.assert_array_equal(cn[0][0], [0, 1])
 
     def test_blocking_head_blocks_queue(self):
         # first queue's head never fits; its cheaper second item must not leak past it
         q1 = [(AugmentedInput(0, 0), -0.9, 5.0), (AugmentedInput(1, 1), -0.8, 0.1)]
         q2 = [(AugmentedInput(2, 1), -0.01, 0.1)]
-        out = _merge_queues([q1, q2], base_config(m_b=1.0))
-        assert [o[0] for o in out] == [AugmentedInput(2, 1)]
+        out = _merge_queues([selection_arrays(q) for q in (q1, q2)], 1.0)
+        np.testing.assert_array_equal(out[0], [[2, 1]])
+
+    def test_merge_ties_break_on_point_then_level(self):
+        # three heads with deltaJ / cost = -0.5 exactly, in the reverse of the
+        # (point, level) order
+        q1 = [(AugmentedInput(4, 0), -0.5, 1.0)]
+        q2 = [(AugmentedInput(3, 1), -0.125, 0.25)]
+        q3 = [(AugmentedInput(3, 0), -0.5, 1.0)]
+        out = _merge_queues([selection_arrays(q) for q in (q1, q2, q3)], 5.0)
+        np.testing.assert_array_equal(out[0], [[3, 0], [3, 1], [4, 0]])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_array_merge_matches_tuple_reference(self, seed):
+        # queues of distinct (point, level) pairs with mixed level costs, tied
+        # deltaJ / cost rates, heads too dear for the budget (they block their
+        # queue) and empty queues; the merge must give the reference's rows
+        # bit for bit
+        rng = np.random.default_rng(2000 + seed)
+        costs = (1.0, 0.1, 0.25)
+        pairs = iter(rng.permutation(12 * len(costs)).tolist())
+        rates = -rng.choice([0.0, 0.01, 0.02, 0.05], size=64) * rng.integers(1, 3, 64)
+        queues = []
+        for _ in range(int(rng.integers(1, 7))):
+            queue = []
+            for _ in range(int(rng.choice([0, 0, 1, 3, 6]))):
+                point, level = divmod(next(pairs), len(costs))
+                cost = costs[level] * (8.0 if rng.random() < 0.1 else 1.0)
+                queue.append((AugmentedInput(point, level), float(rng.choice(rates)) * cost,
+                              cost))
+            queues.append(queue)
+        m_b = float(rng.choice([0.5, 1.5, 3.0, 6.0]))
+        want = selection_arrays(reference_merge_queues(queues, m_b))
+        got = _merge_queues([selection_arrays(q) for q in queues], m_b)
+        assert got[0].dtype == np.intp and got[0].shape == want[0].shape
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_no_duplicate_evaluations(self):
         spec, pool, oracle = small_synthetic(n=50, seed=4)
@@ -200,12 +234,24 @@ class TestExperiment:
         mc = run_experiment(pool, base_config(seed=7, method="mc"), oracle)
         first = random_acquisition(pool, level0, 6.0, seed=[7, 1])
         second = random_acquisition(pool, level0, 3.0, seed=[7, 2], exclude=first)
-        np.testing.assert_array_equal(mc.log.inputs, first + second)
+        np.testing.assert_array_equal(mc.log.inputs, np.concatenate([first, second]))
         init = random_acquisition(pool, base_config().fidelities, 6.0, seed=[7, 0])
         for method in ("bams", "mcm-gp"):
             result = run_experiment(pool, base_config(seed=7, batches=1, method=method),
                                     oracle)
             np.testing.assert_array_equal(result.log.inputs, init)
+
+    @pytest.mark.parametrize("method", ["bams", "bas", "mc-gp", "mcm-gp", "mc", "ce"])
+    def test_batch_records_hold_the_logged_rows(self, method):
+        spec, pool, oracle = small_synthetic(n=60, seed=11)
+        result = run_experiment(pool, base_config(seed=11, batches=3, method=method), oracle)
+        log = result.log
+        for rec in result.batches:
+            assert rec.inputs.dtype == np.intp
+            np.testing.assert_array_equal(rec.inputs, log.inputs[log.batches == rec.index])
+            assert rec.delta_j.shape == rec.cost.shape == (len(rec.inputs),)
+            levels = rec.inputs[:, 1].tolist()
+            assert rec.cost.tolist() == [result.config.fidelities.cost(l) for l in levels]
 
     def test_single_fidelity_methods_drop_extra_levels(self):
         config = base_config(method="bas")
@@ -247,10 +293,10 @@ class TestExperiment:
             members = assign.members(cid)
             budget = float(np.ceil(config.eta * config.m_b * len(members) /
                                    pool.n_points))
-            queue = _cluster_queue(state, pool, members, evaluated,
-                                   config.fidelities.costs, budget)
+            inputs, _, cost = _cluster_queue(state, pool, members, evaluated,
+                                             config.fidelities.costs, budget)
             n_cands = int((~evaluated[members]).sum())
-            assert sum(q[2] for q in queue) >= budget or len(queue) == n_cands
+            assert sum(cost.tolist()) >= budget or len(inputs) == n_cands
 
 
 class TestClusterQueueArrays:
@@ -281,13 +327,11 @@ class TestClusterQueueArrays:
             budget = float(np.ceil(config.eta * config.m_b * len(members) / pool.n_points))
             got = _cluster_queue(state, pool, members, mask, costs, budget)
             want = reference_cluster_queue(state, pool, members, done, costs, budget)
-            assert [g[0] for g in got] == [w[0] for w in want]
-            assert all(type(g[0]) is AugmentedInput for g in got)
-            assert (np.array([g[1] for g in got]).tobytes()
-                    == np.array([w[1] for w in want]).tobytes())
-            assert [g[2] for g in got] == [w[2] for w in want]
+            assert got[0].dtype == np.intp and got[0].shape == want[0].shape
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
         assert any(len(_cluster_queue(state, pool, assign.members(cid), evaluated, costs,
-                                      5.0)) > 1 for cid in range(assign.n_clusters))
+                                      5.0)[0]) > 1 for cid in range(assign.n_clusters))
 
 
 class TestAdaptiveBudgetFloor:

@@ -5,6 +5,7 @@ from rare_sampler import (InvalidInputError, ScoreVector, importance_scores,
                           recall_at_budget, repeated_is_trials,
                           retention_recall_curve, splitting_bound)
 from rare_sampler.estimator import FailureField
+from rare_sampler.evaluation import IsOptions
 
 from helpers import is_rate_trial
 
@@ -148,6 +149,26 @@ class TestRepeatedTrials:
         a = repeated_is_trials(sv, truth, K=20, trials=25, seed=9)
         b = repeated_is_trials(sv, truth, K=20, trials=25, seed=9)
         assert a == b
+
+
+class TestIsOptions:
+    def test_sample_size_is_k_or_rounded_multiple(self):
+        truth = np.arange(100) < 7
+        assert IsOptions().sample_size(truth) == 35
+        assert IsOptions(k_multiple=0.5).sample_size(truth) == 4      # round(3.5)
+        assert IsOptions(k=3, k_multiple=0.01).sample_size(truth) == 3
+        with pytest.raises(InvalidInputError, match=r"K must be >= 1, got 0 \(k_multiple "
+                                                    r"0\.05 x 7 failures\)"):
+            IsOptions(k_multiple=0.05).sample_size(truth)
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("alpha", -1.0, "alpha must be"), ("alpha", np.inf, "alpha must be"),
+        ("alpha", np.nan, "alpha must be"), ("k_multiple", 0.0, "k_multiple must be"),
+        ("k_multiple", np.nan, "k_multiple must be"), ("k", 0, "K must be >= 1"),
+        ("trials", 1, "trials must be >= 2")])
+    def test_out_of_range_settings_rejected(self, name, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            IsOptions(**{name: value})
 
 
 class TestRetentionRecall:

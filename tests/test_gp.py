@@ -333,6 +333,15 @@ class TestMarginalLikelihood:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(iters=-5), "iters must be >= 0, got -5"), (dict(lr=0.0), "lr must be positive"),
+        (dict(lr=-0.05), "lr must be positive"), (dict(lr=np.nan), "lr must be positive"),
+        (dict(lr=np.inf), "lr must be positive")])
+    def test_out_of_range_options_rejected(self, kwargs, message):
+        # a negative rate would descend the likelihood, negative iters skip training
+        with pytest.raises(InvalidInputError, match=message):
+            TrainOptions(**kwargs)
+
     def test_zero_iterations_returns_init(self):
         rng = np.random.default_rng(8)
         pool, log, hyper, _ = random_problem(rng)

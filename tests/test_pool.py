@@ -188,8 +188,8 @@ class TestRandomAcquisitionExclude:
         pairs = [(i, i % 2) for i in range(0, 30, 3)]
         from_pairs = random_acquisition(pool, fid, 6.0, seed=4, exclude=pairs)
         from_array = random_acquisition(pool, fid, 6.0, seed=4, exclude=np.array(pairs))
-        assert from_pairs == from_array
-        assert not set(from_pairs) & set(pairs)
+        np.testing.assert_array_equal(from_pairs, from_array)
+        assert not set(map(tuple, from_pairs.tolist())) & set(pairs)
 
     @pytest.mark.parametrize("index", [-1, 30])
     def test_out_of_pool_exclude_raises(self, index):

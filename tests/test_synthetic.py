@@ -52,6 +52,14 @@ class TestOracle:
         assert abs(resid.mean()) < 3 * 0.1 / 100.0
         assert 0.095 <= resid.std() <= 0.105
 
+    def test_negative_seeds_rejected(self):
+        # numpy's default_rng takes no negative seed, so each owner names its own
+        with pytest.raises(InvalidInputError, match="pool seed must be >= 0, got -3"):
+            SyntheticSpec(seed=-3)
+        pool = generate_pool(SyntheticSpec(n_points=10))
+        with pytest.raises(InvalidInputError, match="noise_seed must be >= 0, got -2"):
+            SyntheticOracle(pool, SyntheticSpec(), noise_seed=-2)
+
     def test_unknown_level_rejected(self):
         spec = SyntheticSpec()
         pool = generate_pool(SyntheticSpec(n_points=10))
