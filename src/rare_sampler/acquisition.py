@@ -50,6 +50,8 @@ _ROW_TOL = 1e-12
 
 _BLOCK = 192  # exact-stage column block
 
+_TC_CHUNK = 2048  # candidate columns per pass of the scaled-row assembly
+
 # Chebyshev interpolation of a -> 2*OwenT(s, a) on [0, 1]: degree 14 keeps the
 # absolute error below 6e-12, well under the selection tolerances
 _CHEB_N = 15
@@ -196,18 +198,23 @@ class PendingSet:
 
         base = matern25_matrix(tp[act], pool.points[upts], hyper.lengthscales,
                                hyper.signal_var)
-        # assemble scaled rows chunk-wise: the rows are divided by sigma_t so
-        # projection increments come out already divided by the target variance
+        # assemble the scaled rows in TC: the base columns gathered once (inv
+        # is in range, and mode="clip" spares the copy of TC that the default
+        # mode makes), then chunk-wise the training correction subtracted and
+        # the rows divided by sigma_t, so projection increments come out
+        # already divided by the target variance
         TC = np.empty((self.n_live_targets, len(self.candidates)))
+        np.take(base, inv, axis=1, out=TC, mode="clip")
+        del base
         inv_sd = (1.0 / np.sqrt(self.var_T))[:, None]
         VaT = Va[:, act].T if Va is not None else None
-        for s0 in range(0, TC.shape[1], 2048):
-            sl = slice(s0, min(s0 + 2048, TC.shape[1]))
-            chunk = base[:, inv[sl]]
+        prod = np.empty((TC.shape[0], min(TC.shape[1], _TC_CHUNK)))
+        for s0 in range(0, TC.shape[1], _TC_CHUNK):
+            sl = slice(s0, min(s0 + _TC_CHUNK, TC.shape[1]))
+            chunk = TC[:, sl]
             if VaT is not None:
-                chunk = chunk - VaT @ Vc[:, sl]
+                chunk -= np.matmul(VaT, Vc[:, sl], out=prod[:, :chunk.shape[1]])
             chunk *= inv_sd
-            TC[:, sl] = chunk
         self.TCs = TC
 
         self.h_C = var_c + noise_variances(cl, hyper)

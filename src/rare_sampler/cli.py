@@ -261,6 +261,12 @@ def cmd_run(args) -> int:
         run_cfg = RunConfig(gamma=gamma, fidelities=fidelities, method=method,
                             train=TrainOptions(**cfg.settings(TrainOptions)),
                             **cfg.settings(RunConfig))
+        try:
+            run_cfg.check_pool(pool.n_points)
+        except InvalidInputError as exc:
+            keys = cfg.sections.get("method", {})
+            cv = keys.get("initial_clusters") or keys.get("clusters")
+            raise ConfigError(f"line {cv.line}: {exc}" if cv else str(exc)) from None
         oracle = _build_oracle(cfg, pool, spec)
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -7,8 +7,9 @@ cheap stand-in for kernel distance.  K-means first over-segments into
 S_hat > S clusters; the smallest cluster is then repeatedly merged into
 its nearest neighbor under the Hausdorff set distance until at most S
 remain.  The merges work on the points ordered by k-means label: a merged
-cluster is a list of contiguous k-means blocks, and each merge builds one
-distance block and reduces it per k-means block.
+cluster is a list of contiguous k-means blocks, and each merge builds its
+distance block in row tiles of a fixed byte budget and reduces each tile
+per k-means block.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .gp import GpHyperparams
 from .pool import EmbeddingPool
 
 _KMEANS_MAX_ITER = 100
+
+# Bytes of one float32 distance tile of a merge: the smallest cluster's rows
+# are taken this many bytes' worth of pool columns at a time, so a merge's
+# working memory is this budget plus O(N), not |A| x N.
+_MERGE_TILE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -183,11 +189,13 @@ def cluster_with_merges(pool: EmbeddingPool, hyper: GpHyperparams, S: int,
     Ties (smallest size, nearest distance) break on lowest cluster id.
     The points are sorted by k-means label once, so each k-means cluster is
     a contiguous block and a merged cluster is a list of blocks.  Each merge
-    computes one float32 block of squared distances from the smallest
-    cluster to all points and reduces it per k-means block with
-    ``reduceat``: row minima (|A| x S_hat) and maxima of the column minima
-    (S_hat).  Min and max are exact, so every comparison sees the values an
-    unsorted, per-neighbor pass would.
+    computes float32 squared distances from the smallest cluster to all
+    points, in tiles of its rows of about ``_MERGE_TILE_BYTES``, and
+    reduces them per k-means block with ``reduceat``: row minima
+    (|A| x S_hat) per tile, a running minimum over the tiles of the column
+    minima (N), and the maxima of those per block (S_hat).  Min and max are
+    exact, so every comparison sees the values an untiled, per-neighbor
+    pass over the same distances would.
     """
     if not 1 <= S <= S_hat <= pool.n_points:
         raise InvalidInputError("need 1 <= S <= S_hat <= N")
@@ -198,16 +206,26 @@ def cluster_with_merges(pool: EmbeddingPool, hyper: GpHyperparams, S: int,
     # dense labels: every block is nonempty, so starts rise strictly
     ends = np.cumsum(counts)
     starts = ends - counts
+    tile = max(1, _MERGE_TILE_BYTES // (4 * len(z32)))  # float32 rows per tile
     groups: dict[int, list[int]] = {j: [j] for j in range(counts.size)}
     while len(groups) > S:
         smallest = min(groups, key=lambda c: (int(counts[groups[c]].sum()), c))
         a = np.concatenate([z32[starts[b]:ends[b]] for b in groups[smallest]])
         # squared distances preserve the min/max ordering; sqrt only at the end
-        d2 = _sq_dists(a, z32)
-        np.maximum(d2, 0.0, out=d2)
-        row_min = np.minimum.reduceat(d2, starts, axis=1)
-        col_max = np.maximum.reduceat(d2.min(axis=0), starts)
-        del d2  # free this block before the next merge allocates its own
+        row_min = np.empty((len(a), counts.size), dtype=np.float32)
+        col_min = np.full(len(z32), np.inf, dtype=np.float32)
+        cuts = list(range(0, len(a), tile)) + [len(a)]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+            # a one-row product takes numpy's matrix-vector path, whose last
+            # bits differ from the GEMM's: the previous tile takes the row
+            del cuts[-2]
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            d2 = _sq_dists(a[r0:r1], z32)
+            np.maximum(d2, 0.0, out=d2)
+            row_min[r0:r1] = np.minimum.reduceat(d2, starts, axis=1)
+            np.minimum(col_min, d2.min(axis=0), out=col_min)
+            del d2  # free this tile before the next one allocates its own
+        col_max = np.maximum.reduceat(col_min, starts)
         best = None
         for cid, blocks in groups.items():
             if cid == smallest:

@@ -74,6 +74,15 @@ class RunConfig:
     def s_hat_effective(self) -> int:
         return self.S_hat if self.S_hat is not None else 2 * self.S
 
+    def check_pool(self, n_points: int) -> None:
+        """Reject an S_hat above the pool size when the run clusters the pool
+        (an adaptive method with a second batch), before any oracle call."""
+        if (self.method in _ADAPTIVE_METHODS and self.batches > 1
+                and self.s_hat_effective > n_points):
+            raise InvalidInputError(
+                f"initial_clusters S_hat = {self.s_hat_effective} exceeds the pool "
+                f"size N = {n_points}; an adaptive batch needs S <= S_hat <= N")
+
 
 def run_random_batch(pool: EmbeddingPool, fidelities: FidelityConfig, budget: float,
                      oracle, log: EvaluationLog, batch_index: int, seed):
@@ -226,6 +235,7 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
     batch, an adaptive batch (bams, bas after batch 1) or a random batch from
     the stream [seed, b] ([seed, 0] for a GP method's batch 1).  A GP method
     then retrains, refits and snapshots its failure field."""
+    config.check_pool(pool.n_points)
     fidelities = config.fidelities
     gp = config.method not in ("mc", "ce")
     ce = CrossEntropy(pool, seed=[config.seed, 1]) if config.method == "ce" else None

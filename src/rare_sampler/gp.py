@@ -27,6 +27,11 @@ SQRT5 = np.sqrt(5.0)
 # tenfold per attempt and gives up at 1e-2.
 _JITTER_LADDER = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
+# Query rows per pass of a posterior over many points (the pool-scale failure
+# field): the cross-kernel and its triangular solve hold one tile, not the
+# whole pool.
+_QUERY_TILE = 2048
+
 
 @dataclass(frozen=True)
 class GpHyperparams:
@@ -167,10 +172,19 @@ def _matern_scaled(a: np.ndarray, na: np.ndarray, b: np.ndarray, nb: np.ndarray,
     """Matern-5/2 kernel matrix between lengthscale-scaled points ``a`` and
     ``b`` with squared norms ``na`` and ``nb``.
 
-    One GEMM writes a b^T into the output (a GEMM per row block would change
-    the last bits of some rows), which ``_ROW_BLOCK`` rows at a time becomes
-    signal_var * (1 + sr + sr^2 / 3) * exp(-sr) with sr = sqrt5 * r, through
-    in-place ufuncs in exactly that operation order.
+    One GEMM writes a b^T into the output, which ``_ROW_BLOCK`` rows at a
+    time becomes signal_var * (1 + sr + sr^2 / 3) * exp(-sr) with
+    sr = sqrt5 * r, through in-place ufuncs in exactly that operation order.
+
+    Where a GEMM is split can change the last bits of some entries (a GEMM
+    per ``_ROW_BLOCK`` block here would), so a product is split only where
+    working memory needs it and the results were checked: the pool-scale
+    queries of ``PosteriorState.mean_var_norm``, one GEMM per query tile (at
+    2048 rows a few entries in a million move by one ulp, and the failure
+    field's p came out bitwise equal), and the merges' float32 distance
+    tiles in ``clustering`` (bitwise equal for tiles of two rows or more).
+    ``PendingSet``'s base block stays one GEMM: built per candidate chunk,
+    it moved selection gains in their last bits.
     """
     out = np.matmul(a, b.T)
     rows = min(len(a), _ROW_BLOCK)
@@ -266,13 +280,22 @@ class PosteriorState:
                                 self.hyper)
 
     def mean_var_norm(self, points: np.ndarray, levels: np.ndarray):
+        """Normalized posterior mean and variance, ``_QUERY_TILE`` query rows
+        at a time: the cross-kernel and its triangular solve never exceed
+        one tile of rows, whatever the number of queries."""
         prior = prior_variances(levels, self.hyper)
         if self.n_train == 0:
             return np.zeros(len(levels)), prior
-        Kq = self._cross_to_train(points, levels)
-        mu = Kq @ self.alpha
-        v = solve_triangular(self.chol, Kq.T, lower=True)
-        var = np.maximum(prior - np.einsum("ij,ij->j", v, v), 0.0)
+        mu = np.empty(len(levels))
+        var = np.empty(len(levels))
+        for i0 in range(0, len(levels), _QUERY_TILE):
+            rows = slice(i0, i0 + _QUERY_TILE)
+            Kq = self._cross_to_train(points[rows], levels[rows])
+            mu[rows] = Kq @ self.alpha
+            # Kq.T is Fortran-ordered, so the solve overwrites it in place
+            v = solve_triangular(self.chol, Kq.T, lower=True, overwrite_b=True)
+            np.maximum(prior[rows] - np.einsum("ij,ij->j", v, v), 0.0, out=var[rows])
+            del Kq, v  # free this tile before the next one allocates its own
         return mu, var
 
     def cross_cov_norm(self, pa, la, pb, lb) -> np.ndarray:

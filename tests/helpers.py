@@ -11,16 +11,18 @@ from rare_sampler import (AugmentedInput, CeState, ClusterAssignment, EmbeddingP
                           EvaluationLog, FidelityConfig, GpHyperparams, InvalidInputError,
                           acquisition_J, fit_posterior, gaussian_pdf_scores, kmeans, mc_scores,
                           run_random_batch, scale_points)
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from rare_sampler import EmptySelectionError, PendingSet, select_batch
+from rare_sampler import acquisition
 from rare_sampler.acquisition import _BLOCK, _beta_slope, point_variance_beta
 from rare_sampler.baselines import CE_ELITES, CE_VAR_FLOOR_REL, _fit_elite_gaussian
 from rare_sampler.clustering import _relabel
 from rare_sampler.estimator import SIGMA_FLOOR
-from rare_sampler.gp import (SQRT5, _matern_pairs, _MllWork, _solve_chol, mf_kernel_matrix,
-                             noise_variances, prior_variances)
+from rare_sampler.gp import (SQRT5, _matern_pairs, _MllWork, _solve_chol, matern25_matrix,
+                             mf_kernel_matrix, noise_variances, prior_variances)
 from rare_sampler.pool import gather_points
 
 
@@ -140,6 +142,61 @@ def dense_posterior_oracle(pool, log, hyper, q_points, q_levels):
     mu = Kq @ Kinv @ y
     var = prior - np.einsum("ij,jk,ik->i", Kq, Kinv, Kq)
     return mu * y_std + y_mean, np.maximum(var, 0.0) * y_std**2
+
+
+def reference_mean_var_norm(state, points, levels):
+    """``PosteriorState.mean_var_norm`` in one pass over every query: the
+    whole cross-kernel and its triangular solve at once."""
+    prior = prior_variances(levels, state.hyper)
+    if state.n_train == 0:
+        return np.zeros(len(levels)), prior
+    Kq = mf_kernel_matrix(points, levels, state.train_points, state.train_levels,
+                          state.hyper)
+    mu = Kq @ state.alpha
+    v = solve_triangular(state.chol, Kq.T, lower=True)
+    return mu, np.maximum(prior - np.einsum("ij,ij->j", v, v), 0.0)
+
+
+def reference_scaled_rows(state, pool, targets, candidates):
+    """``PendingSet.TCs`` assembled as fresh arrays: the live targets' rows of
+    the posterior covariance to every candidate, divided by the target sd,
+    one new 2048-column chunk per pass (gathered base columns minus a new
+    product), copied into the result."""
+    hyper = state.hyper
+    tp, tl = gather_points(pool, targets)
+    cand_idx, cl = np.asarray(candidates).T
+    upts, inv = np.unique(cand_idx, return_inverse=True)
+    if state.n_train:
+        Kxt = mf_kernel_matrix(state.train_points, state.train_levels, tp, tl, hyper)
+        Va = solve_triangular(state.chol, Kxt, lower=True)
+        Vc = solve_triangular(state.chol, mf_kernel_matrix(
+            state.train_points, state.train_levels, pool.points[cand_idx], cl, hyper),
+            lower=True)
+        mu_t = Kxt.T @ state.alpha
+        var_t = np.maximum(prior_variances(tl, hyper) - np.einsum("ij,ij->j", Va, Va), 0.0)
+    else:
+        Va = None
+        mu_t, var_t = np.zeros(len(tl)), prior_variances(tl, hyper)
+    # the live rows: PendingSet's pruning rule
+    act = var_t >= SIGMA_FLOOR**2
+    s_all = np.zeros(len(tl))
+    s_all[act] = (state.gamma_norm - mu_t[act]) / np.sqrt(var_t[act])
+    beta0 = np.where(act, point_variance_beta(s_all, 1.0), 0.0)
+    order = np.argsort(beta0, kind="stable")
+    act[order[np.cumsum(beta0[order]) <= acquisition._ROW_TOL * beta0.sum()]] = False
+    base = matern25_matrix(tp[act], pool.points[upts], hyper.lengthscales,
+                           hyper.signal_var)
+    TC = np.empty((int(act.sum()), len(cl)))
+    inv_sd = (1.0 / np.sqrt(var_t[act]))[:, None]
+    VaT = Va[:, act].T if Va is not None else None
+    for s0 in range(0, TC.shape[1], 2048):
+        sl = slice(s0, min(s0 + 2048, TC.shape[1]))
+        chunk = base[:, inv[sl]]
+        if VaT is not None:
+            chunk = chunk - VaT @ Vc[:, sl]
+        chunk *= inv_sd
+        TC[:, sl] = chunk
+    return TC
 
 
 def dense_mll_reference(pool, log, hyper, *, work=None, extra=0.0):

@@ -11,7 +11,8 @@ from rare_sampler.acquisition import point_variance_beta
 from rare_sampler.estimator import bivariate_normal_cdf
 
 from helpers import (ReferencePendingSet, forward_point_variance, naive_select_batch,
-                     random_problem, selection_arrays, simulate_conditioned_posteriors)
+                     random_problem, reference_scaled_rows, selection_arrays,
+                     simulate_conditioned_posteriors)
 
 
 class TestPointVarianceBeta:
@@ -367,6 +368,36 @@ class TestTargetPruning:
         for expected in sorted(cands)[:3]:
             chosen, dj = pending.select_next()
             assert chosen == expected and dj == 0.0
+
+
+class TestScaledRows:
+    """``PendingSet`` writes each candidate chunk of its scaled rows straight
+    into ``TCs``; the values must be those of the fresh-array assembly."""
+
+    @pytest.mark.parametrize("row_tol", [1e-12, 1e-2])
+    @pytest.mark.parametrize("n_points,n_train,n_levels", [
+        (300, 10, 2), (2300, 0, 1), (1500, 30, 2), (1400, 12, 3)])
+    def test_matches_fresh_array_assembly(self, monkeypatch, n_points, n_train,
+                                          n_levels, row_tol):
+        # candidate counts from one 2048-column chunk to four, the last partial
+        import rare_sampler.acquisition as acq
+        monkeypatch.setattr(acq, "_ROW_TOL", row_tol)
+        rng = np.random.default_rng(n_points + n_train + n_levels)
+        pool, log, _, state = random_problem(rng, n_points=n_points, n_train=n_train,
+                                             n_levels=n_levels, spread=2.0)
+        members = rng.choice(n_points, 150, replace=False)
+        targets = np.column_stack([members, np.zeros_like(members)])
+        points = np.repeat(np.arange(n_points), n_levels)
+        levels = np.tile(np.arange(n_levels), n_points)
+        seen = np.zeros((n_points, n_levels), dtype=bool)
+        seen[log.inputs[:, 0], log.inputs[:, 1]] = True
+        keep = ~seen[points, levels]
+        candidates = np.column_stack([points[keep], levels[keep]])
+        costs = np.array([1.0, 0.25, 0.1])[candidates[:, 1]]
+        pending = PendingSet(state, pool, targets, candidates, costs)
+        want = reference_scaled_rows(state, pool, targets, candidates)
+        assert pending.TCs.shape == want.shape == (pending.n_live_targets, len(candidates))
+        np.testing.assert_array_equal(pending.TCs, want)
 
 
 def _duplicated_problem(seed, n_levels=2, jitter=1e-6):

@@ -390,6 +390,40 @@ class TestRunCommand:
         assert not calls
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method,edits,line", [
+        ("bams", (("clusters = 2\n", "clusters = 200\n"),
+                  ("initial_clusters = 4", "initial_clusters = 400")), 15),
+        ("bas", (("initial_clusters = 4", "initial_clusters = 301"),), 15),
+        ("bams", (("clusters = 2\n", "clusters = 200\n"),
+                  ("initial_clusters = 4\n", "")), 14)],
+        ids=["bams-initial_clusters", "bas-initial_clusters", "bams-2S"])
+    def test_more_initial_clusters_than_points_fail_before_the_run(
+            self, tmp_path, capsys, monkeypatch, method, edits, line):
+        # S_hat > N is a config error naming its line before the oracle is
+        # called or --out is made, not a failure of the first adaptive batch
+        calls = []
+        monkeypatch.setattr(SyntheticOracle, "__call__",
+                            lambda oracle, i, level: calls.append((i, level)))
+        cfg = synthetic_config(tmp_path, method=method, n=300)
+        for old, new in edits:
+            assert old in cfg.read_text()
+            cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        s_hat = 301 if method == "bas" else 400
+        assert capsys.readouterr().err == (
+            f"config error: line {line}: initial_clusters S_hat = {s_hat} exceeds "
+            f"the pool size N = 300; an adaptive batch needs S <= S_hat <= N\n")
+        assert not calls
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method,batches", [("bams", 1), ("mcm-gp", 2), ("mc", 2)])
+    def test_runs_that_never_cluster_take_any_initial_clusters(self, tmp_path, method,
+                                                               batches):
+        cfg = synthetic_config(tmp_path, method=method, n=300)
+        cfg.write_text(cfg.read_text().replace("initial_clusters = 4", "initial_clusters = 400")
+                       .replace("batches = 2", f"batches = {batches}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("method", ["mc", "ce"])
     def test_no_failure_drawn_reports_nan_rv(self, tmp_path, capsys, method):
         # one failure in a 600-point pool and K = 2: no IS trial draws it

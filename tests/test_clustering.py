@@ -266,7 +266,23 @@ class TestClusterWithMerges:
                 got = cluster_with_merges(pool, h, S=S, S_hat=S_hat, seed=k)
                 np.testing.assert_array_equal(got.labels, want.labels)
 
-    def test_peak_memory_is_one_distance_block(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_tiles_give_the_same_labels(self, monkeypatch, d, rows):
+        # a merge's distance tiles hold `rows` rows of the smallest cluster
+        n = 1000
+        rng = np.random.default_rng(700 + d)
+        h = hyper_with_lengthscales(rng.uniform(0.3, 3.0, d))
+        raw = rng.standard_normal((n, d)) * 2.0
+        monkeypatch.setattr(clustering, "_MERGE_TILE_BYTES", 4 * n * rows)
+        for points in (raw, np.round(raw, 1)):
+            pool = EmbeddingPool(points)
+            for k, (S, S_hat) in enumerate(self.MERGE_CASES[n]):
+                want = reference_cluster_with_merges(pool, h, S, S_hat, seed=k)
+                got = cluster_with_merges(pool, h, S=S, S_hat=S_hat, seed=k)
+                np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_peak_memory_is_one_distance_tile(self, monkeypatch):
         rng = np.random.default_rng(13)
         pool = EmbeddingPool(rng.standard_normal((6000, 2)))
         h = hyper_with_lengthscales([0.7, 1.3])
@@ -284,8 +300,29 @@ class TestClusterWithMerges:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(block_rows) == 6
+        tile = clustering._MERGE_TILE_BYTES // (4 * pool.n_points)
+        # six merges, some in several tiles; a trailing single row joins the
+        # tile before it
+        assert len(block_rows) > 6
+        assert max(block_rows) <= tile + 1
         assert peak <= 1.25 * max(block_rows) * pool.n_points * 4
+
+    def test_merge_memory_stays_within_the_tile_budget(self):
+        rng = np.random.default_rng(14)
+        n = 8000
+        pool = EmbeddingPool(rng.standard_normal((n, 2)))
+        h = hyper_with_lengthscales([0.7, 1.3])
+        tracemalloc.start()
+        try:
+            assign = cluster_with_merges(pool, h, S=2, S_hat=4, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert assign.n_clusters == 2
+        # one distance tile plus O(N): scaled points, k-means distances and
+        # labels, sort orders and the column minima; a whole |A| x N block
+        # of the smaller cluster (about 2000 rows) took 64 MB
+        assert peak <= clustering._MERGE_TILE_BYTES + 128 * n
 
     def test_bad_cluster_counts_rejected(self):
         pool = EmbeddingPool(np.random.default_rng(0).standard_normal((10, 2)))

@@ -276,6 +276,21 @@ class TestExperiment:
         header = (tmp_path / "log.csv").read_text().splitlines()[0]
         assert header == "point_index,level,f,batch"
 
+    @pytest.mark.parametrize("method", ["bams", "bas"])
+    def test_more_initial_clusters_than_points_rejected_before_batch_1(self, method):
+        _, pool, oracle = small_synthetic(n=30)
+        calls = []
+
+        def counting(i, level):
+            calls.append((i, level))
+            return oracle(i, level)
+
+        with pytest.raises(InvalidInputError, match="S_hat = 31 exceeds the pool size N = 30"):
+            run_experiment(pool, base_config(method=method, S_hat=31), counting)
+        assert not calls
+        # S_hat = N still clusters
+        run_experiment(pool, base_config(method=method, S_hat=30), counting)
+
     def test_cluster_queue_budget_invariant(self):
         # each cluster queue reaches its proportional budget unless exhausted
         spec, pool, oracle = small_synthetic(n=60, seed=10)

@@ -313,6 +313,23 @@ class TestPropositionBound:
             assert estimator_variance_exact(state, pool) <= \
                 variance_upper_bound(field) + 1e-10
 
+    @pytest.mark.parametrize("n_levels", [1, 2])
+    @pytest.mark.parametrize("n_points,n_train,seed", [
+        (5, 1, 0), (17, 3, 1), (40, 6, 2), (64, 10, 3), (90, 4, 4), (130, 20, 5)])
+    def test_readme_bound_over_query_tiles(self, monkeypatch, n_points, n_train, seed,
+                                           n_levels):
+        # the mean point variance bounds the exact estimator variance; with
+        # 16-row query tiles both come from a tiled posterior.  Each pair term
+        # is accurate to about 1e-16, so the pair average is to well under 1e-14
+        from rare_sampler import gp
+        monkeypatch.setattr(gp, "_QUERY_TILE", 16)
+        rng = np.random.default_rng(2000 + seed)
+        pool, _, _, state = random_problem(rng, n_points=n_points, n_train=n_train,
+                                           n_levels=n_levels, spread=1.5)
+        field = failure_prob(state, pool.points)
+        exact = estimator_variance_exact(state, pool)
+        assert 0.0 <= exact <= variance_upper_bound(field) + 1e-14
+
     def test_empty_field_rejected(self):
         with pytest.raises(InvalidInputError):
             variance_upper_bound(FailureField(p=np.empty(0)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, GpHyperparams,
-                          InvalidInputError, TrainOptions, fit_posterior,
+                          InvalidInputError, TrainOptions, failure_prob, fit_posterior,
                           marginal_log_likelihood, posterior_mean_var, train_hyperparameters)
 from rare_sampler import gp
 from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_kernel_matrix,
@@ -13,7 +13,7 @@ from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_ke
 from helpers import (dense_mll_reference, dense_posterior_oracle, hyper_from_text,
                      matern25_kernel, multifidelity_kernel, posterior_cross_cov,
                      random_problem, reference_from_vector,
-                     reference_marginal_log_likelihood)
+                     reference_marginal_log_likelihood, reference_mean_var_norm)
 
 
 def leveled_problem(level_counts, dim=2, seed=0):
@@ -222,6 +222,59 @@ class TestPosterior:
         with pytest.raises(InvalidInputError):
             log.append(AugmentedInput(0, 0), 2.0, 1)
         log.append(AugmentedInput(0, 1), 2.0, 1)  # other level is fine
+
+
+class TestTiledPosterior:
+    """``mean_var_norm`` takes the queries ``_QUERY_TILE`` rows at a time; the
+    tiles must give the one-pass posterior, and its memory one tile."""
+
+    @pytest.mark.parametrize("n_train", [0, 2, 40])
+    @pytest.mark.parametrize("n_levels", [1, 2])
+    @pytest.mark.parametrize("n_query", [1, 63, 64, 65, 200])
+    def test_tiles_match_one_pass(self, monkeypatch, n_query, n_levels, n_train):
+        monkeypatch.setattr(gp, "_QUERY_TILE", 64)
+        rng = np.random.default_rng(100 * n_query + 10 * n_levels + n_train)
+        _, _, hyper, state = random_problem(rng, n_points=50, n_train=n_train,
+                                            n_levels=n_levels, spread=1.5)
+        points = 1.5 * rng.standard_normal((n_query, 2))
+        levels = rng.integers(0, n_levels, n_query)
+        mu, var = state.mean_var_norm(points, levels)
+        mu_ref, var_ref = reference_mean_var_norm(state, points, levels)
+        if n_query <= 64:
+            np.testing.assert_array_equal(mu, mu_ref)
+            np.testing.assert_array_equal(var, var_ref)
+            return
+        # a tile's GEMM may round a kernel entry differently: allow 4 ulp of
+        # each sum's scale, |K| |alpha| for the mean and the prior for the variance
+        prior = gp.prior_variances(levels, hyper)
+        mu_scale = np.zeros(n_query)
+        if n_train:
+            K = mf_kernel_matrix(points, levels, state.train_points, state.train_levels,
+                                 hyper)
+            mu_scale = np.abs(K) @ np.abs(state.alpha)
+        assert np.all(np.abs(mu - mu_ref) <= 4 * np.spacing(mu_scale))
+        assert np.all(np.abs(var - var_ref) <= 4 * np.spacing(prior))
+
+    def test_failure_field_memory_is_one_tile(self):
+        rng = np.random.default_rng(31)
+        n, n_train = 40_000, 150
+        pool = EmbeddingPool(rng.standard_normal((n, 2)))
+        log = EvaluationLog()
+        rows = rng.choice(n, n_train, replace=False)
+        log.append(np.column_stack([rows, np.zeros(n_train, dtype=np.intp)]),
+                   rng.standard_normal(n_train), 1)
+        state = fit_posterior(pool, log, GpHyperparams.defaults(pool), 0.0)
+        tracemalloc.start()
+        try:
+            field = failure_prob(state, pool.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.p.shape == (n,)
+        # one tile's cross-kernel (solved in place) with its finiteness check
+        # and the kernel's scratch, plus under 8 float64 arrays of N (mean,
+        # variance, prior, scores, p, h); the untiled field peaked at 97.6 MB
+        assert peak < 2 * gp._QUERY_TILE * n_train * 8 + 8 * 8 * n
 
 
 class TestMarginalLikelihood:
