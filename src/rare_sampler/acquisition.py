@@ -11,13 +11,15 @@ with s = (gamma - mu_n(x)) / sigma_n(x) and t_hat = 1 - proj / sigma_n^2(x).
 The acquisition J is the pool average of beta; greedy selection minimizes
 the cost-normalized decrease of J.
 
-``PendingSet`` maintains the projections for every (target, candidate)
-pair through rank-one updates, so a full greedy step costs O(|T| * |C|)
-instead of a fresh factorization per candidate.  Because beta is concave
-in t_hat with beta(s, 0) = 0, each candidate's gain admits certified
-tangent (lower) and chord (upper) bounds that are linear in the projection
-increment; the selector evaluates the exact gain only for candidates whose
-optimistic bound can still win.
+``PendingSet`` takes its targets' and candidates' posterior mean, variance
+and whitened cross-kernels from ``PosteriorState.query`` (zero rows for the
+prior) and maintains the projections for every (target, candidate) pair
+through rank-one updates, starting from zero pending rows, so a full greedy
+step costs O(|T| * |C|) instead of a fresh factorization per candidate.
+Because beta is concave in t_hat with beta(s, 0) = 0, each candidate's gain
+admits certified tangent (lower) and chord (upper) bounds that are linear in
+the projection increment; the selector evaluates the exact gain only for
+candidates whose optimistic bound can still win.
 
 Most targets of a cluster are already resolved: their point variance is
 zero or negligible.  Since beta(s, t_hat) falls as t_hat falls, a target
@@ -36,8 +38,7 @@ from scipy.special import owens_t
 
 from .errors import EmptySelectionError, InvalidInputError, NumericalError
 from .estimator import SIGMA_FLOOR
-from .gp import (PosteriorState, _matern_scaled, matern25_matrix, mf_kernel_matrix,
-                 noise_variances, prior_variances)
+from .gp import PosteriorState, _matern_scaled, matern25_matrix, noise_variances
 from .pool import AugmentedInput, EmbeddingPool, gather_points, input_array
 
 # Schur complements below this fraction of the largest candidate variance
@@ -109,13 +110,10 @@ def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
     if not np.any(active):
         return 0.0
     s = (state.gamma_norm - mu[active]) / np.sqrt(var[active])
-    if len(pending) == 0:
-        t_hat = np.ones(active.sum())
-    else:
-        mp, ml, L = _pending_solve(state, pool, pending)
-        cross = state.cross_cov_norm(mp, ml, tp[active], tl[active])
-        v = np.linalg.solve(L, cross)
-        t_hat = 1.0 - np.einsum("ij,ij->j", v, v) / var[active]
+    # an empty pending set has zero rows: v is (0, n) and t_hat exactly 1
+    mp, ml, L = _pending_solve(state, pool, pending)
+    v = np.linalg.solve(L, state.cross_cov_norm(mp, ml, tp[active], tl[active]))
+    t_hat = 1.0 - np.einsum("ij,ij->j", v, v) / var[active]
     return float(point_variance_beta(s, t_hat).sum()) / len(targets)
 
 
@@ -140,8 +138,9 @@ class PendingSet:
         self.state = state
         self.candidates = input_array(pool, candidates)
         self.costs = np.asarray(costs, dtype=np.float64)
-        if self.costs.shape != (len(self.candidates),) or np.any(self.costs <= 0):
-            raise InvalidInputError("costs must be positive, one per candidate")
+        if (self.costs.shape != (len(self.candidates),)
+                or not np.all((0.0 < self.costs) & (self.costs < np.inf))):
+            raise InvalidInputError("costs must be positive and finite, one per candidate")
         hyper = state.hyper
 
         tp, tl = gather_points(pool, targets)
@@ -160,24 +159,10 @@ class PendingSet:
         # block once per unique point and gather columns
         upts, inv = np.unique(cand_idx, return_inverse=True)
 
-        if state.n_train:
-            from scipy.linalg import solve_triangular
-            Kxt = mf_kernel_matrix(state.train_points, state.train_levels, tp, tl,
-                                   hyper)
-            Kxc = mf_kernel_matrix(state.train_points, state.train_levels, cp, cl,
-                                   hyper)
-            Va = solve_triangular(state.chol, Kxt, lower=True)
-            Vc = solve_triangular(state.chol, Kxc, lower=True)
-            mu_t = Kxt.T @ state.alpha
-            var_t = np.maximum(prior_variances(tl, hyper)
-                               - np.einsum("ij,ij->j", Va, Va), 0.0)
-            var_c = np.maximum(prior_variances(cl, hyper)
-                               - np.einsum("ij,ij->j", Vc, Vc), 0.0)
-        else:
-            Va = Vc = None
-            mu_t = np.zeros(self.n_targets)
-            var_t = prior_variances(tl, hyper)
-            var_c = prior_variances(cl, hyper)
+        # the whitened cross-kernels V = L^{-1} K(train, x) have one row per
+        # training input, none for the prior
+        mu_t, var_t, Va = state.query(tp, tl)
+        _, var_c, Vc = state.query(cp, cl)
         self._Vc = Vc
 
         act = var_t >= SIGMA_FLOOR**2
@@ -207,13 +192,12 @@ class PendingSet:
         np.take(base, inv, axis=1, out=TC, mode="clip")
         del base
         inv_sd = (1.0 / np.sqrt(self.var_T))[:, None]
-        VaT = Va[:, act].T if Va is not None else None
+        VaT = Va[:, act].T
         prod = np.empty((TC.shape[0], min(TC.shape[1], _TC_CHUNK)))
         for s0 in range(0, TC.shape[1], _TC_CHUNK):
             sl = slice(s0, min(s0 + _TC_CHUNK, TC.shape[1]))
             chunk = TC[:, sl]
-            if VaT is not None:
-                chunk -= np.matmul(VaT, Vc[:, sl], out=prod[:, :chunk.shape[1]])
+            chunk -= np.matmul(VaT, Vc[:, sl], out=prod[:, :chunk.shape[1]])
             chunk *= inv_sd
         self.TCs = TC
 
@@ -267,9 +251,8 @@ class PendingSet:
     # -- internals -------------------------------------------------------------
 
     def _stacks(self):
+        """The recursion rows of the k picks so far, zero rows at k = 0."""
         k = len(self._picked)
-        if not k:
-            return None, None
         return self._bT[:k], self._bC[:k]
 
     def _cov_to_candidates(self, idx: int) -> np.ndarray:
@@ -280,8 +263,6 @@ class PendingSet:
             r = row[idx]
             if r >= 0:
                 prior[cols] += _matern_scaled(b[r:r + 1], nb[r:r + 1], b, nb, sig)[0]
-        if self._Vc is None:
-            return prior
         return prior - self._Vc[:, idx] @ self._Vc
 
     def _beta_block(self, that_new: np.ndarray) -> np.ndarray:
@@ -309,9 +290,7 @@ class PendingSet:
         """Gains (sum over live targets of beta decrease) for candidate
         columns; beta_sum is the current sum of beta over the live targets."""
         bT, bC = self._stacks()
-        E = self.TCs[:, cols]
-        if bT is not None:
-            E = E - bT.T @ bC[:, cols]
+        E = self.TCs[:, cols] - bT.T @ bC[:, cols]
         np.square(E, out=E)
         E /= self.h_C[cols][None, :]
         that_new = np.clip(self.that_T[:, None] - E, 0.0, 1.0)
@@ -340,12 +319,9 @@ class PendingSet:
         for s0 in range(0, n_cand, chunk):
             sl = slice(s0, min(s0 + chunk, n_cand))
             E = buf[:, :sl.stop - s0]
-            if bT is not None:
-                np.matmul(bT.T, bC[:, sl], out=E)
-                np.subtract(TCs[:, sl], E, out=E)
-                np.square(E, out=E)
-            else:
-                np.square(TCs[:, sl], out=E)
+            np.matmul(bT.T, bC[:, sl], out=E)
+            np.subtract(TCs[:, sl], E, out=E)
+            np.square(E, out=E)
             np.matmul(W, E, out=G[:, sl])
         G /= np.maximum(self.h_C, self._h_floor)
         return G
@@ -428,11 +404,9 @@ class PendingSet:
             self._bC = np.concatenate([self._bC, np.empty_like(self._bC)])
         e_t = self._bT[k]
         e_t[:] = self.TCs[:, idx]
-        cov_c = self._cov_to_candidates(idx)
-        if bT is not None:
-            by = bC[:, idx]
-            e_t -= by @ bT
-            cov_c = cov_c - by @ bC
+        by = bC[:, idx]
+        e_t -= by @ bT
+        cov_c = self._cov_to_candidates(idx) - by @ bC
         h_y = self.h_C[idx]
         sq = np.sqrt(h_y)
         e_t /= sq
@@ -452,8 +426,8 @@ def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
     (m,) arrays.  Exhausting the candidates mid-way returns the partial
     selection; an initially empty candidate set raises EmptySelectionError.
     """
-    if budget <= 0:
-        raise InvalidInputError("budget must be positive")
+    if not 0.0 < budget < np.inf:
+        raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
     pending = PendingSet(state, pool, targets, candidates, costs)
     delta_j = []
     while pending.total_cost < budget:

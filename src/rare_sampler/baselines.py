@@ -32,8 +32,8 @@ def random_acquisition(pool: EmbeddingPool, fidelities: FidelityConfig,
     (n, 2) array) in one seeded permutation; an exhausted pool returns the
     partial selection.
     """
-    if budget <= 0:
-        raise InvalidInputError("budget must be positive")
+    if not 0.0 < budget < np.inf:
+        raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
     rng = np.random.default_rng(seed)
     excluded = input_array(pool, exclude)
     n = pool.n_points

@@ -46,12 +46,16 @@ class RunConfig:
     train: TrainOptions = field(default_factory=TrainOptions)
 
     def __post_init__(self):
-        if self.m1 <= 0 or self.m_b <= 0:
-            raise InvalidInputError("m1 and m_b must be positive")
+        # NaN compares false, so these reject it too
+        if not -np.inf < self.gamma < np.inf:
+            raise InvalidInputError(f"gamma must be finite, got {self.gamma!r}")
+        if not (0.0 < self.m1 < np.inf and 0.0 < self.m_b < np.inf):
+            raise InvalidInputError(f"m1 and m_b must be positive and finite, got "
+                                    f"{self.m1!r} and {self.m_b!r}")
         if self.batches < 1:
             raise InvalidInputError("batches must be >= 1")
-        if self.eta < 1.0:
-            raise InvalidInputError("eta must be >= 1")
+        if not 1.0 <= self.eta < np.inf:
+            raise InvalidInputError(f"eta must be >= 1 and finite, got {self.eta!r}")
         if self.seed < 0:
             raise InvalidInputError(f"run seed must be >= 0, got {self.seed}")
         if self.S < 1 or (self.S_hat is not None and self.S_hat < self.S):

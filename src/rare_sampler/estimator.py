@@ -77,7 +77,8 @@ class FailureField:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=np.float64)
-        if p.size and (p.min() < 0.0 or p.max() > 1.0):
+        # NaN compares false, so it is rejected too
+        if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
             raise InvalidInputError("failure probabilities must lie in [0, 1]")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "h", p * (1.0 - p))

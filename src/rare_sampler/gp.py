@@ -261,13 +261,9 @@ class PosteriorState:
     y_norm: np.ndarray
     gamma: float
     hyper: GpHyperparams
-    chol: np.ndarray | None
-    alpha: np.ndarray | None
+    chol: np.ndarray
+    alpha: np.ndarray
     extra_jitter: float = 0.0
-
-    @property
-    def n_train(self) -> int:
-        return self.train_points.shape[0]
 
     @property
     def gamma_norm(self) -> float:
@@ -275,36 +271,36 @@ class PosteriorState:
 
     # Normalized-scale queries; public accessors de-normalize.
 
-    def _cross_to_train(self, points: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        return mf_kernel_matrix(points, levels, self.train_points, self.train_levels,
-                                self.hyper)
+    def query(self, points: np.ndarray, levels: np.ndarray):
+        """Normalized posterior mean, variance and whitened cross-kernel
+        V = L^{-1} K(train, x) of one tile of queries: every posterior
+        quantity is read through here.  The prior is the posterior of zero
+        training rows, whose V has zero rows."""
+        Kq = mf_kernel_matrix(points, levels, self.train_points, self.train_levels,
+                              self.hyper)
+        mu = Kq @ self.alpha
+        # Kq.T is Fortran-ordered, so the solve overwrites it in place
+        V = solve_triangular(self.chol, Kq.T, lower=True, overwrite_b=True)
+        var = np.maximum(prior_variances(levels, self.hyper)
+                         - np.einsum("ij,ij->j", V, V), 0.0)
+        return mu, var, V
 
     def mean_var_norm(self, points: np.ndarray, levels: np.ndarray):
         """Normalized posterior mean and variance, ``_QUERY_TILE`` query rows
         at a time: the cross-kernel and its triangular solve never exceed
         one tile of rows, whatever the number of queries."""
-        prior = prior_variances(levels, self.hyper)
-        if self.n_train == 0:
-            return np.zeros(len(levels)), prior
         mu = np.empty(len(levels))
         var = np.empty(len(levels))
         for i0 in range(0, len(levels), _QUERY_TILE):
             rows = slice(i0, i0 + _QUERY_TILE)
-            Kq = self._cross_to_train(points[rows], levels[rows])
-            mu[rows] = Kq @ self.alpha
-            # Kq.T is Fortran-ordered, so the solve overwrites it in place
-            v = solve_triangular(self.chol, Kq.T, lower=True, overwrite_b=True)
-            np.maximum(prior[rows] - np.einsum("ij,ij->j", v, v), 0.0, out=var[rows])
-            del Kq, v  # free this tile before the next one allocates its own
+            # V is dropped with the tuple, before the next tile allocates its own
+            mu[rows], var[rows] = self.query(points[rows], levels[rows])[:2]
         return mu, var
 
     def cross_cov_norm(self, pa, la, pb, lb) -> np.ndarray:
-        K = mf_kernel_matrix(pa, la, pb, lb, self.hyper)
-        if self.n_train == 0:
-            return K
-        Va = solve_triangular(self.chol, self._cross_to_train(pa, la).T, lower=True)
-        Vb = solve_triangular(self.chol, self._cross_to_train(pb, lb).T, lower=True)
-        return K - Va.T @ Vb
+        Va = self.query(pa, la)[2]
+        Vb = self.query(pb, lb)[2]
+        return mf_kernel_matrix(pa, la, pb, lb, self.hyper) - Va.T @ Vb
 
 
 def _solve_chol(K_noisy: np.ndarray, signal_var: float):
@@ -325,15 +321,14 @@ def fit_posterior(pool: EmbeddingPool, log: EvaluationLog, hyper: GpHyperparams,
                   gamma: float) -> PosteriorState:
     """Standardize targets and factorize the noisy training covariance.
 
-    An empty log yields the prior (zero mean, kernel variance).
+    An empty log yields the prior: the posterior of zero training rows, with
+    a (0, 0) Cholesky factor and an empty weight vector, so every query
+    returns zero mean and the kernel's prior variance.
     """
     pts, lvls = gather_points(pool, log.inputs)
     if len(log) and lvls.max() >= hyper.n_levels:
         raise InvalidInputError("log contains levels outside the hyperparameter range")
     y_mean, y_std = log.normalization()
-    if len(log) == 0:
-        return PosteriorState(pts, lvls, 0.0, 1.0, np.empty(0), float(gamma),
-                              hyper, None, None)
     y_norm = (log.values - y_mean) / y_std
     K = mf_kernel_matrix(pts, lvls, pts, lvls, hyper)
     K[np.diag_indices_from(K)] += noise_variances(lvls, hyper)

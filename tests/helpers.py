@@ -148,8 +148,6 @@ def reference_mean_var_norm(state, points, levels):
     """``PosteriorState.mean_var_norm`` in one pass over every query: the
     whole cross-kernel and its triangular solve at once."""
     prior = prior_variances(levels, state.hyper)
-    if state.n_train == 0:
-        return np.zeros(len(levels)), prior
     Kq = mf_kernel_matrix(points, levels, state.train_points, state.train_levels,
                           state.hyper)
     mu = Kq @ state.alpha
@@ -166,17 +164,15 @@ def reference_scaled_rows(state, pool, targets, candidates):
     tp, tl = gather_points(pool, targets)
     cand_idx, cl = np.asarray(candidates).T
     upts, inv = np.unique(cand_idx, return_inverse=True)
-    if state.n_train:
-        Kxt = mf_kernel_matrix(state.train_points, state.train_levels, tp, tl, hyper)
-        Va = solve_triangular(state.chol, Kxt, lower=True)
-        Vc = solve_triangular(state.chol, mf_kernel_matrix(
-            state.train_points, state.train_levels, pool.points[cand_idx], cl, hyper),
-            lower=True)
-        mu_t = Kxt.T @ state.alpha
-        var_t = np.maximum(prior_variances(tl, hyper) - np.einsum("ij,ij->j", Va, Va), 0.0)
-    else:
-        Va = None
-        mu_t, var_t = np.zeros(len(tl)), prior_variances(tl, hyper)
+    # query-major cross-kernels K(x, train), as the posterior's own queries;
+    # with no training data they have zero columns
+    Ktx = mf_kernel_matrix(tp, tl, state.train_points, state.train_levels, hyper)
+    Va = solve_triangular(state.chol, Ktx.T, lower=True)
+    Vc = solve_triangular(state.chol, mf_kernel_matrix(
+        pool.points[cand_idx], cl, state.train_points, state.train_levels, hyper).T,
+        lower=True)
+    mu_t = Ktx @ state.alpha
+    var_t = np.maximum(prior_variances(tl, hyper) - np.einsum("ij,ij->j", Va, Va), 0.0)
     # the live rows: PendingSet's pruning rule
     act = var_t >= SIGMA_FLOOR**2
     s_all = np.zeros(len(tl))
@@ -188,12 +184,10 @@ def reference_scaled_rows(state, pool, targets, candidates):
                            hyper.signal_var)
     TC = np.empty((int(act.sum()), len(cl)))
     inv_sd = (1.0 / np.sqrt(var_t[act]))[:, None]
-    VaT = Va[:, act].T if Va is not None else None
+    VaT = Va[:, act].T
     for s0 in range(0, TC.shape[1], 2048):
         sl = slice(s0, min(s0 + 2048, TC.shape[1]))
-        chunk = base[:, inv[sl]]
-        if VaT is not None:
-            chunk = chunk - VaT @ Vc[:, sl]
+        chunk = base[:, inv[sl]] - VaT @ Vc[:, sl]
         chunk *= inv_sd
         TC[:, sl] = chunk
     return TC
@@ -500,15 +494,14 @@ class ReferencePendingSet(PendingSet):
         self._bC: list[np.ndarray] = []
 
     def _stacks(self):
+        # zero rows at k = 0, as the inherited ``_exact_columns`` expects
         if not self._bT:
-            return None, None
+            return np.empty((0, self.n_live_targets)), np.empty((0, len(self.candidates)))
         return np.asarray(self._bT), np.asarray(self._bC)
 
     def _cov_to_candidates(self, idx: int) -> np.ndarray:
         prior = mf_kernel_matrix(self._cp[idx:idx + 1], self._cl[idx:idx + 1],
                                  self._cp, self._cl, self.state.hyper)[0]
-        if self._Vc is None:
-            return prior
         return prior - self._Vc[:, idx] @ self._Vc
 
     def select_next(self):
@@ -535,7 +528,9 @@ class ReferencePendingSet(PendingSet):
         for s0 in range(0, n_cand, chunk):
             sl = slice(s0, min(s0 + chunk, n_cand))
             E = buf[:, :sl.stop - s0]
-            if bT is not None:
+            # the square-only pass at k = 0 checks the folded sweep's
+            # zero-row product
+            if len(bT):
                 np.matmul(bT.T, bC[:, sl], out=E)
                 np.subtract(TCs[:, sl], E, out=E)
             else:
@@ -590,7 +585,7 @@ class ReferencePendingSet(PendingSet):
         bT, bC = self._stacks()
         e_t = self.TCs[:, idx].copy()
         cov_c = self._cov_to_candidates(idx)
-        if bT is not None:
+        if len(bT):
             by = bC[:, idx]
             e_t -= by @ bT
             cov_c = cov_c - by @ bC

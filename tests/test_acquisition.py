@@ -8,7 +8,7 @@ from rare_sampler import (AugmentedInput, EmbeddingPool, EmptySelectionError,
                           failure_prob, fit_posterior, select_batch,
                           variance_upper_bound)
 from rare_sampler.acquisition import point_variance_beta
-from rare_sampler.estimator import bivariate_normal_cdf
+from rare_sampler.estimator import SIGMA_FLOOR, bivariate_normal_cdf
 
 from helpers import (ReferencePendingSet, forward_point_variance, naive_select_batch,
                      random_problem, reference_scaled_rows, selection_arrays,
@@ -82,6 +82,16 @@ class TestAcquisitionJ:
         field = failure_prob(state, pool.points)
         assert acquisition_J(state, pool, [], targets) == pytest.approx(
             variance_upper_bound(field), abs=1e-12)
+
+    def test_empty_pending_is_the_mean_of_beta_at_one(self):
+        # the empty pending set has zero rows, so t_hat is exactly 1
+        rng = np.random.default_rng(8)
+        pool, _, _, state = random_problem(rng, n_points=30, n_train=8)
+        targets = np.column_stack([np.arange(30), np.zeros(30, dtype=np.intp)])
+        mu, var = state.mean_var_norm(pool.points, targets[:, 1])
+        assert np.all(var >= SIGMA_FLOOR**2)
+        s = (state.gamma_norm - mu) / np.sqrt(var)
+        assert acquisition_J(state, pool, [], targets) == point_variance_beta(s, 1.0).mean()
 
     def test_all_targets_pending_noiseless_kills_J(self):
         # tolerance reflects Cholesky round-off amplified by the sqrt in beta
@@ -224,6 +234,24 @@ class TestSelection:
         targets = [AugmentedInput(i, 0) for i in range(5)]
         with pytest.raises(EmptySelectionError):
             select_batch(state, pool, [], [], targets, budget=1.0)
+
+    @pytest.mark.parametrize("budget", [0.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_budget_rejected(self, budget):
+        rng = np.random.default_rng(15)
+        pool, _, _, state = random_problem(rng, n_points=5, n_train=2)
+        targets = [AugmentedInput(i, 0) for i in range(5)]
+        with pytest.raises(InvalidInputError, match="budget must be positive and finite"):
+            select_batch(state, pool, [AugmentedInput(0, 1)], [0.1], targets, budget)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+    def test_non_positive_or_non_finite_cost_rejected(self, bad):
+        # NaN passes costs <= 0, so the check asks for 0 < cost < inf
+        rng = np.random.default_rng(17)
+        pool, _, _, state = random_problem(rng, n_points=6, n_train=2)
+        targets = [AugmentedInput(i, 0) for i in range(6)]
+        with pytest.raises(InvalidInputError, match="costs must be positive and finite"):
+            PendingSet(state, pool, targets, [AugmentedInput(0, 1), AugmentedInput(1, 1)],
+                       [0.1, bad])
 
     @pytest.mark.parametrize("targets", [[], np.empty((0, 2), dtype=np.intp)])
     def test_empty_target_set_is_rejected(self, targets):
@@ -519,6 +547,16 @@ class TestStepMatchesReference:
         cands, costs = _problem_candidates(log, 30, n_levels)
         fast = self.assert_same_steps(state, pool, targets, cands, costs, 40)
         assert len(fast.selected) == 40 and len(fast._bT) >= 40
+
+    @pytest.mark.parametrize("cls", [PendingSet, ReferencePendingSet])
+    def test_stacks_hold_zero_rows_before_the_first_pick(self, cls):
+        # the k = 0 step runs the general path over zero recursion rows
+        rng = np.random.default_rng(1900)
+        pool, log, _, state = random_problem(rng, n_points=20, n_train=5)
+        cands, costs = _problem_candidates(log, 20, 2)
+        pending = cls(state, pool, [AugmentedInput(i, 0) for i in range(20)], cands, costs)
+        bT, bC = pending._stacks()
+        assert bT.shape == (0, pending.n_live_targets) and bC.shape == (0, len(cands))
 
 
 class TestCorollaryBound:

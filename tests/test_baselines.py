@@ -52,6 +52,13 @@ class TestRandomAcquisition:
                                    exclude=exclude)
         np.testing.assert_array_equal(picks, [[9, 0]])  # pool exhausted -> partial set
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_budget_rejected(self, budget):
+        # a NaN budget would take every input: no cumulative cost passes it
+        pool = EmbeddingPool(np.random.default_rng(4).standard_normal((10, 2)))
+        with pytest.raises(InvalidInputError, match="budget must be positive and finite"):
+            random_acquisition(pool, FidelityConfig((1.0,)), budget=budget, seed=0)
+
 
 class TestMcScores:
     def test_scores_are_positive_and_normalized(self):

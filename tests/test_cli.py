@@ -325,14 +325,32 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: batches must be >= 1\n"
 
-    @pytest.mark.parametrize("edit", [("batches = 2", "batches = 0"), ("eta = 1.0", "eta = 0.5")],
-                             ids=["batches", "eta"])
-    @pytest.mark.parametrize("method", ["mc", "bams"])
-    def test_bad_settings_leave_no_artifact_directory(self, tmp_path, capsys, method, edit):
+    # NaN compares false with any bound, so each setting is checked as
+    # lo < x < inf: a NaN that got through would run to exit status 0
+    @pytest.mark.parametrize("edit", [
+        ("batches = 2", "batches = 0"), ("eta = 1.0", "eta = 0.5"),
+        ("gamma = 0.56", "gamma = nan"), ("gamma = 0.56", "gamma = inf"),
+        ("gamma = 0.56", "gamma = -inf"), ("m1 = 6", "m1 = nan"), ("m1 = 6", "m1 = inf"),
+        ("m_b = 3", "m_b = nan"), ("m_b = 3", "m_b = inf"), ("eta = 1.0", "eta = nan"),
+        ("eta = 1.0", "eta = inf")],
+        ids=["batches", "eta", "gamma-nan", "gamma-inf", "gamma-neginf", "m1-nan",
+             "m1-inf", "m_b-nan", "m_b-inf", "eta-nan", "eta-inf"])
+    @pytest.mark.parametrize("method", ["mc", "bas", "bams"])
+    def test_bad_settings_leave_no_artifact_directory(self, tmp_path, capsys, monkeypatch,
+                                                      method, edit):
+        calls = []
+
+        def refuse(oracle, i, level):
+            calls.append((i, level))
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(SyntheticOracle, "__call__", refuse)
         cfg = synthetic_config(tmp_path, method=method)
+        assert edit[0] in cfg.read_text()
         cfg.write_text(cfg.read_text().replace(*edit))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not calls
         assert not (tmp_path / "out").exists()
 
     def test_m_b_that_fits_no_pick_is_an_error(self, tmp_path, capsys):

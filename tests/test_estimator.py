@@ -202,6 +202,11 @@ class TestOwenTBranches:
 
 
 class TestFailureProb:
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_field_rejects_p_outside_the_unit_interval(self, bad):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
+            FailureField(p=np.array([0.2, bad, 0.7]))
+
     def test_mean_at_threshold_gives_half(self):
         pool = EmbeddingPool(np.array([[0.0, 0.0]]))
         log = EvaluationLog()

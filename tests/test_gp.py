@@ -2,13 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, GpHyperparams,
                           InvalidInputError, TrainOptions, failure_prob, fit_posterior,
                           marginal_log_likelihood, posterior_mean_var, train_hyperparameters)
 from rare_sampler import gp
 from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_kernel_matrix,
-                             noise_variances)
+                             noise_variances, prior_variances)
 
 from helpers import (dense_mll_reference, dense_posterior_oracle, hyper_from_text,
                      matern25_kernel, multifidelity_kernel, posterior_cross_cov,
@@ -170,6 +171,25 @@ class TestPosterior:
         mu, var = posterior_mean_var(state, pool.points, np.zeros(1, dtype=int))
         assert mu[0] == 0.0
         assert var[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_levels", [1, 3])
+    def test_empty_log_is_the_zero_row_posterior(self, n_levels):
+        # every query runs the general path over zero training rows and
+        # returns the prior exactly
+        rng = np.random.default_rng(40 + n_levels)
+        pool, _, hyper, _ = random_problem(rng, n_points=50, n_train=0, n_levels=n_levels)
+        state = fit_posterior(pool, EvaluationLog(), hyper, gamma=0.3)
+        assert state.chol.shape == (0, 0) and state.alpha.shape == (0,)
+        levels = rng.integers(0, n_levels, 50)
+        mu, var = state.mean_var_norm(pool.points, levels)
+        np.testing.assert_array_equal(mu, np.zeros(50))
+        np.testing.assert_array_equal(var, prior_variances(levels, hyper))
+        pa, la, pb, lb = pool.points[:20], levels[:20], pool.points[20:], levels[20:]
+        np.testing.assert_array_equal(state.cross_cov_norm(pa, la, pb, lb),
+                                      mf_kernel_matrix(pa, la, pb, lb, hyper))
+        prior0 = prior_variances(np.zeros(50, dtype=np.intp), hyper)
+        np.testing.assert_array_equal(failure_prob(state, pool.points).p,
+                                      ndtr(state.gamma_norm / np.sqrt(prior0)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_solve_oracle(self, seed):
