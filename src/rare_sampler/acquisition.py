@@ -38,7 +38,7 @@ from scipy.special import owens_t
 
 from .errors import EmptySelectionError, InvalidInputError, NumericalError
 from .estimator import SIGMA_FLOOR
-from .gp import PosteriorState, _matern_scaled, matern25_matrix, noise_variances
+from .gp import PosteriorState, matern25_matrix, mf_kernel_matrix, noise_variances
 from .pool import AugmentedInput, EmbeddingPool, gather_points, input_array
 
 # Schur complements below this fraction of the largest candidate variance
@@ -128,7 +128,9 @@ class PendingSet:
     and ``selected_costs`` their costs.  The recursion adds one pending input
     at a time in O(|T_live| * |C|): ``n_live_targets`` of the ``n_targets``
     targets stay after pruning, and ``dropped_beta`` is the summed point
-    variance beta(s, 1) of the pruned ones.
+    variance beta(s, 1) of the pruned ones.  A pick's prior covariance with
+    every candidate is its row of ``mf_kernel_matrix``, the posterior's own
+    kernel, so a candidate level outside the GP's levels is an error.
     """
 
     def __init__(self, state: PosteriorState, pool: EmbeddingPool, targets,
@@ -153,6 +155,7 @@ class PendingSet:
                                     f"{tl[tl != 0][0]}")
         cand_idx, cl = self.candidates.T
         cp = pool.points[cand_idx]
+        self._cp, self._cl = cp, cl
         self.n_targets = len(tl)
 
         # candidate points repeat across fidelity levels: build the base kernel
@@ -204,19 +207,6 @@ class PendingSet:
         self.h_C = var_c + noise_variances(cl, hyper)
         self._h_floor = H_FLOOR_REL * max(float(self.h_C.max()), 1e-300)
 
-        # each kernel block's lengthscale-scaled candidate points and squared
-        # norms, for the kernel row of every pick: (columns, scaled points,
-        # norms, signal variance, each column's row in the scaled points); the
-        # base block covers every candidate, level l >= 1 its own columns
-        blocks = [(np.arange(len(cl)), hyper.lengthscales, hyper.signal_var)]
-        blocks += [(np.flatnonzero(cl == l), hyper.fid_lengthscales[l - 1],
-                    hyper.fid_signal_var[l - 1]) for l in range(1, hyper.n_levels)]
-        self._geometry = []
-        for cols, ls, sig in blocks:
-            b = cp[cols] / ls
-            row = np.full(len(cl), -1, dtype=np.intp)
-            row[cols] = np.arange(cols.size)
-            self._geometry.append((cols, b, np.sum(b * b, axis=1), sig, row))
         # candidate ranks in (point_index, level, position) order: the tie-break
         self._rank = np.empty(len(cl), dtype=np.intp)
         self._rank[np.lexsort((cl, cand_idx))] = np.arange(len(cl))
@@ -257,12 +247,8 @@ class PendingSet:
 
     def _cov_to_candidates(self, idx: int) -> np.ndarray:
         """Posterior covariance between candidate idx and every candidate."""
-        _, b, nb, sig, _ = self._geometry[0]
-        prior = _matern_scaled(b[idx:idx + 1], nb[idx:idx + 1], b, nb, sig)[0]
-        for cols, b, nb, sig, row in self._geometry[1:]:
-            r = row[idx]
-            if r >= 0:
-                prior[cols] += _matern_scaled(b[r:r + 1], nb[r:r + 1], b, nb, sig)[0]
+        prior = mf_kernel_matrix(self._cp[idx:idx + 1], self._cl[idx:idx + 1],
+                                 self._cp, self._cl, self.state.hyper)[0]
         return prior - self._Vc[:, idx] @ self._Vc
 
     def _beta_block(self, that_new: np.ndarray) -> np.ndarray:
@@ -356,45 +342,41 @@ class PendingSet:
         Lg, Ug = self._gain_bounds(beta)
         scale = float(Ug[feas_idx].max(initial=0.0))
         if scale == 0.0:
-            # nothing can improve J (always so with no live targets); fall
-            # back to the deterministic tie-break
-            best = self._lexicographic_best(feas_idx)
-            self._apply(best)
-            return AugmentedInput(*self.candidates[best].tolist()), 0.0
-        Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
-        Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
+            # nothing can improve J (always so with no live targets): the
+            # deterministic tie-break, at a change of exactly 0
+            best_idx = int(feas_idx[np.argmin(self._rank[feas_idx])])
+            best_val = 0.0
+        else:
+            Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
+            Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
+            threshold = float(Lm[feas_idx].max())
+            surv = feas_idx[Um[feas_idx] >= threshold]
+            order = surv[np.argsort(-Um[surv], kind="stable")]
 
-        threshold = float(Lm[feas_idx].max())
-        surv = feas_idx[Um[feas_idx] >= threshold]
-        order = surv[np.argsort(-Um[surv], kind="stable")]
-
-        # the running best is the least (value, rank) pair, the rank breaking
-        # ties lexicographically
-        best_idx = -1
-        best_val = np.inf
-        best_rate = -np.inf
-        beta_sum = beta.sum()
-        for s0 in range(0, order.size, _BLOCK):
-            block = order[s0:s0 + _BLOCK]
-            if best_idx >= 0 and float(Um[block[0]]) < best_rate:
-                break
-            gains = self._exact_columns(block, beta_sum)
-            vals = -gains / (self.costs[block] * self.n_targets)
-            tied = np.flatnonzero(vals == vals.min())
-            j = tied[np.argmin(self._rank[block[tied]])]
-            c = int(block[j])
-            v = float(vals[j])
-            if (best_idx < 0 or v < best_val
-                    or (v == best_val and self._rank[c] < self._rank[best_idx])):
-                best_idx = c
-                best_val = v
-                best_rate = gains[j] / self.costs[c]
+            # the running best is the least (value, rank) pair, the rank
+            # breaking ties lexicographically
+            best_idx = -1
+            best_val = np.inf
+            best_rate = -np.inf
+            beta_sum = beta.sum()
+            for s0 in range(0, order.size, _BLOCK):
+                block = order[s0:s0 + _BLOCK]
+                if best_idx >= 0 and float(Um[block[0]]) < best_rate:
+                    break
+                gains = self._exact_columns(block, beta_sum)
+                vals = -gains / (self.costs[block] * self.n_targets)
+                tied = np.flatnonzero(vals == vals.min())
+                j = tied[np.argmin(self._rank[block[tied]])]
+                c = int(block[j])
+                v = float(vals[j])
+                if (best_idx < 0 or v < best_val
+                        or (v == best_val and self._rank[c] < self._rank[best_idx])):
+                    best_idx = c
+                    best_val = v
+                    best_rate = gains[j] / self.costs[c]
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
         return AugmentedInput(*self.candidates[best_idx].tolist()), float(delta_j)
-
-    def _lexicographic_best(self, feas_idx: np.ndarray) -> int:
-        return int(feas_idx[np.argmin(self._rank[feas_idx])])
 
     def _apply(self, idx: int) -> None:
         bT, bC = self._stacks()

@@ -202,13 +202,13 @@ def splitting_bound(p_gamma: float, delta: float, target_rv: float | None = None
         raise InvalidInputError("specify exactly one of target_rv or budget")
     K = int(np.floor(np.log(p_gamma) / np.log(1.0 - delta)))
     if target_rv is not None:
-        if target_rv <= 0:
-            raise InvalidInputError("target_rv must be positive")
+        if not 0.0 < target_rv < np.inf:
+            raise InvalidInputError(f"target_rv must be positive and finite, got {target_rv!r}")
         N = int(np.floor(K * delta / (target_rv * (1.0 - delta))))
         total = int(round(N * (1.0 + delta * K)))
         return SplittingBound(iterations=K, base_samples=N, min_total_sims=total)
-    if budget <= 0:
-        raise InvalidInputError("budget must be positive")
+    if not 0.0 < budget < np.inf:
+        raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
     N = int(np.floor(budget / (1.0 + delta * K)))
     rv = K * delta / (N * (1.0 - delta))
     return SplittingBound(iterations=K, base_samples=N, rv_lower_bound=float(rv))

@@ -57,12 +57,10 @@ class GpHyperparams:
         if fl.shape[0] != fs.size or fs.size != fn.size:
             raise InvalidInputError("inconsistent per-fidelity hyperparameter shapes")
         # one min() per array group; NaN compares false, so it is rejected too
-        if not (ls.min(initial=np.inf) > 0.0 and fl.min(initial=np.inf) > 0.0
-                and fs.min(initial=np.inf) > 0.0 and fn.min(initial=np.inf) > 0.0):
-            for name, arr in (("lengthscales", ls), ("fid_lengthscales", fl),
-                              ("fid_signal_var", fs), ("fid_noise_var", fn)):
-                if arr.size and not np.all(arr > 0.0):
-                    raise InvalidInputError(f"{name} must be strictly positive")
+        for name, arr in (("lengthscales", ls), ("fid_lengthscales", fl),
+                          ("fid_signal_var", fs), ("fid_noise_var", fn)):
+            if not arr.min(initial=np.inf) > 0.0:
+                raise InvalidInputError(f"{name} must be strictly positive")
         if not (self.signal_var > 0.0 and self.jitter > 0.0):
             raise InvalidInputError("signal_var and jitter must be strictly positive")
         object.__setattr__(self, "lengthscales", ls)
@@ -160,21 +158,12 @@ def _scaled_sqdist(ab: np.ndarray, na: np.ndarray, nb: np.ndarray,
 
 def matern25_matrix(A: np.ndarray, B: np.ndarray, lengthscales: np.ndarray,
                     signal_var: float) -> np.ndarray:
-    """Matern-5/2 ARD kernel matrix between two point sets."""
-    a = A / lengthscales
-    b = B / lengthscales
-    return _matern_scaled(a, np.sum(a * a, axis=1), b, np.sum(b * b, axis=1),
-                          signal_var)
+    """Matern-5/2 ARD kernel matrix between two point sets.
 
-
-def _matern_scaled(a: np.ndarray, na: np.ndarray, b: np.ndarray, nb: np.ndarray,
-                   signal_var: float) -> np.ndarray:
-    """Matern-5/2 kernel matrix between lengthscale-scaled points ``a`` and
-    ``b`` with squared norms ``na`` and ``nb``.
-
-    One GEMM writes a b^T into the output, which ``_ROW_BLOCK`` rows at a
-    time becomes signal_var * (1 + sr + sr^2 / 3) * exp(-sr) with
-    sr = sqrt5 * r, through in-place ufuncs in exactly that operation order.
+    One GEMM of the lengthscale-scaled points a = A / ls and b = B / ls
+    writes a b^T into the output, which ``_ROW_BLOCK`` rows at a time becomes
+    signal_var * (1 + sr + sr^2 / 3) * exp(-sr) with sr = sqrt5 * r, through
+    in-place ufuncs in exactly that operation order.
 
     Where a GEMM is split can change the last bits of some entries (a GEMM
     per ``_ROW_BLOCK`` block here would), so a product is split only where
@@ -184,8 +173,12 @@ def _matern_scaled(a: np.ndarray, na: np.ndarray, b: np.ndarray, nb: np.ndarray,
     field's p came out bitwise equal), and the merges' float32 distance
     tiles in ``clustering`` (bitwise equal for tiles of two rows or more).
     ``PendingSet``'s base block stays one GEMM: built per candidate chunk,
-    it moved selection gains in their last bits.
+    it moved selection gains in their last bits.  A pick's kernel row is one
+    row of ``mf_kernel_matrix`` against every candidate, a one-row GEMM.
     """
+    a = A / lengthscales
+    b = B / lengthscales
+    na, nb = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
     out = np.matmul(a, b.T)
     rows = min(len(a), _ROW_BLOCK)
     sr_buf, e_buf = np.empty((rows, len(b))), np.empty((rows, len(b)))
@@ -226,18 +219,21 @@ def mf_kernel_matrix(pa: np.ndarray, la: np.ndarray, pb: np.ndarray, lb: np.ndar
 
 def noise_variances(levels: np.ndarray, hyper: GpHyperparams) -> np.ndarray:
     """Per-input white-noise variance: jitter everywhere plus the level's term."""
-    out = np.full(len(levels), hyper.jitter, dtype=np.float64)
-    for l in range(1, hyper.n_levels):
-        out[levels == l] += hyper.fid_noise_var[l - 1]
-    return out
+    return (hyper.jitter + np.concatenate(([0.0], hyper.fid_noise_var)))[levels]
 
 
 def prior_variances(levels: np.ndarray, hyper: GpHyperparams) -> np.ndarray:
     """Latent prior variance per augmented input (no white noise)."""
-    out = np.full(len(levels), hyper.signal_var, dtype=np.float64)
-    for l in range(1, hyper.n_levels):
-        out[levels == l] += hyper.fid_signal_var[l - 1]
-    return out
+    return (hyper.signal_var + np.concatenate(([0.0], hyper.fid_signal_var)))[levels]
+
+
+def _check_levels(levels: np.ndarray, n_levels: int) -> None:
+    """Reject a level outside [0, n_levels): the per-level tables above
+    would wrap a negative one and fail on a level past the end."""
+    if len(levels) and not (levels.min() >= 0 and levels.max() < n_levels):
+        bad = levels[(levels < 0) | (levels >= n_levels)][0]
+        raise InvalidInputError(f"fidelity level {bad} outside the GP's levels "
+                                f"0..{n_levels - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +272,7 @@ class PosteriorState:
         V = L^{-1} K(train, x) of one tile of queries: every posterior
         quantity is read through here.  The prior is the posterior of zero
         training rows, whose V has zero rows."""
+        _check_levels(levels, self.hyper.n_levels)
         Kq = mf_kernel_matrix(points, levels, self.train_points, self.train_levels,
                               self.hyper)
         mu = Kq @ self.alpha
@@ -326,8 +323,7 @@ def fit_posterior(pool: EmbeddingPool, log: EvaluationLog, hyper: GpHyperparams,
     returns zero mean and the kernel's prior variance.
     """
     pts, lvls = gather_points(pool, log.inputs)
-    if len(log) and lvls.max() >= hyper.n_levels:
-        raise InvalidInputError("log contains levels outside the hyperparameter range")
+    _check_levels(lvls, hyper.n_levels)
     y_mean, y_std = log.normalization()
     y_norm = (log.values - y_mean) / y_std
     K = mf_kernel_matrix(pts, lvls, pts, lvls, hyper)
@@ -385,6 +381,7 @@ class _MllWork:
         self.n_levels = n_levels
         self.level_ids = np.arange(n_levels)
         pts, self.lvls = gather_points(pool, log.inputs)
+        _check_levels(self.lvls, n_levels)
         y_mean, y_std = log.normalization()
         self.y = (log.values - y_mean) / y_std
         n = len(pts)

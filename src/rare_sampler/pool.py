@@ -174,16 +174,18 @@ class EvaluationLog:
 
 def input_array(pool: EmbeddingPool | None, inputs) -> np.ndarray:
     """Augmented inputs as an (n, 2) index array of (point index, level) rows,
-    from such an array or a sequence of pairs; point indices must lie in
-    the pool, when one is given."""
+    from such an array or a sequence of pairs; point indices and levels must
+    be >= 0, and point indices must lie in the pool, when one is given."""
     arr = np.asarray(inputs, dtype=np.intp)
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidInputError(f"augmented inputs must be (point, level) pairs, "
                                 f"got shape {arr.shape}")
-    if pool is not None and (arr[:, 0].min() < 0 or arr[:, 0].max() >= pool.n_points):
+    if arr[:, 0].min() < 0 or (pool is not None and arr[:, 0].max() >= pool.n_points):
         raise InvalidInputError("point index out of pool bounds")
+    if arr[:, 1].min() < 0:
+        raise InvalidInputError(f"fidelity level must be >= 0, got {arr[:, 1].min()}")
     return arr
 
 

@@ -271,6 +271,24 @@ class TestSelection:
         with pytest.raises(InvalidInputError, match="level-0 inputs, got level 1"):
             PendingSet(state, pool, targets, cands, [1.0, 0.1])
 
+    def test_candidate_above_the_gp_levels_is_rejected(self):
+        # a level-7 candidate of a 2-level GP has no kernel or noise term
+        rng = np.random.default_rng(18)
+        pool, _, _, state = random_problem(rng, n_points=6, n_train=2)
+        targets = [AugmentedInput(i, 0) for i in range(6)]
+        with pytest.raises(InvalidInputError, match=r"fidelity level 7 outside the GP's "
+                                                    r"levels 0\.\.1"):
+            PendingSet(state, pool, targets, [AugmentedInput(0, 1), AugmentedInput(1, 7)],
+                       [0.1, 0.1])
+
+    def test_pending_input_above_the_gp_levels_is_rejected(self):
+        rng = np.random.default_rng(19)
+        pool, _, _, state = random_problem(rng, n_points=6, n_train=2)
+        targets = [AugmentedInput(i, 0) for i in range(6)]
+        with pytest.raises(InvalidInputError, match=r"fidelity level 2 outside the GP's "
+                                                    r"levels 0\.\.1"):
+            acquisition_J(state, pool, [AugmentedInput(0, 0), AugmentedInput(1, 2)], targets)
+
     def test_deltaj_nonpositive_and_decreasing_J(self):
         rng = np.random.default_rng(15)
         pool, log, _, state = random_problem(rng, n_points=20, n_train=5)

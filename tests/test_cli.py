@@ -595,6 +595,17 @@ class TestSplittingBoundCommand:
                    "--budget", "10"])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag,value,name", [("--budget", "nan", "budget"),
+                                                 ("--budget", "inf", "budget"),
+                                                 ("--target-rv", "nan", "target_rv")],
+                             ids=["budget-nan", "budget-inf", "target-rv-nan"])
+    def test_non_finite_setting_is_named(self, capsys, flag, value, name):
+        assert main(["splitting-bound", "--p-gamma", "0.01", "--delta", "0.1",
+                     flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name} must be positive and finite, got {value}\n"
+        assert captured.out == ""
+
 
 class TestGenSynthetic:
     @pytest.mark.parametrize("flag,error", [("--seed", "pool seed must be >= 0, got -1"),

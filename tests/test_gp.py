@@ -191,6 +191,19 @@ class TestPosterior:
         np.testing.assert_array_equal(failure_prob(state, pool.points).p,
                                       ndtr(state.gamma_norm / np.sqrt(prior0)))
 
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["negative", "past-the-end"])
+    def test_level_outside_the_gp_is_rejected(self, bad):
+        # the per-level tables would wrap -1 to the last level; the log row is
+        # edited in place, past the check of EvaluationLog.append
+        rng = np.random.default_rng(45)
+        pool, log, hyper, state = random_problem(rng, n_points=12, n_train=6)
+        log.inputs[2, 1] = bad
+        for call in (lambda: fit_posterior(pool, log, hyper, gamma=0.0),
+                     lambda: marginal_log_likelihood(pool, log, hyper),
+                     lambda: posterior_mean_var(state, pool.points[:3], [0, bad, 1])):
+            with pytest.raises(InvalidInputError, match=f"^fidelity level .*{bad}"):
+                call()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_solve_oracle(self, seed):
         rng = np.random.default_rng(seed)

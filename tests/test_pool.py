@@ -111,6 +111,15 @@ class TestInputArray:
             input_array(pool, [(0, 0), (index, 0)])
 
 
+    @pytest.mark.parametrize("with_pool", [True, False], ids=["pool", "no-pool"])
+    def test_negative_index_or_level_rejected(self, with_pool):
+        pool = EmbeddingPool(np.zeros((5, 2))) if with_pool else None
+        with pytest.raises(InvalidInputError, match="out of pool bounds"):
+            input_array(pool, [(0, 0), (-1, 0)])
+        with pytest.raises(InvalidInputError, match=r"^fidelity level must be >= 0, got -2$"):
+            input_array(pool, [(0, 0), (1, -2)])
+
+
 class TestEvaluationLog:
     """The log as arrays: one pair or (m, 2) rows per append, one oracle
     query per row in order, and no input logged twice."""
@@ -169,6 +178,13 @@ class TestEvaluationLog:
         assert calls == [(4, 1), (2, 0)]
         np.testing.assert_array_equal(values, [3.0, 1.0])
         np.testing.assert_array_equal(log.values, values)
+
+    def test_negative_level_is_not_logged(self):
+        # a negative level would index the GP's per-level tables from the end
+        log = EvaluationLog()
+        with pytest.raises(InvalidInputError, match=r"^fidelity level must be >= 0, got -1$"):
+            log.append((0, -1), 1.0, 1)
+        assert len(log) == 0 and log.inputs.shape == (0, 2)
 
     def test_non_finite_value_names_the_input(self):
         log = EvaluationLog()
