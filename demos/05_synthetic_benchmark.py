@@ -3,7 +3,7 @@ two-diamond metric, adaptive multifidelity batches, and the
 importance-sampled rate report.
 
 A full-scale (N=20000) paper-claim reproduction is not built yet (ROADMAP
-item 2); this demo uses N=4000 to finish in a few seconds.
+item 4); this demo uses N=4000 to finish in a few seconds.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ print(f"pool: N={pool.n_points}, failures={int(truth.sum())} "
 
 config = RunConfig(
     gamma=spec.gamma,
-    fidelities=FidelityConfig((1.0, spec.level1_cost)),
+    fidelities=FidelityConfig((1.0, 0.10)),
     method="bams",
     m1=10, m_b=5, batches=3, S=4, eta=1.0,
     seed=0,

@@ -78,9 +78,12 @@ def _beta_slope(s, t_hat):
 
 
 def _pending_solve(state: PosteriorState, pool: EmbeddingPool, pending):
-    """Cholesky of the pending-set conditioning covariance (with white noise)."""
+    """The pending inputs' points, levels and whitened cross-kernel Vp, from
+    one posterior query, and the Cholesky factor of their conditioning
+    covariance (with white noise)."""
     mp, ml = gather_points(pool, pending)
-    A = state.cross_cov_norm(mp, ml, mp, ml)
+    Vp = state.query(mp, ml)[2]
+    A = mf_kernel_matrix(mp, ml, mp, ml, state.hyper) - Vp.T @ Vp
     A[np.diag_indices_from(A)] += noise_variances(ml, state.hyper)
     try:
         L = np.linalg.cholesky(A)
@@ -92,7 +95,7 @@ def _pending_solve(state: PosteriorState, pool: EmbeddingPool, pending):
             raise NumericalError(
                 f"pending-set covariance of {len(pending)} inputs is not positive "
                 f"definite even with 1e-10 extra jitter") from exc
-    return mp, ml, L
+    return mp, ml, Vp, L
 
 
 def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
@@ -105,14 +108,16 @@ def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
     if len(targets) == 0:
         raise InvalidInputError("target set is empty")
     tp, tl = gather_points(pool, targets)
-    mu, var = state.mean_var_norm(tp, tl)
+    mu, var, Vt = state.query(tp, tl)
     active = var >= SIGMA_FLOOR**2
     if not np.any(active):
         return 0.0
     s = (state.gamma_norm - mu[active]) / np.sqrt(var[active])
     # an empty pending set has zero rows: v is (0, n) and t_hat exactly 1
-    mp, ml, L = _pending_solve(state, pool, pending)
-    v = np.linalg.solve(L, state.cross_cov_norm(mp, ml, tp[active], tl[active]))
+    mp, ml, Vp, L = _pending_solve(state, pool, pending)
+    cross = (mf_kernel_matrix(mp, ml, tp[active], tl[active], state.hyper)
+             - Vp.T @ Vt[:, active])
+    v = np.linalg.solve(L, cross)
     t_hat = 1.0 - np.einsum("ij,ij->j", v, v) / var[active]
     return float(point_variance_beta(s, t_hat).sum()) / len(targets)
 

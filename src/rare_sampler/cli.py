@@ -1,6 +1,6 @@
-"""Command-line front end: run experiments from a config file, compute
-splitting bounds, generate the synthetic benchmark, and score external
-rankings.
+"""Command-line front end: run experiments from a config file (an oracle
+method, or the rate report of an external ranking's scores), compute
+splitting bounds, and generate the synthetic benchmark.
 
 The run configuration is a flat, sectioned key-value text file; see the
 README for the schema.  All emitted CSVs carry headers, use a stable
@@ -182,17 +182,16 @@ def _build_fidelities(cfg: _Config) -> FidelityConfig:
         raise ConfigError(f"line {cfg.sections['fidelity'][key].line}: {exc}") from None
 
 
-def _load_pool_csv(path, need_truth=False):
+def _load_pool_csv(path):
     """Read a pool CSV in the gen-synthetic layout: coordinates from the
-    columns x0..x<d-1> and truth_f_level0 (None when absent, a ConfigError
-    naming the file and header when ``need_truth``), all by name."""
+    columns x0..x<d-1> and truth_f_level0 (None when absent), all by name."""
     table = read_csv(path)
     dims = sorted(int(h[1:]) for h in table.header if h[:1] == "x" and h[1:].isdigit())
     if not dims or dims != list(range(len(dims))):
         raise ConfigError(f"{path} line 1: coordinate columns must be exactly "
                           f"x0..x<d-1>, got {table.header}")
     pool = EmbeddingPool(np.column_stack([table.column(f"x{j}") for j in dims]))
-    has_truth = need_truth or "truth_f_level0" in table.header
+    has_truth = "truth_f_level0" in table.header
     return pool, np.array(table.column("truth_f_level0")) if has_truth else None
 
 
@@ -215,13 +214,6 @@ def _build_oracle(cfg: _Config, pool, spec):
     if spec is None:
         raise ConfigError("synthetic oracle requires a synthetic pool")
     return SyntheticOracle(pool, spec, **cfg.settings(SyntheticOracle))
-
-
-def _trials_seed(seed: int) -> int:
-    """The root seed of the IS trial streams, checked before any work."""
-    if seed < 0:
-        raise InvalidInputError(f"trials seed must be >= 0, got {seed}")
-    return seed
 
 
 def _report(out_dir, method, scores, truth, K: int, trials: int, seed) -> None:
@@ -250,7 +242,9 @@ def cmd_run(args) -> int:
     K = is_opts.sample_size(truth) if truth is not None and truth.any() else None
     fidelities = _build_fidelities(cfg)
     run_seed = cfg.value("seeds", "run", RunConfig.seed)
-    trials_seed = _trials_seed(cfg.value("seeds", "trials", run_seed + 1))
+    trials_seed = cfg.value("seeds", "trials", run_seed + 1)
+    if trials_seed < 0:
+        raise InvalidInputError(f"trials seed must be >= 0, got {trials_seed}")
     # the settings, K among them, are checked and every input table is read
     # before the artifact directory is made, so none leaves an empty --out behind
     if method == "external-scores":
@@ -284,8 +278,10 @@ def cmd_run(args) -> int:
     if K is not None:
         _report(args.out, method, scores, truth, K, is_opts.trials, trials_seed)
     else:
-        print(f"{method}: no ground truth available; skipped rate_report.csv "
-              f"and retention_recall.csv", file=sys.stderr)
+        reason = ("no ground truth available" if truth is None
+                  else f"no pool point fails at gamma = {gamma}")
+        print(f"{method}: {reason}; skipped rate_report.csv and retention_recall.csv",
+              file=sys.stderr)
     return 0
 
 
@@ -302,9 +298,9 @@ def cmd_splitting_bound(args) -> int:
 
 
 def _given(args, *names) -> dict:
-    """The flags among ``names`` given on the command line; the parsers of
-    gen-synthetic and score-report leave out the ones not given, so each
-    takes the default of the class it fills."""
+    """The flags among ``names`` given on the command line; the gen-synthetic
+    parser leaves out the ones not given, so each takes the default of the
+    class it fills."""
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
@@ -322,20 +318,6 @@ def cmd_gen_synthetic(args) -> int:
     labels = ground_truth_labels(pool, spec)
     print(f"wrote {pool.n_points} points to {args.out}; "
           f"failure rate {labels.mean():.6g}")
-    return 0
-
-
-def cmd_score_report(args) -> int:
-    opts = IsOptions(**_given(args, "k", "k_multiple", "trials"))
-    seed = _trials_seed(args.seed)
-    pool, truth_f = _load_pool_csv(args.pool_csv, need_truth=True)
-    truth = truth_f <= args.gamma
-    if not truth.any():
-        raise InvalidInputError("no failures below gamma in the pool CSV")
-    K = opts.sample_size(truth)
-    scores = scores_from_csv(args.scores, pool.n_points)
-    os.makedirs(args.out, exist_ok=True)
-    _report(args.out, "external-scores", scores, truth, K, opts.trials, seed)
     return 0
 
 
@@ -370,19 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--oracle-out", default=None, dest="oracle_out",
                      help="also write a precomputed (point_index, level, f) table")
     gen.set_defaults(fn=cmd_gen_synthetic)
-
-    sr = sub.add_parser("score-report",
-                        help="evaluate externally supplied per-point scores",
-                        argument_default=argparse.SUPPRESS)
-    sr.add_argument("--scores", required=True, help="CSV of (point_index, score)")
-    sr.add_argument("--pool-csv", required=True, dest="pool_csv")
-    sr.add_argument("--gamma", type=float, required=True)
-    sr.add_argument("--k", type=int)
-    sr.add_argument("--k-multiple", type=float, dest="k_multiple")
-    sr.add_argument("--trials", type=int)
-    sr.add_argument("--seed", type=int, default=0)
-    sr.add_argument("--out", default="out")
-    sr.set_defaults(fn=cmd_score_report)
     return p
 
 

@@ -209,6 +209,10 @@ def splitting_bound(p_gamma: float, delta: float, target_rv: float | None = None
         return SplittingBound(iterations=K, base_samples=N, min_total_sims=total)
     if not 0.0 < budget < np.inf:
         raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
-    N = int(np.floor(budget / (1.0 + delta * K)))
+    base_cost = 1.0 + delta * K
+    N = int(np.floor(budget / base_cost))
+    if N < 1:
+        raise InvalidInputError(f"budget {budget!r} buys no base sample: one costs "
+                                f"1 + delta K = {base_cost:.6g} (K = {K} iterations)")
     rv = K * delta / (N * (1.0 - delta))
     return SplittingBound(iterations=K, base_samples=N, rv_lower_bound=float(rv))

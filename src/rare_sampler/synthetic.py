@@ -3,7 +3,8 @@
 The pool is standard-normal; the performance metric is the L1 distance to
 the nearer of two diamond centers at (+-c, c), so points inside either
 diamond of radius gamma fail.  A second fidelity level returns the same
-metric plus Gaussian noise at a tenth of the cost.
+metric plus Gaussian noise; its cost is the run's ``FidelityConfig`` level-1
+cost (0.10 in the README quick start).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class SyntheticSpec:
     center: float = 1.95
     gamma: float = 0.56
     noise_std: float = 0.1
-    level1_cost: float = 0.10
     seed: int = 0
 
     def __post_init__(self):

@@ -4,7 +4,7 @@ from scipy.special import ndtr
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EmptySelectionError,
                           EvaluationLog, GpHyperparams, InvalidInputError,
-                          NumericalError, PendingSet, acquisition_J,
+                          NumericalError, PendingSet, PosteriorState, acquisition_J,
                           failure_prob, fit_posterior, select_batch,
                           variance_upper_bound)
 from rare_sampler.acquisition import point_variance_beta
@@ -126,6 +126,24 @@ class TestAcquisitionJ:
                              for t in targets])
         assert acquisition_J(state, pool, pending, targets) == pytest.approx(
             per_point, abs=1e-12)
+
+    @pytest.mark.parametrize("n_pending", [0, 2])
+    def test_one_posterior_query_each_for_targets_and_pending(self, monkeypatch,
+                                                                n_pending):
+        rng = np.random.default_rng(9)
+        pool, _, _, state = random_problem(rng, n_points=20, n_train=5)
+        targets = [AugmentedInput(i, 0) for i in range(20)]
+        pending = [AugmentedInput(3, 1), AugmentedInput(12, 0)][:n_pending]
+        queries = []
+        query = PosteriorState.query
+
+        def counted(self, points, levels):
+            queries.append(len(levels))
+            return query(self, points, levels)
+
+        monkeypatch.setattr(PosteriorState, "query", counted)
+        acquisition_J(state, pool, pending, targets)
+        assert queries == [20, n_pending]
 
     @pytest.mark.parametrize("seed", range(15))
     def test_monotone_under_conditioning(self, seed):

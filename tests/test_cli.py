@@ -1,7 +1,9 @@
+import argparse
 import csv
 import inspect
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -14,8 +16,8 @@ import pytest
 import rare_sampler
 from rare_sampler import (ConfigError, FidelityConfig, InvalidInputError, OracleError,
                           SyntheticOracle, scores_from_csv)
-from rare_sampler.cli import (CONFIG_KEYS, METHODS, _load_pool_csv, key_spec, main,
-                              parse_config)
+from rare_sampler.cli import (CONFIG_KEYS, METHODS, _load_pool_csv, build_parser, key_spec,
+                              main, parse_config)
 from rare_sampler.oracles import CsvOracle, ExternalOracle
 
 ECHO_ORACLE = textwrap.dedent("""\
@@ -251,6 +253,36 @@ class TestReadmeConfig:
                 default = self.default_of(section, key) if spec.owner else None
                 if isinstance(default, (int, float)):
                     assert documented[(section, key)] == default, (section, key)
+
+
+class TestReadmeCommandLine:
+    """Every `rare-sampler ...` line of the README's Command line block parses
+    with the CLI's own parser (nothing is run), and the block shows every
+    subcommand the parser has."""
+
+    @staticmethod
+    def documented():
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line\n", 1)[1].split("```bash\n", 1)[1]
+        return [shlex.split(line)[1:] for line in block.split("```", 1)[0].splitlines()
+                if line.startswith("rare-sampler ")]
+
+    def test_every_documented_command_parses(self):
+        parser = build_parser()
+        commands = self.documented()
+        for argv in commands:
+            parser.parse_args(argv)
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert sorted(argv[0] for argv in commands) == sorted(subparsers.choices)
+
+    def test_score_report_is_not_a_command(self, capsys):
+        # an external ranking is scored by `run` with name = external-scores
+        with pytest.raises(SystemExit) as exc:
+            main(["score-report", "--scores", "scores.csv", "--pool-csv", "pool.csv",
+                  "--gamma", "0.56"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'score-report'" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -606,6 +638,14 @@ class TestSplittingBoundCommand:
         assert captured.err == f"error: {name} must be positive and finite, got {value}\n"
         assert captured.out == ""
 
+    def test_budget_below_one_base_sample_is_named(self, capsys):
+        assert main(["splitting-bound", "--p-gamma", "0.01", "--delta", "0.1",
+                     "--budget", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: budget 0.5 buys no base sample: one costs "
+                                "1 + delta K = 5.3 (K = 43 iterations)\n")
+        assert captured.out == ""
+
 
 class TestGenSynthetic:
     @pytest.mark.parametrize("flag,error", [("--seed", "pool seed must be >= 0, got -1"),
@@ -674,18 +714,13 @@ class TestGenSynthetic:
 
 class TestPoolCsv:
     """Pool CSVs are read by column name, and malformed files are config
-    errors that name the file and line (exit 2 from run and score-report)."""
+    errors that name the file and line (exit 2 from run)."""
 
-    def _exit_codes(self, tmp_path, pool_csv):
+    def _exit_code(self, tmp_path, pool_csv):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[pool]\nsource = csv\npath = {pool_csv}\n"
                        "[method]\nname = mc\ngamma = 0.5\n")
-        scores = tmp_path / "scores.csv"
-        scores.write_text("point_index,score\n0,1.0\n1,0.5\n")
-        run = main(["run", str(cfg), "--out", str(tmp_path / "out")])
-        report = main(["score-report", "--scores", str(scores), "--pool-csv",
-                       str(pool_csv), "--gamma", "0.5", "--out", str(tmp_path / "rep")])
-        return run, report
+        return main(["run", str(cfg), "--out", str(tmp_path / "out")])
 
     def test_columns_read_by_name(self, tmp_path):
         path = tmp_path / "pool.csv"
@@ -715,8 +750,9 @@ class TestPoolCsv:
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(str(path)) + " " + message):
             _load_pool_csv(path)
-        assert self._exit_codes(tmp_path, path) == (2, 2)
+        assert self._exit_code(tmp_path, path) == 2
         assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # a well-formed score or oracle file for a three-point pool, line by line
@@ -746,8 +782,9 @@ class TestInputTables:
         return scores_from_csv(path, 3) if kind == "scores" else CsvOracle(path)
 
     @staticmethod
-    def exit_codes(tmp_path, kind, path):
-        """`run` reading the file, and `score-report` for a score file."""
+    def exit_code(tmp_path, kind, path):
+        """`run` reading the file: as the scores of external-scores, or as
+        the oracle table of mc."""
         pool = tmp_path / "pool.csv"
         pool.write_text("index,x0,x1,truth_f_level0\n0,0.0,0.0,0.1\n"
                         "1,1.0,0.0,0.9\n2,0.0,1.0,0.9\n")
@@ -756,11 +793,7 @@ class TestInputTables:
                   else f"name = mc\n[oracle]\nkind = csv\npath = {path}")
         cfg.write_text(f"[pool]\nsource = csv\npath = {pool}\n"
                        f"[method]\ngamma = 0.5\n{method}\n")
-        codes = [main(["run", str(cfg), "--out", str(tmp_path / "out")])]
-        if kind == "scores":
-            codes.append(main(["score-report", "--scores", str(path), "--pool-csv",
-                               str(pool), "--gamma", "0.5", "--out", str(tmp_path / "rep")]))
-        return codes
+        return main(["run", str(cfg), "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("kind", sorted(INPUT_TABLES))
     @pytest.mark.parametrize("edit,error,message", [
@@ -784,8 +817,7 @@ class TestInputTables:
         path.write_text("\n".join(edit(INPUT_TABLES[kind])) + "\n")
         with pytest.raises(error, match=re.escape(str(path)) + " " + message):
             self.read(kind, path)
-        codes = self.exit_codes(tmp_path, kind, path)
-        assert set(codes) == {2 if error is ConfigError else 1}
+        assert self.exit_code(tmp_path, kind, path) == (2 if error is ConfigError else 1)
         assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(INPUT_TABLES))
@@ -793,15 +825,15 @@ class TestInputTables:
         path = tmp_path / "absent.csv"
         with pytest.raises(ConfigError, match="cannot read " + re.escape(str(path))):
             self.read(kind, path)
-        assert set(self.exit_codes(tmp_path, kind, path)) == {2}
+        assert self.exit_code(tmp_path, kind, path) == 2
 
     @pytest.mark.parametrize("kind", sorted(INPUT_TABLES))
     def test_bad_table_leaves_no_artifact_directory(self, tmp_path, capsys, kind):
         path = tmp_path / f"{kind}.csv"
         path.write_text("\n".join(_set_cell(INPUT_TABLES[kind], 3, -1, "abc")) + "\n")
-        assert set(self.exit_codes(tmp_path, kind, path)) == {2}
+        assert self.exit_code(tmp_path, kind, path) == 2
         assert str(path) in capsys.readouterr().err
-        assert not (tmp_path / "out").exists() and not (tmp_path / "rep").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_columns_read_by_name(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -815,83 +847,71 @@ class TestInputTables:
 
 
 class TestScoreReport:
-    def test_report_from_external_scores(self, tmp_path):
-        pool_csv = tmp_path / "pool.csv"
-        main(["gen-synthetic", "--n", "600", "--seed", "3", "--out", str(pool_csv)])
-        scores = tmp_path / "scores.csv"
-        with open(pool_csv, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        with open(scores, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["point_index", "score"])
-            for r in rows:
-                # oracle-informed ranking: low metric -> high score
-                w.writerow([r["index"], 1.0 / (0.1 + float(r["truth_f_level0"]))])
+    """The rate report of an external ranking: `run` with `name =
+    external-scores` on a CSV pool."""
+
+    @staticmethod
+    def report(tmp_path, pool_csv, scores, is_keys):
+        """Run external-scores over ``scores`` (one per pool point, in pool
+        order) with the trial streams rooted at 0; the rate_report.csv row."""
+        scores_csv = tmp_path / "scores.csv"
+        scores_csv.write_text("point_index,score\n" + "".join(
+            f"{i},{score!r}\n" for i, score in enumerate(scores)))
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text(f"[pool]\nsource = csv\npath = {pool_csv}\n"
+                       f"[method]\nname = external-scores\ngamma = 0.56\n"
+                       f"scores_path = {scores_csv}\n[is]\n{is_keys}\n[seeds]\ntrials = 0\n")
         out = tmp_path / "rep"
-        assert main(["score-report", "--scores", str(scores),
-                     "--pool-csv", str(pool_csv), "--gamma", "0.56",
-                     "--k-multiple", "2", "--trials", "30",
-                     "--out", str(out)]) == 0
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
         with open(out / "rate_report.csv") as fh:
-            row = list(csv.DictReader(fh))[0]
+            return list(csv.DictReader(fh))[0]
+
+    @staticmethod
+    def gen_pool(tmp_path):
+        """A 600-point gen-synthetic pool CSV and its level-0 metric."""
+        pool_csv = tmp_path / "pool.csv"
+        assert main(["gen-synthetic", "--n", "600", "--seed", "3",
+                     "--out", str(pool_csv)]) == 0
+        with open(pool_csv, newline="") as fh:
+            return pool_csv, [float(r["truth_f_level0"]) for r in csv.DictReader(fh)]
+
+    def test_report_from_external_scores(self, tmp_path):
+        pool_csv, f0 = self.gen_pool(tmp_path)
+        # oracle-informed ranking: low metric -> high score
+        row = self.report(tmp_path, pool_csv, [1.0 / (0.1 + f) for f in f0],
+                          "k_multiple = 2\ntrials = 30")
         assert row["method"] == "external-scores"
         assert float(row["recall"]) == 1.0  # oracle ranking finds everything
 
-
     def test_no_failure_drawn_reports_nan_rv(self, tmp_path, capsys):
-        pool_csv = tmp_path / "pool.csv"
-        main(["gen-synthetic", "--n", "600", "--seed", "3", "--out", str(pool_csv)])
-        with open(pool_csv, newline="") as fh:
-            truth = [float(r["truth_f_level0"]) <= 0.56 for r in csv.DictReader(fh)]
-        scores = tmp_path / "scores.csv"
+        pool_csv, f0 = self.gen_pool(tmp_path)
         # every failure scored 0: the sampler never draws one
-        scores.write_text("point_index,score\n" + "".join(
-            f"{i},{0 if fail else 1}\n" for i, fail in enumerate(truth)))
-        out = tmp_path / "rep"
-        assert main(["score-report", "--scores", str(scores), "--pool-csv", str(pool_csv),
-                     "--gamma", "0.56", "--trials", "20", "--out", str(out)]) == 0
-        with open(out / "rate_report.csv") as fh:
-            row = list(csv.DictReader(fh))[0]
+        row = self.report(tmp_path, pool_csv, [0 if f <= 0.56 else 1 for f in f0],
+                          "trials = 20")
         assert (row["p_hat_mean"], row["rv"], row["se_rv"]) == ("0", "nan", "nan")
         assert capsys.readouterr().err == (
             "external-scores: no IS trial drew a failure; rv and se_rv are nan\n")
 
-    def test_pool_without_truth_names_file_and_header(self, tmp_path, capsys):
+    @pytest.mark.parametrize("truth_column,gamma,reason", [
+        (False, "0.5", "no ground truth available"),
+        (True, "-1", "no pool point fails at gamma = -1.0")], ids=["no-truth", "no-failure"])
+    def test_skipped_report_names_the_reason(self, tmp_path, capsys, truth_column, gamma,
+                                             reason):
         pool_csv = tmp_path / "pool.csv"
-        pool_csv.write_text("index,x0,x1\n0,0.0,0.0\n1,1.0,0.0\n")
+        pool_csv.write_text("index,x0,x1" + ",truth_f_level0" * truth_column + "\n" + "".join(
+            f"{i},{i % 2},{i // 2}" + f",{0.1 * i}" * truth_column + "\n" for i in range(4)))
         scores = tmp_path / "scores.csv"
-        scores.write_text("point_index,score\n0,1.0\n1,0.5\n")
-        assert main(["score-report", "--scores", str(scores), "--pool-csv", str(pool_csv),
-                     "--gamma", "0.5", "--out", str(tmp_path / "rep")]) == 2
-        assert (f"config error: {pool_csv} line 1: need one 'truth_f_level0' column in "
-                "['index', 'x0', 'x1']") in capsys.readouterr().err
-        assert not (tmp_path / "rep").exists()
-
-    def test_negative_trials_seed_is_named_before_any_work(self, tmp_path, capsys):
-        pool_csv = tmp_path / "pool.csv"
-        main(["gen-synthetic", "--n", "600", "--seed", "3", "--out", str(pool_csv)])
-        scores = tmp_path / "scores.csv"
-        scores.write_text("point_index,score\n" + "".join(f"{i},1\n" for i in range(600)))
-        assert main(["score-report", "--scores", str(scores), "--pool-csv", str(pool_csv),
-                     "--gamma", "0.56", "--seed", "-1", "--out", str(tmp_path / "rep")]) == 1
-        assert capsys.readouterr().err.endswith("error: trials seed must be >= 0, got -1\n")
-        assert not (tmp_path / "rep").exists()
-
-    @pytest.mark.parametrize("k", ["0", "-1"])
-    def test_sample_size_below_one_is_an_error(self, tmp_path, capsys, k):
-        pool_csv = tmp_path / "pool.csv"
-        main(["gen-synthetic", "--n", "600", "--seed", "3", "--out", str(pool_csv)])
-        scores = tmp_path / "scores.csv"
-        scores.write_text("point_index,score\n" + "".join(f"{i},1\n" for i in range(600)))
-        assert main(["score-report", "--scores", str(scores), "--pool-csv", str(pool_csv),
-                     "--gamma", "0.56", "--k", k, "--out", str(tmp_path / "rep")]) == 1
-        assert f"K must be >= 1, got {k}" in capsys.readouterr().err
-        cfg = synthetic_config(tmp_path, method="mc")
-        cfg.write_text(cfg.read_text().replace("k_multiple = 2", f"k = {k}"))
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert f"K must be >= 1, got {k}" in capsys.readouterr().err
-        assert not (tmp_path / "rep" / "rate_report.csv").exists()
-        assert not (tmp_path / "out" / "rate_report.csv").exists()
+        scores.write_text("point_index,score\n0,1\n1,2\n2,3\n3,4\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[pool]\nsource = csv\npath = {pool_csv}\n[method]\n"
+                       f"name = external-scores\ngamma = {gamma}\nscores_path = {scores}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("external-scores: " + reason + "; skipped rate_report.csv "
+                                "and retention_recall.csv\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["scores_final.csv"]
 
 
 class TestModuleEntryPoint:

@@ -246,6 +246,14 @@ class TestSplittingBound:
         assert b.base_samples == int(np.floor(43 * 0.1 / (1.0 * 0.9)))
         assert b.min_total_sims == int(round(b.base_samples * (1 + 0.1 * 43)))
 
+    @pytest.mark.parametrize("budget", [0.5, 5.29])
+    def test_budget_below_one_base_sample_is_named(self, budget):
+        # one base sample costs 1 + delta K = 5.3 at K = 43, so N would be 0
+        with pytest.raises(InvalidInputError, match=rf"budget {budget} buys no base sample: "
+                                                    r"one costs 1 \+ delta K = 5\.3 \(K = 43"):
+            splitting_bound(0.01, 0.1, budget=budget)
+        assert splitting_bound(0.01, 0.1, budget=5.3).base_samples == 1
+
     def test_argument_validation(self):
         with pytest.raises(InvalidInputError):
             splitting_bound(0.0, 0.1, target_rv=0.1)
