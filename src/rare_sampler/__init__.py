@@ -2,12 +2,12 @@
 rate estimation over a finite pool of embedding points."""
 
 from .acquisition import PendingSet, acquisition_J, point_variance_beta, select_batch
-from .baselines import (CeState, CrossEntropy, gaussian_pdf_scores, mc_scores,
-                        random_acquisition, scores_from_csv)
+from .baselines import (CeState, ce_picks, elite_gaussian, gaussian_pdf_scores,
+                        mc_scores, random_acquisition, scores_from_csv)
 from .clustering import (ClusterAssignment, cluster_with_merges, hausdorff_distance,
                          kmeans, scale_points)
 from .driver import (BatchRecord, ExperimentResult, RunConfig, run_bams_batch,
-                     run_experiment, run_random_batch)
+                     run_experiment)
 from .errors import (ConfigError, EmptySelectionError, InvalidInputError,
                      NumericalError, OracleError, RareSamplerError)
 from .estimator import (FailureField, bivariate_normal_cdf, estimator_variance_exact,

@@ -410,18 +410,18 @@ def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
     """Repeat greedy selection until the accumulated cost reaches the budget.
 
     Returns (inputs, delta_j, cost) in selection order: (m, 2) index rows and
-    (m,) arrays.  Exhausting the candidates mid-way returns the partial
-    selection; an initially empty candidate set raises EmptySelectionError.
+    (m,) arrays.  Exhausting the candidates returns the partial selection,
+    an empty one when the candidate set is empty or exhausted at the start.
     """
     if not 0.0 < budget < np.inf:
         raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
+    if len(candidates) == 0:
+        return np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0)
     pending = PendingSet(state, pool, targets, candidates, costs)
     delta_j = []
     while pending.total_cost < budget:
         try:
             delta_j.append(pending.select_next()[1])
         except EmptySelectionError:
-            if not delta_j:
-                raise
             break
     return pending.selected, np.array(delta_j), pending.selected_costs

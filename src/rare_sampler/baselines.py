@@ -1,4 +1,4 @@
-"""Batch steps and scores of the baselines, run by ``driver.run_experiment``.
+"""Batch picks and scores of the baselines, run by ``driver.run_experiment``.
 
 The Monte Carlo baseline sorts and samples by seeded random scores; it and
 the GP baselines acquire by uniform random selection; the cross-entropy
@@ -64,52 +64,40 @@ class CeState:
     var: np.ndarray
 
 
-def _fit_elite_gaussian(points: np.ndarray, values: np.ndarray, n_elite: int,
-                        var_floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(values, kind="stable")[:n_elite]
-    elite = points[order]
-    return elite.mean(axis=0), np.maximum(elite.var(axis=0), var_floor)
+def elite_gaussian(pool: EmbeddingPool, log: EvaluationLog) -> CeState | None:
+    """The cross-entropy Gaussian of a log: the mean and the floored variance
+    of the CE_ELITES lowest values among the last batch's rows, ties taken in
+    evaluation order; None for an empty log."""
+    if not len(log):
+        return None
+    last = log.batches == log.batches[-1]
+    order = np.argsort(log.values[last], kind="stable")[:CE_ELITES]
+    elite = pool.points[log.inputs[last, 0][order]]
+    var_floor = CE_VAR_FLOOR_REL * np.maximum(pool.points.var(axis=0), 1e-30)
+    return CeState(mean=elite.mean(axis=0), var=np.maximum(elite.var(axis=0), var_floor))
 
 
-class CrossEntropy:
-    """Cross-entropy search snapped to the pool, one batch per call.
-
-    One generator drives every batch of ceil(budget) level-0 points: first
-    uniform ones, then Gaussian draws snapped to the nearest unevaluated
-    pool point.  Each batch refits the Gaussian to its lowest values.
-    """
-
-    def __init__(self, pool: EmbeddingPool, seed):
-        self.pool = pool
-        self.rng = np.random.default_rng(seed)
-        self.var_floor = CE_VAR_FLOOR_REL * np.maximum(pool.points.var(axis=0), 1e-30)
-        self.state: CeState | None = None
-
-    def run_batch(self, oracle, log: EvaluationLog, batch_index: int, budget: float):
-        """Evaluate one batch into the log; returns the selection of level-0
-        rows, NaN delta_j and cost 1, empty once every pool point is evaluated."""
-        pool, state, m = self.pool, self.state, math.ceil(budget)
-        if state is None:
-            picks = self.rng.choice(pool.n_points, size=min(m, pool.n_points),
-                                    replace=False).tolist()
-        else:
-            draws = state.mean + np.sqrt(state.var) * self.rng.standard_normal((m, pool.dim))
-            taken = np.isin(np.arange(pool.n_points), log.inputs[:, 0])
-            picks = []
-            for x in draws:
-                if taken.all():
-                    break
-                d2 = np.sum((pool.points - x) ** 2, axis=1)
-                d2[taken] = np.inf
-                picks.append(int(np.argmin(d2)))
-                taken[picks[-1]] = True
-        rows = np.column_stack([picks, np.zeros(len(picks))]).astype(np.intp)
-        if len(picks):
-            values = log.evaluate(oracle, rows, batch_index)
-            mean, var = _fit_elite_gaussian(pool.points[picks], values, CE_ELITES,
-                                            self.var_floor)
-            self.state = CeState(mean=mean, var=var)
-        return rows, np.full(len(rows), np.nan), np.ones(len(rows))
+def ce_picks(pool: EmbeddingPool, log: EvaluationLog, budget: float,
+             rng: np.random.Generator) -> np.ndarray:
+    """One cross-entropy batch of ceil(budget) level-0 points, as (m, 2) index
+    rows in draw order: uniform ones for an empty log, else draws from the
+    log's elite Gaussian, each snapped to the nearest pool point not yet
+    evaluated; fewer once every point is evaluated."""
+    gauss, m = elite_gaussian(pool, log), math.ceil(budget)
+    if gauss is None:
+        picks = rng.choice(pool.n_points, size=min(m, pool.n_points), replace=False).tolist()
+    else:
+        draws = gauss.mean + np.sqrt(gauss.var) * rng.standard_normal((m, pool.dim))
+        taken = np.isin(np.arange(pool.n_points), log.inputs[:, 0])
+        picks = []
+        for x in draws:
+            if taken.all():
+                break
+            d2 = np.sum((pool.points - x) ** 2, axis=1)
+            d2[taken] = np.inf
+            picks.append(int(np.argmin(d2)))
+            taken[picks[-1]] = True
+    return np.column_stack([picks, np.zeros(len(picks))]).astype(np.intp)
 
 
 def gaussian_pdf_scores(state: CeState, pool: EmbeddingPool) -> ScoreVector:

@@ -246,15 +246,18 @@ def cmd_run(args) -> int:
     if trials_seed < 0:
         raise InvalidInputError(f"trials seed must be >= 0, got {trials_seed}")
     # the settings, K among them, are checked and every input table is read
-    # before the artifact directory is made, so none leaves an empty --out behind
+    # before the artifact directory is made, so none leaves an empty --out behind.
+    # external-scores calls no oracle, yet its run settings are range-checked
+    # too, as mc's: mc meets none of the method-dependent checks
+    run_cfg = RunConfig(gamma=gamma, fidelities=fidelities,
+                        method=method if method in ORACLE_METHODS else "mc",
+                        train=TrainOptions(**cfg.settings(TrainOptions)),
+                        **cfg.settings(RunConfig))
     if method == "external-scores":
         scores = scores_from_csv(cfg.value("method", "scores_path", required=True),
                                  pool.n_points)
         os.makedirs(args.out, exist_ok=True)
     else:
-        run_cfg = RunConfig(gamma=gamma, fidelities=fidelities, method=method,
-                            train=TrainOptions(**cfg.settings(TrainOptions)),
-                            **cfg.settings(RunConfig))
         try:
             run_cfg.check_pool(pool.n_points)
         except InvalidInputError as exc:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import select_batch
-from .baselines import (CeState, CrossEntropy, gaussian_pdf_scores, mc_scores,
-                        random_acquisition)
+from .baselines import (CeState, ce_picks, elite_gaussian, gaussian_pdf_scores,
+                        mc_scores, random_acquisition)
 from .clustering import cluster_with_merges
-from .errors import EmptySelectionError, InvalidInputError
+from .errors import InvalidInputError
 from .estimator import FailureField, failure_prob
 from .evaluation import ScoreVector, importance_scores
 from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
@@ -88,18 +88,6 @@ class RunConfig:
                 f"size N = {n_points}; an adaptive batch needs S <= S_hat <= N")
 
 
-def run_random_batch(pool: EmbeddingPool, fidelities: FidelityConfig, budget: float,
-                     oracle, log: EvaluationLog, batch_index: int, seed):
-    """Evaluate uniformly random unevaluated inputs until the cost reaches budget.
-
-    Returns the selection (inputs, NaN delta_j, cost) in draw order; the
-    evaluations are appended to the log under batch_index.
-    """
-    picks = random_acquisition(pool, fidelities, budget, seed=seed, exclude=log.inputs)
-    log.evaluate(oracle, picks, batch_index)
-    return picks, np.full(len(picks), np.nan), np.asarray(fidelities.costs)[picks[:, 1]]
-
-
 def _cluster_queue(state: PosteriorState, pool: EmbeddingPool, members, evaluated,
                    costs_by_level, budget: float):
     """One cluster's ranked queue as a selection with cluster-local delta_j.
@@ -114,19 +102,15 @@ def _cluster_queue(state: PosteriorState, pool: EmbeddingPool, members, evaluate
     keep = ~evaluated[points, levels]
     candidates = np.column_stack([points[keep], levels[keep]])
     costs = np.asarray(costs_by_level, dtype=np.float64)[levels[keep]]
-    try:
-        return select_batch(state, pool, candidates, costs, targets, budget)
-    except EmptySelectionError:
-        return np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0)
+    return select_batch(state, pool, candidates, costs, targets, budget)
 
 
 def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig,
-                   oracle, log: EvaluationLog, batch_index: int):
-    """One adaptive batch: cluster, build queues, merge globally, evaluate.
+                   log: EvaluationLog, batch_index: int):
+    """One adaptive batch's picks: cluster, build queues, merge globally.
 
-    Returns the selection (inputs, delta_j, cost) in merge order, delta_j
-    scaled to the pool-wide objective (cluster values weighted by N_s / N).
-    Selected inputs are evaluated and appended to the log.
+    Returns (inputs, delta_j) in merge order, delta_j scaled to the pool-wide
+    objective (cluster values weighted by N_s / N).
     """
     assign = cluster_with_merges(pool, state.hyper, config.S,
                                  config.s_hat_effective,
@@ -143,9 +127,7 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
         # scale cluster-local deltaJ (a mean over N_s targets) to the pool objective
         queues.append((inputs, delta_j * (len(members) / n), cost))
 
-    selection = _merge_queues(queues, config.m_b)
-    log.evaluate(oracle, selection[0], batch_index)
-    return selection
+    return _merge_queues(queues, config.m_b)
 
 
 def _merge_queues(queues, m_b: float):
@@ -153,6 +135,7 @@ def _merge_queues(queues, m_b: float):
 
     Each step takes the least (deltaJ / cost, point, level) head that keeps
     the batch cost below m_b; a head that does not fit blocks its queue.
+    Returns the merged (inputs, delta_j).
     """
     inputs, delta_j, cost = (np.concatenate(col) for col in zip(*queues))
     sizes = [len(q[2]) for q in queues]
@@ -170,7 +153,7 @@ def _merge_queues(queues, m_b: float):
         heads[np.searchsorted(ends, j, side="right")] += 1
         taken.append(j)
         cost_g += cost[j]
-    return inputs[taken], delta_j[taken], cost[taken]
+    return inputs[taken], delta_j[taken]
 
 
 @dataclass
@@ -235,27 +218,35 @@ class ExperimentResult:
 def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> ExperimentResult:
     """Run every batch of one oracle method; the one batch loop.
 
-    Batch 1 spends m1 and each later batch m_b on the method's step: a ce
-    batch, an adaptive batch (bams, bas after batch 1) or a random batch from
-    the stream [seed, b] ([seed, 0] for a GP method's batch 1).  A GP method
-    then retrains, refits and snapshots its failure field."""
+    Batch 1 spends m1 and each later batch m_b on the method's picks: a ce
+    batch from the one stream [seed, 1], an adaptive batch (bams, bas after
+    batch 1) or a random batch from the stream [seed, b] ([seed, 0] for a GP
+    method's batch 1).  The loop alone evaluates the picks, prices them at
+    their level's cost and records them, with delta_j NaN unless the batch
+    is adaptive.  A GP method then retrains, refits and snapshots its
+    failure field."""
     config.check_pool(pool.n_points)
     fidelities = config.fidelities
     gp = config.method not in ("mc", "ce")
-    ce = CrossEntropy(pool, seed=[config.seed, 1]) if config.method == "ce" else None
+    ce_rng = np.random.default_rng([config.seed, 1])
     log = EvaluationLog()
     hyper = GpHyperparams.defaults(pool, fidelities.n_levels) if gp else None
     state = snapshot = None
     records = []
     for b in range(1, config.batches + 1):
         budget = config.m1 if b == 1 else config.m_b
-        if ce is not None:
-            selection = ce.run_batch(oracle, log, b, budget)
-        elif b > 1 and config.method in _ADAPTIVE_METHODS:
-            selection = run_bams_batch(pool, state, config, oracle, log, b)
+        adaptive = b > 1 and config.method in _ADAPTIVE_METHODS
+        if config.method == "ce":
+            inputs = ce_picks(pool, log, budget, ce_rng)
+        elif adaptive:
+            inputs, delta_j = run_bams_batch(pool, state, config, log, b)
         else:
-            selection = run_random_batch(pool, fidelities, budget, oracle, log, b,
-                                         seed=[config.seed, 0 if b == 1 and gp else b])
+            inputs = random_acquisition(pool, fidelities, budget, exclude=log.inputs,
+                                        seed=[config.seed, 0 if b == 1 and gp else b])
+        log.evaluate(oracle, inputs, b)
+        if not adaptive:
+            delta_j = np.full(len(inputs), np.nan)
+        cost = np.asarray(fidelities.costs)[inputs[:, 1]]
         if gp:
             if len(log) >= 2:
                 hyper = train_hyperparameters(pool, log, hyper, config.train)
@@ -263,6 +254,7 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
             snapshot = failure_prob(state, pool.points)
         vals = log.values[log.batches == b]
         mean_f = float(vals.mean()) if vals.size else float("nan")
-        records.append(BatchRecord(b, *selection, mean_f, snapshot, hyper))
+        records.append(BatchRecord(b, inputs, delta_j, cost, mean_f, snapshot, hyper))
     return ExperimentResult(config=config, pool=pool, log=log, batches=records,
-                            state=ce.state if ce is not None else state)
+                            state=elite_gaussian(pool, log) if config.method == "ce"
+                            else state)

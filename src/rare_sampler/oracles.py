@@ -10,6 +10,7 @@ child, so every later request fails instead of reading a stale reply.
 
 from __future__ import annotations
 
+import math
 import queue
 import shlex
 import subprocess
@@ -41,9 +42,14 @@ class CsvOracle:
 
 
 class ExternalOracle:
-    """Child-process oracle speaking the EVAL/OK/ERR line protocol."""
+    """Child-process oracle speaking the EVAL/OK/ERR line protocol; the
+    timeout, in seconds per response, must be positive and finite."""
 
     def __init__(self, command: str, timeout: float = 300.0):
+        # checked before the child starts; NaN compares false, so this rejects it too
+        if not 0.0 < timeout < math.inf:
+            raise InvalidInputError(
+                f"oracle timeout must be positive and finite, got {timeout!r}")
         self.command = command
         self.timeout = timeout
         self._lock = threading.Lock()

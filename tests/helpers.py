@@ -10,7 +10,7 @@ from scipy.special import ndtr
 from rare_sampler import (AugmentedInput, CeState, ClusterAssignment, EmbeddingPool,
                           EvaluationLog, FidelityConfig, GpHyperparams, InvalidInputError,
                           acquisition_J, fit_posterior, gaussian_pdf_scores, kmeans, mc_scores,
-                          run_random_batch, scale_points)
+                          random_acquisition, scale_points)
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from rare_sampler import EmptySelectionError, PendingSet, select_batch
 from rare_sampler import acquisition
 from rare_sampler.acquisition import _BLOCK, _beta_slope, point_variance_beta
-from rare_sampler.baselines import CE_ELITES, CE_VAR_FLOOR_REL, _fit_elite_gaussian
+from rare_sampler.baselines import CE_ELITES, CE_VAR_FLOOR_REL
 from rare_sampler.clustering import _relabel
 from rare_sampler.estimator import SIGMA_FLOOR
 from rare_sampler.gp import (SQRT5, _matern_pairs, _MllWork, _solve_chol, matern25_matrix,
@@ -342,18 +342,13 @@ def reference_write_csv(path, header, rows) -> None:
 def reference_cluster_queue(state, pool, members, evaluated, costs_by_level, budget):
     """One cluster's queue from ``AugmentedInput`` lists: the targets are the
     members at level 0, the candidates every (member, level) pair not in the
-    ``evaluated`` set, point-major."""
+    ``evaluated`` set, point-major; no candidate gives an empty queue."""
     n_levels = len(costs_by_level)
     targets = [AugmentedInput(int(i), 0) for i in members]
     candidates = [AugmentedInput(int(i), l) for i in members for l in range(n_levels)
                   if (int(i), l) not in evaluated]
-    if not candidates:
-        return selection_arrays([])
     costs = np.array([costs_by_level[c.level] for c in candidates])
-    try:
-        return select_batch(state, pool, candidates, costs, targets, budget)
-    except EmptySelectionError:
-        return selection_arrays([])
+    return select_batch(state, pool, candidates, costs, targets, budget)
 
 
 def reference_kmeans(points, k, seed):
@@ -432,9 +427,18 @@ def reference_mc_run(pool, oracle, batches, m1, m_b, seed):
     Returns (EvaluationLog, ScoreVector)."""
     log = EvaluationLog()
     for b in range(1, batches + 1):
-        run_random_batch(pool, FidelityConfig((1.0,)), m1 if b == 1 else m_b,
-                         oracle, log, b, seed=[seed, b])
+        picks = random_acquisition(pool, FidelityConfig((1.0,)), m1 if b == 1 else m_b,
+                                   seed=[seed, b], exclude=log.inputs)
+        for i, level in picks.tolist():
+            log.evaluate(oracle, AugmentedInput(i, level), b)
     return log, mc_scores(pool.n_points, seed=[seed, 1])
+
+
+def _elite_fit(points, values, var_floor) -> CeState:
+    """The diagonal Gaussian of the CE_ELITES lowest values, ties in the
+    given order, its variance floored."""
+    elite = points[np.argsort(values, kind="stable")[:CE_ELITES]]
+    return CeState(mean=elite.mean(axis=0), var=np.maximum(elite.var(axis=0), var_floor))
 
 
 def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, m_b: int,
@@ -455,10 +459,7 @@ def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, 
     first = rng.choice(pool.n_points, size=min(m1, pool.n_points), replace=False)
     for i in first:
         log.evaluate(oracle, AugmentedInput(int(i), 0), 1)
-    pts = pool.points[first]
-    vals = log.values
-    mean, var = _fit_elite_gaussian(pts, vals, CE_ELITES, var_floor)
-    state = CeState(mean=mean, var=var)
+    state = _elite_fit(pool.points[first], log.values, var_floor)
 
     evaluated = {int(i) for i in first}
     for b in range(2, batches + 1):
@@ -474,9 +475,7 @@ def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, 
             break
         batch_vals = [log.evaluate(oracle, AugmentedInput(i, 0), b)[0] for i in batch_idx]
         evaluated.update(batch_idx)
-        mean, var = _fit_elite_gaussian(pool.points[batch_idx],
-                                        np.asarray(batch_vals), CE_ELITES, var_floor)
-        state = CeState(mean=mean, var=var)
+        state = _elite_fit(pool.points[batch_idx], np.asarray(batch_vals), var_floor)
     return state, gaussian_pdf_scores(state, pool), log
 
 

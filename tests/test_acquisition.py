@@ -246,12 +246,17 @@ class TestSelection:
         assert len(inputs) == len(cands)
         assert sorted(map(tuple, inputs.tolist())) == sorted(cands)
 
-    def test_empty_candidates_raise(self):
+    def test_empty_candidates_give_an_empty_selection(self):
+        # a dry queue is an ordinary result of select_batch; PendingSet itself
+        # still refuses an empty candidate set
         rng = np.random.default_rng(14)
         pool, _, _, state = random_problem(rng, n_points=5, n_train=2)
         targets = [AugmentedInput(i, 0) for i in range(5)]
+        inputs, delta_j, cost = select_batch(state, pool, [], [], targets, budget=1.0)
+        assert inputs.shape == (0, 2) and inputs.dtype == np.intp
+        assert delta_j.shape == cost.shape == (0,)
         with pytest.raises(EmptySelectionError):
-            select_batch(state, pool, [], [], targets, budget=1.0)
+            PendingSet(state, pool, targets, [], [])
 
     @pytest.mark.parametrize("budget", [0.0, np.nan, np.inf])
     def test_non_positive_or_non_finite_budget_rejected(self, budget):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rare_sampler import (CeState, EmbeddingPool, FidelityConfig, RunConfig,
-                          gaussian_pdf_scores, mc_scores, random_acquisition,
-                          run_experiment)
+from rare_sampler import (CeState, EmbeddingPool, EvaluationLog, FidelityConfig, RunConfig,
+                          elite_gaussian, gaussian_pdf_scores, mc_scores,
+                          random_acquisition, run_experiment)
 from rare_sampler.baselines import scores_from_csv
 from rare_sampler.errors import InvalidInputError, OracleError
 
@@ -125,6 +125,11 @@ class TestCrossEntropy:
         _, _, log = run_ce(pool, oracle, batches=3, m1=20, m_b=10, seed=5)
         means = [log.values[log.batches == b].mean() for b in (1, 2, 3)]
         assert means[2] < means[0]
+
+    def test_empty_log_has_no_gaussian(self):
+        # batch 1 of a run draws uniformly for want of one
+        pool, _ = self.blob_pool_and_oracle(seed=4)
+        assert elite_gaussian(pool, EvaluationLog()) is None
 
     def test_never_reevaluates(self):
         pool, oracle = self.blob_pool_and_oracle(seed=3)

@@ -285,6 +285,34 @@ class TestReadmeCommandLine:
         assert "invalid choice: 'score-report'" in capsys.readouterr().err
 
 
+class TestReadmeArtifactLayout:
+    """The README's Artifact layout lists exactly the file name patterns that
+    `run` writes: every file of a bams, mc, ce and external-scores run matches
+    a listed pattern, and every listed pattern is written by one of them."""
+
+    @staticmethod
+    def documented():
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Artifact layout\n", 1)[1].split("\n###", 1)[0]
+        return {m.group(1) for m in re.finditer(r"^- `([^`]+)`", section, re.MULTILINE)}
+
+    def test_listed_patterns_are_the_written_ones(self, tmp_path):
+        written = set()
+        for method in ("bams", "mc", "ce", "external-scores"):
+            cfg = synthetic_config(tmp_path, method=method, n=200)
+            if method == "external-scores":
+                scores = tmp_path / "scores.csv"
+                scores.write_text("point_index,score\n"
+                                  + "".join(f"{i},{1.0 + i % 7}\n" for i in range(200)))
+                cfg.write_text(cfg.read_text().replace(
+                    "[budget]", f"scores_path = {scores}\n\n[budget]"))
+            out = tmp_path / method
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            written |= {re.sub(r"\d+", "<k>", p.name) for p in out.iterdir()}
+        assert "selected_batch<k>.csv" in written
+        assert written == self.documented()
+
+
 class TestRunCommand:
     def test_bams_smoke_emits_all_files(self, tmp_path, capsys):
         cfg = synthetic_config(tmp_path)
@@ -598,6 +626,18 @@ class TestCommandOracleRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot start oracle command {command!r}"), err
 
+    @pytest.mark.parametrize("timeout", ["-1", "0", "inf", "nan"])
+    def test_timeout_that_is_not_positive_and_finite_is_named(self, tmp_path, capsys,
+                                                              timeout):
+        # rejected before the child starts, so no request can time out or hang
+        cfg, pid_file = self.config(tmp_path, "mc", "value")
+        cfg.write_text(cfg.read_text() + f"timeout = {timeout}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: oracle timeout must be positive and finite, got {float(timeout)!r}\n")
+        assert not pid_file.exists()
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("method", ["bams", "mc", "ce"])
     def test_non_finite_value_names_the_point(self, tmp_path, capsys, method):
         cfg, pid_file = self.config(tmp_path, method, "nan")
@@ -891,6 +931,51 @@ class TestScoreReport:
         assert (row["p_hat_mean"], row["rv"], row["se_rv"]) == ("0", "nan", "nan")
         assert capsys.readouterr().err == (
             "external-scores: no IS trial drew a failure; rv and se_rv are nan\n")
+
+    @pytest.mark.parametrize("edit,error", [
+        (("run = 0", "run = -1"), "run seed must be >= 0, got -1"),
+        (("m1 = 20", "m1 = -5"), "m1 and m_b must be positive and finite, got -5.0 and 15.0"),
+        (("batches = 3", "batches = 0"), "batches must be >= 1"),
+        (("eta = 2.0", "eta = 0.5"), "eta must be >= 1 and finite, got 0.5"),
+        (("clusters = 6", "clusters = 0"), "need 1 <= S <= S_hat"),
+        (("gamma = 0.5", "gamma = nan"), "gamma must be finite, got nan"),
+        (("train_iters = 200", "train_iters = -5"), "training iters must be >= 0, got -5"),
+        (("train_lr = 0.05", "train_lr = inf"),
+         "training lr must be positive and finite, got inf")],
+        ids=["seeds-run", "m1", "batches", "eta", "clusters", "gamma", "train_iters",
+             "train_lr"])
+    def test_run_settings_are_checked_as_for_an_oracle_method(self, tmp_path, capsys,
+                                                              edit, error):
+        # the same message and exit status as mc, before --out is made
+        pool_csv = tmp_path / "pool.csv"
+        pool_csv.write_text("index,x0,truth_f_level0\n0,0.0,0.1\n1,1.0,0.9\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("point_index,score\n0,1\n1,2\n")
+        for method in ("mc", "external-scores"):
+            text = textwrap.dedent(f"""\
+                [pool]
+                source = csv
+                path = {pool_csv}
+                [method]
+                name = {method}
+                gamma = 0.5
+                clusters = 6
+                eta = 2.0
+                train_lr = 0.05
+                train_iters = 200
+                scores_path = {scores}
+                [budget]
+                m1 = 20
+                batches = 3
+                [seeds]
+                run = 0
+            """)
+            assert text.count(edit[0]) == 1
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text.replace(*edit))
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == f"error: {error}\n", method
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("truth_column,gamma,reason", [
         (False, "0.5", "no ground truth available"),

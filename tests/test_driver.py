@@ -6,7 +6,7 @@ from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
                           SyntheticOracle,
                           SyntheticSpec, cluster_with_merges, fit_posterior,
                           generate_pool, random_acquisition, run_bams_batch,
-                          run_experiment, run_random_batch)
+                          run_experiment)
 from rare_sampler.driver import _cluster_queue, _merge_queues
 from rare_sampler.gp import TrainOptions
 
@@ -42,8 +42,8 @@ def base_config(**kw):
 def initial_log(pool, config, oracle):
     """The initialization batch exactly as run_experiment draws it."""
     log = EvaluationLog()
-    run_random_batch(pool, config.fidelities, config.m1, oracle, log, 1,
-                     seed=[config.seed, 0])
+    log.evaluate(oracle, random_acquisition(pool, config.fidelities, config.m1,
+                                            seed=[config.seed, 0]), 1)
     return log
 
 
@@ -127,10 +127,11 @@ class TestBamsBatch:
         hyper = GpHyperparams.defaults(pool, 2)
         state = fit_posterior(pool, log, hyper, config.gamma)
         expected = reference_bams_batch(pool, state, config, log)
-        got = run_bams_batch(pool, state, config, oracle, log, batch_index=2)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_allclose(got[1], expected[1], atol=1e-8)
-        np.testing.assert_allclose(got[2], expected[2])
+        n_logged = len(log)
+        inputs, delta_j = run_bams_batch(pool, state, config, log, batch_index=2)
+        np.testing.assert_array_equal(inputs, expected[0])
+        np.testing.assert_allclose(delta_j, expected[1], atol=1e-8)
+        assert len(log) == n_logged  # the step picks; the loop evaluates
 
     def test_strict_budget_rule(self):
         spec, pool, oracle = small_synthetic(n=50, seed=3)
@@ -138,8 +139,8 @@ class TestBamsBatch:
         log = initial_log(pool, config, oracle)
         hyper = GpHyperparams.defaults(pool, 2)
         state = fit_posterior(pool, log, hyper, config.gamma)
-        _, _, cost = run_bams_batch(pool, state, config, oracle, log, 2)
-        assert sum(cost.tolist()) < config.m_b
+        inputs, _ = run_bams_batch(pool, state, config, log, 2)
+        assert sum(config.fidelities.cost(l) for l in inputs[:, 1].tolist()) < config.m_b
 
     def test_budget_equality_does_not_fit(self):
         queues = [[(AugmentedInput(0, 0), -0.5, 1.0), (AugmentedInput(1, 0), -0.4, 1.0)]]
@@ -252,6 +253,25 @@ class TestExperiment:
             assert rec.delta_j.shape == rec.cost.shape == (len(rec.inputs),)
             levels = rec.inputs[:, 1].tolist()
             assert rec.cost.tolist() == [result.config.fidelities.cost(l) for l in levels]
+
+    @pytest.mark.parametrize("method", ["bams", "bas", "mc-gp", "mcm-gp", "mc", "ce"])
+    def test_one_evaluate_call_per_batch(self, method, monkeypatch):
+        # the loop alone queries the oracle, once per batch; batch 4 finds the
+        # 8-point pool exhausted and still makes its (empty) call
+        spec, pool, oracle = small_synthetic(n=8, seed=12)
+        calls = []
+        evaluate = EvaluationLog.evaluate
+
+        def counting(log, oracle, inputs, batch_index):
+            calls.append(batch_index)
+            return evaluate(log, oracle, inputs, batch_index)
+
+        monkeypatch.setattr(EvaluationLog, "evaluate", counting)
+        config = base_config(seed=12, method=method, m1=4.0, m_b=3.0, batches=4, S=1,
+                             S_hat=2)
+        result = run_experiment(pool, config, oracle)
+        assert calls == [1, 2, 3, 4]
+        assert [len(rec.inputs) > 0 for rec in result.batches] == [True, True, True, False]
 
     def test_single_fidelity_methods_drop_extra_levels(self):
         config = base_config(method="bas")
