@@ -25,8 +25,9 @@ Most targets of a cluster are already resolved: their point variance is
 zero or negligible.  Since beta(s, t_hat) falls as t_hat falls, a target
 adds between 0 and beta(s, 1) to any candidate's gain at every step of the
 queue, so ``PendingSet`` drops, once at set-up, every target with
-beta(s, 1) == 0 and then the smallest-beta targets that together hold at
-most ``_ROW_TOL`` of the total (``dropped_beta``).  Each step then costs
+beta(s, 1) == 0 (a deterministic one, scored s = +-inf by
+``threshold_scores``, among them) and then the smallest-beta targets that
+together hold at most ``_ROW_TOL`` of the total (``dropped_beta``).  Each step then costs
 O(|T_live| * |C|).  J and deltaJ stay averages over all ``n_targets``
 targets and move by at most ``dropped_beta / n_targets``.
 """
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.special import owens_t
 
 from .errors import EmptySelectionError, InvalidInputError, NumericalError
-from .estimator import SIGMA_FLOOR
+from .estimator import threshold_scores
 from .gp import PosteriorState, matern25_matrix, mf_kernel_matrix, noise_variances
 from .pool import AugmentedInput, EmbeddingPool, gather_points, input_array
 
@@ -109,17 +110,16 @@ def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
         raise InvalidInputError("target set is empty")
     tp, tl = gather_points(pool, targets)
     mu, var, Vt = state.query(tp, tl)
-    active = var >= SIGMA_FLOOR**2
-    if not np.any(active):
+    s, live = threshold_scores(state, mu, var)
+    if not np.any(live):
         return 0.0
-    s = (state.gamma_norm - mu[active]) / np.sqrt(var[active])
     # an empty pending set has zero rows: v is (0, n) and t_hat exactly 1
     mp, ml, Vp, L = _pending_solve(state, pool, pending)
-    cross = (mf_kernel_matrix(mp, ml, tp[active], tl[active], state.hyper)
-             - Vp.T @ Vt[:, active])
+    cross = (mf_kernel_matrix(mp, ml, tp[live], tl[live], state.hyper)
+             - Vp.T @ Vt[:, live])
     v = np.linalg.solve(L, cross)
-    t_hat = 1.0 - np.einsum("ij,ij->j", v, v) / var[active]
-    return float(point_variance_beta(s, t_hat).sum()) / len(targets)
+    t_hat = 1.0 - np.einsum("ij,ij->j", v, v) / var[live]
+    return float(point_variance_beta(s[live], t_hat).sum()) / len(targets)
 
 
 class PendingSet:
@@ -135,13 +135,13 @@ class PendingSet:
     targets stay after pruning, and ``dropped_beta`` is the summed point
     variance beta(s, 1) of the pruned ones.  A pick's prior covariance with
     every candidate is its row of ``mf_kernel_matrix``, the posterior's own
-    kernel, so a candidate level outside the GP's levels is an error.
+    kernel, so a candidate level outside the GP's levels is an error.  An
+    empty candidate set is zero columns: the first ``select_next`` raises
+    ``EmptySelectionError``.
     """
 
     def __init__(self, state: PosteriorState, pool: EmbeddingPool, targets,
                  candidates, costs):
-        if len(candidates) == 0:
-            raise EmptySelectionError("no candidates to select from")
         self.state = state
         self.candidates = input_array(pool, candidates)
         self.costs = np.asarray(costs, dtype=np.float64)
@@ -173,15 +173,15 @@ class PendingSet:
         _, var_c, Vc = state.query(cp, cl)
         self._Vc = Vc
 
-        act = var_t >= SIGMA_FLOOR**2
-        s_all = np.zeros(self.n_targets)
-        s_all[act] = (state.gamma_norm - mu_t[act]) / np.sqrt(var_t[act])
-        # one cumulative rule: the beta == 0 rows sort first and always go,
-        # then the smallest rows holding at most _ROW_TOL of the total
-        beta0 = np.where(act, point_variance_beta(s_all, 1.0), 0.0)
+        # one cumulative rule: the beta == 0 rows sort first and always go
+        # (deterministic targets among them, as beta(+-inf, 1) = 0), then
+        # the smallest rows holding at most _ROW_TOL of the total
+        s_all = threshold_scores(state, mu_t, var_t)[0]
+        beta0 = point_variance_beta(s_all, 1.0)
         order = np.argsort(beta0, kind="stable")
         cum = np.cumsum(beta0[order])
         dropped = order[cum <= _ROW_TOL * beta0.sum()]
+        act = np.ones(self.n_targets, dtype=bool)
         act[dropped] = False
         self.dropped_beta = float(beta0[dropped].sum())
         self.n_live_targets = int(act.sum())
@@ -210,7 +210,7 @@ class PendingSet:
         self.TCs = TC
 
         self.h_C = var_c + noise_variances(cl, hyper)
-        self._h_floor = H_FLOOR_REL * max(float(self.h_C.max()), 1e-300)
+        self._h_floor = H_FLOOR_REL * float(self.h_C.max(initial=1e-300))
 
         # candidate ranks in (point_index, level, position) order: the tie-break
         self._rank = np.empty(len(cl), dtype=np.intp)
@@ -288,6 +288,16 @@ class PendingSet:
         gains = beta_sum - self._beta_block(that_new).sum(axis=0)
         return np.maximum(gains, 0.0)
 
+    def _block_best(self, block: np.ndarray, beta_sum: float):
+        """The least (value, rank) candidate of a column block as (value,
+        rank, column, gain per unit cost), value the cost-normalized change
+        in J."""
+        gains = self._exact_columns(block, beta_sum)
+        vals = -gains / (self.costs[block] * self.n_targets)
+        j = np.lexsort((self._rank[block], vals))[0]
+        c = int(block[j])
+        return float(vals[j]), int(self._rank[c]), c, gains[j] / self.costs[c]
+
     def _gain_bounds(self, beta: np.ndarray) -> np.ndarray:
         """Certified bounds on every candidate's gain, (2, |C|): row 0 the
         tangent (lower) bound, row 1 the chord (upper) bound; beta is the
@@ -358,27 +368,16 @@ class PendingSet:
             surv = feas_idx[Um[feas_idx] >= threshold]
             order = surv[np.argsort(-Um[surv], kind="stable")]
 
-            # the running best is the least (value, rank) pair, the rank
-            # breaking ties lexicographically
-            best_idx = -1
-            best_val = np.inf
-            best_rate = -np.inf
+            # the running best is the least (value, rank) pair; ranks are
+            # distinct, so the tuple comparison never reaches the column
             beta_sum = beta.sum()
-            for s0 in range(0, order.size, _BLOCK):
+            best = self._block_best(order[:_BLOCK], beta_sum)
+            for s0 in range(_BLOCK, order.size, _BLOCK):
                 block = order[s0:s0 + _BLOCK]
-                if best_idx >= 0 and float(Um[block[0]]) < best_rate:
+                if float(Um[block[0]]) < best[3]:
                     break
-                gains = self._exact_columns(block, beta_sum)
-                vals = -gains / (self.costs[block] * self.n_targets)
-                tied = np.flatnonzero(vals == vals.min())
-                j = tied[np.argmin(self._rank[block[tied]])]
-                c = int(block[j])
-                v = float(vals[j])
-                if (best_idx < 0 or v < best_val
-                        or (v == best_val and self._rank[c] < self._rank[best_idx])):
-                    best_idx = c
-                    best_val = v
-                    best_rate = gains[j] / self.costs[c]
+                best = min(best, self._block_best(block, beta_sum))
+            best_val, _, best_idx, _ = best
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
         return AugmentedInput(*self.candidates[best_idx].tolist()), float(delta_j)
@@ -415,8 +414,6 @@ def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
     """
     if not 0.0 < budget < np.inf:
         raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
-    if len(candidates) == 0:
-        return np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0)
     pending = PendingSet(state, pool, targets, candidates, costs)
     delta_j = []
     while pending.total_cost < budget:

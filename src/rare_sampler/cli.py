@@ -204,7 +204,9 @@ def _build_pool(cfg: _Config):
     return pool, metric_level0(pool.points, spec), spec
 
 
-def _build_oracle(cfg: _Config, pool, spec):
+def _build_oracle(cfg: _Config, pool, spec, n_levels: int):
+    """The run's oracle; a synthetic one must answer every level the run
+    queries, ``n_levels`` after RunConfig trims them."""
     kind = cfg.value("oracle", "kind")
     if kind == "csv":
         return CsvOracle(cfg.value("oracle", "path", required=True))
@@ -213,6 +215,10 @@ def _build_oracle(cfg: _Config, pool, spec):
                               **cfg.settings(ExternalOracle))
     if spec is None:
         raise ConfigError("synthetic oracle requires a synthetic pool")
+    if n_levels > 2:
+        cv = cfg.sections["fidelity"]["levels"]
+        raise ConfigError(f"line {cv.line}: the synthetic oracle has levels 0 and 1, "
+                          f"but the run queries levels up to {n_levels - 1}")
     return SyntheticOracle(pool, spec, **cfg.settings(SyntheticOracle))
 
 
@@ -230,6 +236,14 @@ def _report(out_dir, method, scores, truth, K: int, trials: int, seed) -> None:
     if np.isnan(report.rv):
         print(f"{method}: no IS trial drew a failure; rv and se_rv are nan",
               file=sys.stderr)
+
+
+def _make_out_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot make the artifact directory {path}: "
+                                f"{exc.strerror}") from None
 
 
 def cmd_run(args) -> int:
@@ -256,7 +270,7 @@ def cmd_run(args) -> int:
     if method == "external-scores":
         scores = scores_from_csv(cfg.value("method", "scores_path", required=True),
                                  pool.n_points)
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
     else:
         try:
             run_cfg.check_pool(pool.n_points)
@@ -264,9 +278,9 @@ def cmd_run(args) -> int:
             keys = cfg.sections.get("method", {})
             cv = keys.get("initial_clusters") or keys.get("clusters")
             raise ConfigError(f"line {cv.line}: {exc}" if cv else str(exc)) from None
-        oracle = _build_oracle(cfg, pool, spec)
+        oracle = _build_oracle(cfg, pool, spec, run_cfg.fidelities.n_levels)
         try:
-            os.makedirs(args.out, exist_ok=True)
+            _make_out_dir(args.out)
             result = run_experiment(pool, run_cfg, oracle)
         finally:
             if isinstance(oracle, ExternalOracle):
@@ -310,8 +324,13 @@ def _given(args, *names) -> dict:
 def cmd_gen_synthetic(args) -> int:
     spec = SyntheticSpec(**_given(args, "n_points", "seed", "gamma", "center"))
     pool = generate_pool(spec)
-    # built before any file is written, so a bad --noise-seed writes nothing
+    # built, and both destinations checked, before any file is written, so a
+    # bad --noise-seed or --oracle-out writes nothing
     oracle = SyntheticOracle(pool, spec, **_given(args, "noise_seed"))
+    for path in filter(None, (args.out, args.oracle_out)):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise InvalidInputError(f"cannot write {path}: {folder} is not a directory")
     export_pool_csv(pool, spec, args.out)
     if args.oracle_out:
         values = [oracle(i, level) for i in range(pool.n_points) for level in (0, 1)]

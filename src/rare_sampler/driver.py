@@ -182,10 +182,11 @@ class ExperimentResult:
         return [b.mean_f for b in self.batches]
 
     def final_field(self) -> FailureField:
-        for b in reversed(self.batches):
-            if b.field is not None:
-                return b.field
-        raise InvalidInputError("run holds no posterior snapshots")
+        """The last batch's failure field: a GP method snapshots one every batch."""
+        last = self.batches[-1].field
+        if last is None:
+            raise InvalidInputError("run holds no posterior snapshots")
+        return last
 
     def scores(self, alpha: float) -> ScoreVector:
         """Final per-point scores: the last field's importance scores for a GP

@@ -84,22 +84,23 @@ class FailureField:
         object.__setattr__(self, "h", p * (1.0 - p))
 
 
-def _threshold_scores(state: PosteriorState, points: np.ndarray):
-    """Normalized (gamma - mu)/sigma plus a mask of deterministic points."""
-    levels = np.zeros(len(points), dtype=np.intp)
-    mu, var = state.mean_var_norm(points, levels)
+def threshold_scores(state: PosteriorState, mu: np.ndarray, var: np.ndarray):
+    """Threshold scores s = (gamma - mu) / sigma of normalized posterior means
+    and variances, and the mask of live inputs.  An input with sigma below
+    SIGMA_FLOOR is deterministic: it scores +inf if mu <= gamma, else -inf."""
     sigma = np.sqrt(var)
-    det = sigma < SIGMA_FLOOR
-    s = np.empty_like(mu)
-    s[~det] = (state.gamma_norm - mu[~det]) / sigma[~det]
-    s[det] = np.where(state.gamma_norm - mu[det] >= 0.0, np.inf, -np.inf)
-    return s, sigma, det
+    live = sigma >= SIGMA_FLOOR
+    margin = state.gamma_norm - mu
+    s = np.where(margin >= 0.0, np.inf, -np.inf)
+    s[live] = margin[live] / sigma[live]
+    return s, live
 
 
 def failure_prob(state: PosteriorState, points: np.ndarray) -> FailureField:
     """Level-0 failure probabilities of the posterior at the given points."""
-    s, _, _ = _threshold_scores(state, np.asarray(points, dtype=np.float64))
-    return FailureField(p=ndtr(s))
+    points = np.asarray(points, dtype=np.float64)
+    mu, var = state.mean_var_norm(points, np.zeros(len(points), dtype=np.intp))
+    return FailureField(p=ndtr(threshold_scores(state, mu, var)[0]))
 
 
 def variance_upper_bound(field: FailureField) -> float:
@@ -115,19 +116,16 @@ def estimator_variance_exact(state: PosteriorState, pool: EmbeddingPool) -> floa
     O(N^2) in bivariate normal CDF evaluations; intended for small pools.
     Pairs involving a deterministic point contribute zero covariance.
     """
-    pts = pool.points
     n = pool.n_points
-    s, sigma, det = _threshold_scores(state, pts)
+    levels = np.zeros(n, dtype=np.intp)
+    mu, var = state.mean_var_norm(pool.points, levels)
+    s, live = threshold_scores(state, mu, var)
     p = ndtr(s)
     h = p * (1.0 - p)
-    total = float(h.sum())
-    live = np.flatnonzero(~det)
-    if live.size >= 2:
-        levels = np.zeros(live.size, dtype=np.intp)
-        cov = state.cross_cov_norm(pts[live], levels, pts[live], levels)
-        iu, ju = np.triu_indices(live.size, k=1)
-        rho = cov[iu, ju] / (sigma[live][iu] * sigma[live][ju])
-        rho = np.clip(rho, -1.0, 1.0)
-        joint = bivariate_normal_cdf(s[live][iu], s[live][ju], rho)
-        total += 2.0 * float(np.sum(joint - p[live][iu] * p[live][ju]))
-    return total / float(n * n)
+    pts, lv, sd = pool.points[live], levels[live], np.sqrt(var[live])
+    cov = state.cross_cov_norm(pts, lv, pts, lv)
+    iu, ju = np.triu_indices(len(lv), k=1)
+    rho = np.clip(cov[iu, ju] / (sd[iu] * sd[ju]), -1.0, 1.0)
+    joint = bivariate_normal_cdf(s[live][iu], s[live][ju], rho)
+    pairs = float(np.sum(joint - p[live][iu] * p[live][ju]))
+    return (float(h.sum()) + 2.0 * pairs) / float(n * n)

@@ -168,7 +168,7 @@ def retention_recall_curve(scores: ScoreVector, truth: np.ndarray) -> np.ndarray
     out = np.empty((RETENTION_MULTIPLES.size, 2))
     for i, t in enumerate(RETENTION_MULTIPLES):
         k = min(int(np.ceil(t * n_fail)), truth.size)
-        out[i] = (t, hits[k - 1] / n_fail if k else 0.0)
+        out[i] = (t, hits[k - 1] / n_fail)
     return out
 
 

@@ -245,16 +245,15 @@ def _check_levels(levels: np.ndarray, n_levels: int) -> None:
 class PosteriorState:
     """Immutable GP posterior snapshot.
 
-    Stores the training inputs, standardized targets, the Cholesky factor of
-    the noisy training covariance, and the precomputed weight vector.  Safe
-    to share across parallel readers.
+    Stores the training inputs, the target standardization, the Cholesky
+    factor of the noisy training covariance, and the precomputed weight
+    vector.  Safe to share across parallel readers.
     """
 
     train_points: np.ndarray
     train_levels: np.ndarray
     y_mean: float
     y_std: float
-    y_norm: np.ndarray
     gamma: float
     hyper: GpHyperparams
     chol: np.ndarray
@@ -330,8 +329,8 @@ def fit_posterior(pool: EmbeddingPool, log: EvaluationLog, hyper: GpHyperparams,
     K[np.diag_indices_from(K)] += noise_variances(lvls, hyper)
     L, extra = _solve_chol(K, hyper.signal_var)
     alpha = cho_solve((L, True), y_norm)
-    return PosteriorState(pts, lvls, y_mean, y_std, y_norm, float(gamma), hyper,
-                          L, alpha, extra)
+    return PosteriorState(pts, lvls, y_mean, y_std, float(gamma), hyper, L, alpha,
+                          extra)
 
 
 def posterior_mean_var(state: PosteriorState, points: np.ndarray, levels: np.ndarray):

@@ -205,12 +205,17 @@ def write_csv(path, header, columns) -> None:
     decimal ints, float columns at 17 significant digits (``%.17g``, an exact
     round trip, with ``nan``, ``inf``, ``-inf`` and ``-0``) and any other
     column as str, unquoted, so its cells must hold no comma, quote or line
-    break.  Each block of CSV_BLOCK_ROWS rows is formatted by one ``%`` call."""
+    break.  Each block of CSV_BLOCK_ROWS rows is formatted by one ``%`` call.
+    A file that cannot be opened is an InvalidInputError naming the path."""
     cols = [np.asarray(c) for c in columns]
     kinds = [col.dtype.kind for col in cols]
     row = ",".join("%d" if k in "iu" else "%.17g" if k == "f" else "%s"
                    for k in kinds) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
             block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in cols]

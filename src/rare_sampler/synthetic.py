@@ -26,6 +26,16 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN compares false, so the range checks reject it too
+        if self.n_points < 1:
+            raise InvalidInputError(f"pool size n must be >= 1, got {self.n_points}")
+        for name in ("center", "gamma"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be finite, got "
+                                        f"{getattr(self, name)!r}")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise InvalidInputError(f"synthetic noise_std must be >= 0 and finite, "
+                                    f"got {self.noise_std!r}")
         if self.seed < 0:
             raise InvalidInputError(f"pool seed must be >= 0, got {self.seed}")
 

@@ -247,16 +247,18 @@ class TestSelection:
         assert sorted(map(tuple, inputs.tolist())) == sorted(cands)
 
     def test_empty_candidates_give_an_empty_selection(self):
-        # a dry queue is an ordinary result of select_batch; PendingSet itself
-        # still refuses an empty candidate set
+        # an empty candidate set is zero columns: PendingSet accepts it, its
+        # first step finds nothing to pick, and select_batch returns a dry queue
         rng = np.random.default_rng(14)
         pool, _, _, state = random_problem(rng, n_points=5, n_train=2)
         targets = [AugmentedInput(i, 0) for i in range(5)]
+        pending = PendingSet(state, pool, targets, [], [])
+        assert pending.candidates.shape == (0, 2) and pending.TCs.shape[1] == 0
+        with pytest.raises(EmptySelectionError):
+            pending.select_next()
         inputs, delta_j, cost = select_batch(state, pool, [], [], targets, budget=1.0)
         assert inputs.shape == (0, 2) and inputs.dtype == np.intp
         assert delta_j.shape == cost.shape == (0,)
-        with pytest.raises(EmptySelectionError):
-            PendingSet(state, pool, targets, [], [])
 
     @pytest.mark.parametrize("budget", [0.0, np.nan, np.inf])
     def test_non_positive_or_non_finite_budget_rejected(self, budget):
@@ -412,6 +414,27 @@ class TestTargetPruning:
         np.testing.assert_array_equal(fast[0], naive[0])
         np.testing.assert_allclose(fast[1], naive[1], atol=1e-10)
         np.testing.assert_array_equal(fast[2], naive[2])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deterministic_targets_are_never_live(self, monkeypatch, seed):
+        # a floor at the median target sd makes half the targets
+        # deterministic: threshold_scores scores them +-inf, so beta(s, 1) = 0
+        # and the beta rule prunes them with the other zero rows
+        import rare_sampler.estimator as est
+        rng = np.random.default_rng(1410 + seed)
+        pool, log, _, state = random_problem(rng, n_points=30, n_train=8)
+        targets = [AugmentedInput(i, 0) for i in range(30)]
+        cands, costs = _problem_candidates(log, 30, 2)
+        sd = np.sqrt(state.mean_var_norm(pool.points, np.zeros(30, dtype=np.intp))[1])
+        floor = float(np.median(sd))
+        monkeypatch.setattr(est, "SIGMA_FLOOR", floor)
+        pending = PendingSet(state, pool, targets, cands, costs)
+        assert 0 < pending.n_live_targets <= np.count_nonzero(sd >= floor) < 30
+        assert np.all(np.sqrt(pending.var_T) >= floor)
+        assert pending.J() == pytest.approx(acquisition_J(state, pool, [], targets),
+                                            abs=pending.dropped_beta / 30 + 1e-15)
+        for _ in range(3):
+            pending.select_next()
 
     def test_live_count_and_full_target_average(self):
         rng = np.random.default_rng(1400)

@@ -413,6 +413,60 @@ class TestRunCommand:
         assert not calls
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit,error", [
+        (("n = 300", "n = -5"), "pool size n must be >= 1, got -5"),
+        (("seed = 0\n", "seed = 0\ncenter = inf\n"), "center must be finite, got inf"),
+        (("cost.1 = 0.10", "cost.1 = 0.10\nsynthetic_noise_std = nan"),
+         "synthetic noise_std must be >= 0 and finite, got nan"),
+    ], ids=["n", "center", "noise-std"])
+    def test_synthetic_settings_fail_before_any_work(self, tmp_path, capsys,
+                                                     monkeypatch, edit, error):
+        monkeypatch.setattr(SyntheticOracle, "__call__", None)
+        cfg = synthetic_config(tmp_path)
+        assert edit[0] in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(*edit, 1))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["bams", "mcm-gp"])
+    def test_synthetic_oracle_past_level_1_is_a_config_error(self, tmp_path, capsys,
+                                                             method):
+        cfg = synthetic_config(tmp_path, method=method)
+        text = cfg.read_text().replace("levels = 2\ncost.1 = 0.10",
+                                       "levels = 3\ncost.1 = 0.10\ncost.2 = 0.5")
+        cfg.write_text(text)
+        line = text.splitlines().index("levels = 3") + 1
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: line {line}: the synthetic oracle has levels 0 and 1, but "
+            f"the run queries levels up to 2\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_single_level_method_keeps_running_with_three_levels(self, tmp_path):
+        # bas trims its fidelities to level 0, so the synthetic oracle serves it
+        cfg = synthetic_config(tmp_path, method="bas")
+        cfg.write_text(cfg.read_text().replace("levels = 2\ncost.1 = 0.10",
+                                               "levels = 3\ncost.1 = 0.10\ncost.2 = 0.5"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "rate_report.csv").exists()
+
+    @pytest.mark.parametrize("method", ["bams", "external-scores"])
+    def test_out_that_is_a_file_is_named(self, tmp_path, capsys, method):
+        cfg = synthetic_config(tmp_path, method=method)
+        if method == "external-scores":
+            scores = tmp_path / "scores.csv"
+            scores.write_text("point_index,score\n"
+                              + "".join(f"{i},1\n" for i in range(300)))
+            cfg.write_text(cfg.read_text().replace(
+                "[budget]", f"scores_path = {scores}\n\n[budget]"))
+        out = tmp_path / "out"
+        out.write_text("keep")
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot make the artifact directory {out}: File exists\n")
+        assert out.read_text() == "keep"
+
     def test_m_b_that_fits_no_pick_is_an_error(self, tmp_path, capsys):
         # bas evaluates level 0 at cost 1, so m_b = 1 would leave every
         # adaptive batch empty
@@ -696,6 +750,36 @@ class TestGenSynthetic:
                      str(tmp_path / "pool.csv"), "--oracle-out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,value,error", [
+        ("--n", "-3", "pool size n must be >= 1, got -3"),
+        ("--center", "nan", "center must be finite, got nan"),
+        ("--gamma", "inf", "gamma must be finite, got inf"),
+    ], ids=["n", "center", "gamma"])
+    def test_settings_out_of_range_are_named_and_write_nothing(self, tmp_path, capsys,
+                                                               flag, value, error):
+        assert main(["gen-synthetic", flag, value, "--out", str(tmp_path / "pool.csv"),
+                     "--oracle-out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("which", ["out", "oracle-out"])
+    def test_destination_outside_a_directory_is_named_and_writes_nothing(
+            self, tmp_path, capsys, which):
+        (tmp_path / "afile").write_text("")
+        paths = {"out": str(tmp_path / "pool.csv"), "oracle-out": str(tmp_path / "o.csv")}
+        bad = {"out": tmp_path / "missing" / "pool.csv",
+               "oracle-out": tmp_path / "afile" / "x.csv"}[which]
+        paths[which] = str(bad)
+        assert main(["gen-synthetic", "--n", "20", "--out", paths["out"],
+                     "--oracle-out", paths["oracle-out"]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {bad}: {bad.parent} is not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    def test_out_that_is_a_directory_is_named(self, tmp_path, capsys):
+        assert main(["gen-synthetic", "--n", "20", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
 
     def test_pool_csv_and_oracle_table(self, tmp_path, capsys):
         pool_csv = tmp_path / "pool.csv"

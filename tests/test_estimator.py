@@ -262,6 +262,27 @@ class TestEstimatorVariance:
         assert estimator_variance_exact(state, pool) == pytest.approx(
             float(field.h[0]), abs=1e-12)
 
+    def test_no_live_point_gives_zero(self, monkeypatch):
+        # a floor above every sd makes every point deterministic: p is 0 or 1
+        import rare_sampler.estimator as est
+        rng = np.random.default_rng(23)
+        pool, _, _, state = random_problem(rng, n_points=12, n_train=4)
+        monkeypatch.setattr(est, "SIGMA_FLOOR", 1e3)
+        assert estimator_variance_exact(state, pool) == 0.0
+
+    def test_one_live_point_gives_its_point_variance(self, monkeypatch):
+        # a floor between the two largest sds leaves one live point and no pair
+        import rare_sampler.estimator as est
+        rng = np.random.default_rng(24)
+        pool, _, _, state = random_problem(rng, n_points=12, n_train=4)
+        mu, var = state.mean_var_norm(pool.points, np.zeros(12, dtype=np.intp))
+        sd = np.sqrt(var)
+        top, second = np.sort(sd)[[-1, -2]]
+        monkeypatch.setattr(est, "SIGMA_FLOOR", 0.5 * (top + second))
+        p = std_normal_cdf((state.gamma_norm - mu[np.argmax(sd)]) / top)
+        assert estimator_variance_exact(state, pool) == pytest.approx(
+            p * (1.0 - p) / 12**2, rel=1e-14)
+
     def test_two_identical_points_fully_correlated(self):
         pool = EmbeddingPool(np.array([[0.5, 0.5], [0.5, 0.5]]))
         log = EvaluationLog()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,25 @@ class TestOracle:
         pool = generate_pool(SyntheticSpec(n_points=10))
         with pytest.raises(InvalidInputError, match="noise_seed must be >= 0, got -2"):
             SyntheticOracle(pool, SyntheticSpec(), noise_seed=-2)
+
+    @pytest.mark.parametrize("settings,error", [
+        ({"n_points": 0}, "pool size n must be >= 1, got 0"),
+        ({"n_points": -5}, "pool size n must be >= 1, got -5"),
+        ({"center": np.inf}, "center must be finite, got inf"),
+        ({"center": np.nan}, "center must be finite, got nan"),
+        ({"gamma": -np.inf}, "gamma must be finite, got -inf"),
+        ({"noise_std": -0.1}, "synthetic noise_std must be >= 0 and finite, got -0.1"),
+        ({"noise_std": np.nan}, "synthetic noise_std must be >= 0 and finite, got nan"),
+    ], ids=["n-zero", "n-negative", "center-inf", "center-nan", "gamma-inf",
+            "noise-negative", "noise-nan"])
+    def test_settings_out_of_range_rejected(self, settings, error):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(error)}$"):
+            SyntheticSpec(**settings)
+
+    def test_noiseless_level_1_is_accepted(self):
+        pool = generate_pool(SyntheticSpec(n_points=10, noise_std=0.0))
+        oracle = SyntheticOracle(pool, SyntheticSpec(n_points=10, noise_std=0.0))
+        assert oracle(3, 1) == oracle(3, 0)
 
     def test_unknown_level_rejected(self):
         spec = SyntheticSpec()
