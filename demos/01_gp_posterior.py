@@ -5,8 +5,8 @@ away from data, and the learned noise of a cheap fidelity level."""
 import numpy as np
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
-                          GpHyperparams, TrainOptions, fit_posterior,
-                          posterior_mean_var, train_hyperparameters)
+                          GpHyperparams, fit_posterior, posterior_mean_var,
+                          train_hyperparameters)
 
 rng = np.random.default_rng(0)
 pool = EmbeddingPool(rng.uniform(-3, 3, size=(200, 1)))
@@ -27,7 +27,7 @@ for i in rng.choice(200, 25, replace=False):
         log.append(inp, float(f(x) + 0.15 * rng.standard_normal()), batch_index=1)
 
 hyper = train_hyperparameters(pool, log, GpHyperparams.defaults(pool, n_levels=2),
-                              TrainOptions(iters=150))
+                              iters=150)
 state = fit_posterior(pool, log, hyper, gamma=0.0)
 
 print("trained hyperparameters:")

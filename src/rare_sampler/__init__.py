@@ -15,8 +15,8 @@ from .estimator import (FailureField, bivariate_normal_cdf, estimator_variance_e
 from .evaluation import (RateReport, ScoreVector, SplittingBound, importance_scores,
                          recall_at_budget, repeated_is_trials,
                          retention_recall_curve, splitting_bound)
-from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
-                 marginal_log_likelihood, posterior_mean_var, train_hyperparameters)
+from .gp import (GpHyperparams, PosteriorState, fit_posterior, marginal_log_likelihood,
+                 posterior_mean_var, train_hyperparameters)
 from .oracles import CsvOracle, ExternalOracle
 from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig
 from .synthetic import (SyntheticOracle, SyntheticSpec, generate_pool,

@@ -23,7 +23,6 @@ from .driver import ORACLE_METHODS, RunConfig, run_experiment
 from .errors import ConfigError, InvalidInputError, RareSamplerError
 from .evaluation import (IsOptions, repeated_is_trials, retention_recall_curve,
                          splitting_bound)
-from .gp import TrainOptions
 from .oracles import CsvOracle, ExternalOracle
 from .pool import EmbeddingPool, FidelityConfig, read_csv, write_csv
 from .synthetic import (SyntheticOracle, SyntheticSpec, export_pool_csv,
@@ -62,13 +61,12 @@ CONFIG_KEYS = {
                "clusters": KeySpec(int, RunConfig, "S"),
                "initial_clusters": KeySpec(int, RunConfig, "S_hat"),
                "eta": KeySpec(float, RunConfig),
-               "train_lr": KeySpec(float, TrainOptions, "lr"),
-               "train_iters": KeySpec(int, TrainOptions, "iters"),
+               "train_iters": KeySpec(int, RunConfig),
                "scores_path": KeySpec(str)},
     "budget": {"m1": KeySpec(float, RunConfig), "m_b": KeySpec(float, RunConfig),
                "batches": KeySpec(int, RunConfig)},
     "is": {"alpha": KeySpec(float, IsOptions), "k_multiple": KeySpec(float, IsOptions),
-           "k": KeySpec(int, IsOptions), "trials": KeySpec(int, IsOptions)},
+           "trials": KeySpec(int, IsOptions)},
     "seeds": {"run": KeySpec(int, RunConfig, "seed"), "trials": KeySpec(int)},
     "oracle": {"kind": KeySpec(str, choices=("synthetic", "csv", "command")),
                "noise_seed": KeySpec(int, SyntheticOracle), "path": KeySpec(str),
@@ -265,7 +263,6 @@ def cmd_run(args) -> int:
     # too, as mc's: mc meets none of the method-dependent checks
     run_cfg = RunConfig(gamma=gamma, fidelities=fidelities,
                         method=method if method in ORACLE_METHODS else "mc",
-                        train=TrainOptions(**cfg.settings(TrainOptions)),
                         **cfg.settings(RunConfig))
     if method == "external-scores":
         scores = scores_from_csv(cfg.value("method", "scores_path", required=True),

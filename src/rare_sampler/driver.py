@@ -21,8 +21,7 @@ from .clustering import cluster_with_merges
 from .errors import InvalidInputError
 from .estimator import FailureField, failure_prob
 from .evaluation import ScoreVector, importance_scores
-from .gp import (GpHyperparams, PosteriorState, TrainOptions, fit_posterior,
-                 train_hyperparameters)
+from .gp import GpHyperparams, PosteriorState, fit_posterior, train_hyperparameters
 from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, write_csv
 
 _ADAPTIVE_METHODS = ("bams", "bas")
@@ -43,7 +42,7 @@ class RunConfig:
     S_hat: int | None = None          # defaults to 2 * S
     eta: float = 2.0
     seed: int = 0
-    train: TrainOptions = field(default_factory=TrainOptions)
+    train_iters: int = 200            # Adam steps per training; 0 trains nothing
 
     def __post_init__(self):
         # NaN compares false, so these reject it too
@@ -58,6 +57,8 @@ class RunConfig:
             raise InvalidInputError(f"eta must be >= 1 and finite, got {self.eta!r}")
         if self.seed < 0:
             raise InvalidInputError(f"run seed must be >= 0, got {self.seed}")
+        if self.train_iters < 0:
+            raise InvalidInputError(f"training iters must be >= 0, got {self.train_iters}")
         if self.S < 1 or (self.S_hat is not None and self.S_hat < self.S):
             raise InvalidInputError("need 1 <= S <= S_hat")
         if self.method not in ORACLE_METHODS:
@@ -250,7 +251,7 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
         cost = np.asarray(fidelities.costs)[inputs[:, 1]]
         if gp:
             if len(log) >= 2:
-                hyper = train_hyperparameters(pool, log, hyper, config.train)
+                hyper = train_hyperparameters(pool, log, hyper, config.train_iters)
             state = fit_posterior(pool, log, hyper, config.gamma)
             snapshot = failure_prob(state, pool.points)
         vals = log.values[log.batches == b]

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 SCORE_FLOOR = 1e-12
+# the largest alpha that keeps SCORE_FLOOR ** alpha a normal double, about 25.6
+_ALPHA_MAX = float(np.log(np.finfo(np.float64).tiny) / np.log(SCORE_FLOOR))
 
 RETENTION_MULTIPLES = np.arange(1, 21) * 0.5
 
@@ -35,10 +37,23 @@ class ScoreVector:
         return ScoreVector(scores=s, q=s / s.sum())
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject an importance exponent that is negative, not finite, or so large
+    that the floored score SCORE_FLOOR ** alpha is no normal double: there it
+    is 0 or loses its digits, so a point with p_n <= SCORE_FLOOR gets q = 0,
+    and q is nan when every point has."""
+    if not 0.0 <= alpha < np.inf:
+        raise InvalidInputError(f"alpha must be >= 0 and finite, got {alpha!r}")
+    if not SCORE_FLOOR ** alpha >= np.finfo(np.float64).tiny:
+        raise InvalidInputError(
+            f"alpha = {alpha:g} underflows the score floor: {SCORE_FLOOR:g} ** alpha "
+            f"is below the smallest normal double, so a point with p_n <= "
+            f"{SCORE_FLOOR:g} would get q = 0; alpha must be <= {_ALPHA_MAX:.3g}")
+
+
 def importance_scores(field, alpha: float) -> ScoreVector:
     """Floored failure probabilities raised to alpha, then normalized."""
-    if alpha < 0:
-        raise InvalidInputError("alpha must be nonnegative")
+    check_alpha(alpha)
     return ScoreVector.from_raw(np.maximum(field.p, SCORE_FLOOR) ** alpha, floor=0.0)
 
 
@@ -67,29 +82,25 @@ class RateReport:
 @dataclass(frozen=True)
 class IsOptions:
     """Settings of a rate report: the importance exponent of a GP method's
-    scores, the IS sample size K and the trial count."""
+    scores, the multiple of the failure count that sizes K, and the trial count."""
 
     alpha: float = 2.5
-    k_multiple: float = 5.0    # K = k_multiple * (failure count), unless k is set
-    k: int | None = None
+    k_multiple: float = 5.0    # K = k_multiple * (failure count), rounded
     trials: int = 200
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < np.inf:
-            raise InvalidInputError(f"alpha must be >= 0 and finite, got {self.alpha!r}")
+        check_alpha(self.alpha)
         if not 0.0 < self.k_multiple < np.inf:
             raise InvalidInputError(f"k_multiple must be positive and finite, "
                                     f"got {self.k_multiple!r}")
-        if self.k is not None and self.k < 1:
-            raise InvalidInputError(f"IS sample size K must be >= 1, got {self.k}")
         if self.trials < 2:
             raise InvalidInputError(f"trials must be >= 2, got {self.trials}")
 
     def sample_size(self, truth) -> int:
-        """The IS sample size K: k when set, else k_multiple times the number
-        of failures in the truth labels, rounded."""
+        """The IS sample size K: k_multiple times the number of failures in
+        the truth labels, rounded."""
         n_fail = int(np.count_nonzero(truth))
-        K = self.k if self.k is not None else int(round(self.k_multiple * n_fail))
+        K = int(round(self.k_multiple * n_fail))
         if K < 1:
             raise InvalidInputError(f"IS sample size K must be >= 1, got {K} "
                                     f"(k_multiple {self.k_multiple:g} x {n_fail} failures)")
@@ -201,6 +212,10 @@ def splitting_bound(p_gamma: float, delta: float, target_rv: float | None = None
     if (target_rv is None) == (budget is None):
         raise InvalidInputError("specify exactly one of target_rv or budget")
     K = int(np.floor(np.log(p_gamma) / np.log(1.0 - delta)))
+    if K < 1:
+        raise InvalidInputError(f"p_gamma {p_gamma!r} and delta {delta!r} give no splitting "
+                                f"iteration: K = floor(log p_gamma / log(1 - delta)) = {K}; "
+                                f"the bound needs p_gamma <= 1 - delta")
     if target_rv is not None:
         if not 0.0 < target_rv < np.inf:
             raise InvalidInputError(f"target_rv must be positive and finite, got {target_rv!r}")

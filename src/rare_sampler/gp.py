@@ -96,13 +96,10 @@ class GpHyperparams:
     # -- log-space flattening (order matters for the optimizer) --------------
 
     def to_vector(self) -> np.ndarray:
-        parts = [np.log(self.lengthscales), [np.log(self.signal_var)]]
-        for l in range(self.fid_signal_var.size):
-            parts.append(np.log(self.fid_lengthscales[l]))
-            parts.append([np.log(self.fid_signal_var[l])])
-            parts.append([np.log(self.fid_noise_var[l])])
-        parts.append([np.log(self.jitter)])
-        return np.concatenate([np.atleast_1d(np.asarray(p)) for p in parts])
+        fid = np.column_stack([self.fid_lengthscales, self.fid_signal_var,
+                               self.fid_noise_var])  # per level, as from_vector reads it
+        return np.log(np.concatenate([self.lengthscales, [self.signal_var], fid.ravel(),
+                                      [self.jitter]]))
 
     def from_vector(self, vec: np.ndarray) -> "GpHyperparams":
         vec = np.asarray(vec, dtype=np.float64)
@@ -480,42 +477,24 @@ _VAR_BOUNDS = (1e-6, 1e3)
 _JITTER_BOUNDS = (1e-10, 1e-1)
 
 
-@dataclass(frozen=True)
-class TrainOptions:
-    """Adam schedule for hyperparameter training; iters = 0 trains nothing."""
-
-    lr: float = 0.05
-    iters: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.lr < np.inf:
-            raise InvalidInputError(f"training lr must be positive and finite, got {self.lr!r}")
-        if self.iters < 0:
-            raise InvalidInputError(f"training iters must be >= 0, got {self.iters}")
-
-
 def _log_bounds(pool: EmbeddingPool, template: GpHyperparams):
-    scale = pool.points.std(axis=0)
-    scale = np.where(scale > 1e-8, scale, 1.0)
-    lo_ls = np.log(_LENGTHSCALE_FACTOR_BOUNDS[0] * scale)
-    hi_ls = np.log(_LENGTHSCALE_FACTOR_BOUNDS[1] * scale)
-    lo_v, hi_v = np.log(_VAR_BOUNDS)
-    lo, hi = [lo_ls, [lo_v]], [hi_ls, [hi_v]]
-    for _ in range(template.fid_signal_var.size):
-        lo += [lo_ls, [lo_v], [lo_v]]
-        hi += [hi_ls, [hi_v], [hi_v]]
-    lo.append([np.log(_JITTER_BOUNDS[0])])
-    hi.append([np.log(_JITTER_BOUNDS[1])])
-    return np.concatenate(lo), np.concatenate(hi)
+    """The training box's lower and upper corners in ``to_vector`` order."""
+    scale = GpHyperparams.defaults(pool).lengthscales
+    n_low = template.fid_signal_var.size
+    return tuple(GpHyperparams(f * scale, v, np.tile(f * scale, (n_low, 1)),
+                               np.full(n_low, v), np.full(n_low, v), j).to_vector()
+                 for f, v, j in zip(_LENGTHSCALE_FACTOR_BOUNDS, _VAR_BOUNDS, _JITTER_BOUNDS))
 
 
 def train_hyperparameters(pool: EmbeddingPool, log: EvaluationLog,
-                          init: GpHyperparams, opts: TrainOptions = TrainOptions()
-                          ) -> GpHyperparams:
-    """Projected Adam ascent on the MLL in log space; returns the best iterate."""
+                          init: GpHyperparams, iters: int) -> GpHyperparams:
+    """Projected Adam ascent on the MLL in log space, ``iters`` steps of size
+    0.05; returns the best iterate (``init`` itself when iters = 0)."""
     if len(log) < 2:
         raise InvalidInputError("training needs at least 2 observations")
-    if opts.iters == 0:
+    if iters < 0:
+        raise InvalidInputError(f"training iters must be >= 0, got {iters}")
+    if iters == 0:
         return init
     lo, hi = _log_bounds(pool, init)
     theta = np.clip(init.to_vector(), lo, hi)  # every iterate lives in the box
@@ -523,18 +502,18 @@ def train_hyperparameters(pool: EmbeddingPool, log: EvaluationLog,
     best_mll = -np.inf
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    b1, b2, eps = 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     work = _MllWork(pool, log, init.n_levels)
-    for it in range(opts.iters + 1):
+    for it in range(iters + 1):
         mll, grad = marginal_log_likelihood(pool, log, init.from_vector(theta), work=work)
         if mll > best_mll:
             best_mll = mll
             best_theta = theta.copy()
-        if it == opts.iters:
+        if it == iters:
             break
         m = b1 * m + (1.0 - b1) * grad
         v = b2 * v + (1.0 - b2) * grad * grad
         mh = m / (1.0 - b1 ** (it + 1))
         vh = v / (1.0 - b2 ** (it + 1))
-        theta = np.clip(theta + opts.lr * mh / (np.sqrt(vh) + eps), lo, hi)
+        theta = np.clip(theta + lr * mh / (np.sqrt(vh) + eps), lo, hi)
     return init.from_vector(best_theta)

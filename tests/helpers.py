@@ -16,7 +16,7 @@ from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from rare_sampler import EmptySelectionError, PendingSet, select_batch
-from rare_sampler import acquisition
+from rare_sampler import acquisition, gp
 from rare_sampler.acquisition import _BLOCK, _beta_slope, point_variance_beta
 from rare_sampler.baselines import CE_ELITES, CE_VAR_FLOOR_REL
 from rare_sampler.clustering import _relabel
@@ -627,6 +627,35 @@ def reference_from_vector(template: GpHyperparams, vec: np.ndarray) -> GpHyperpa
     jit = take(1)[0]
     return GpHyperparams(ls, sig, np.array(fls).reshape(n_low, d),
                          np.array(fsig), np.array(fnoi), jit)
+
+
+def reference_to_vector(hyper: GpHyperparams) -> np.ndarray:
+    """``GpHyperparams.to_vector`` as one log per field, level by level, kept
+    as a bitwise oracle."""
+    parts = [np.log(hyper.lengthscales), [np.log(hyper.signal_var)]]
+    for l in range(hyper.fid_signal_var.size):
+        parts.append(np.log(hyper.fid_lengthscales[l]))
+        parts.append([np.log(hyper.fid_signal_var[l])])
+        parts.append([np.log(hyper.fid_noise_var[l])])
+    parts.append([np.log(hyper.jitter)])
+    return np.concatenate([np.atleast_1d(np.asarray(p)) for p in parts])
+
+
+def reference_log_bounds(pool, template: GpHyperparams):
+    """``gp._log_bounds`` built block by block from its own copy of the pool
+    spread, kept as a bitwise oracle."""
+    scale = pool.points.std(axis=0)
+    scale = np.where(scale > 1e-8, scale, 1.0)
+    lo_ls = np.log(gp._LENGTHSCALE_FACTOR_BOUNDS[0] * scale)
+    hi_ls = np.log(gp._LENGTHSCALE_FACTOR_BOUNDS[1] * scale)
+    lo_v, hi_v = np.log(gp._VAR_BOUNDS)
+    lo, hi = [lo_ls, [lo_v]], [hi_ls, [hi_v]]
+    for _ in range(template.fid_signal_var.size):
+        lo += [lo_ls, [lo_v], [lo_v]]
+        hi += [hi_ls, [hi_v], [hi_v]]
+    lo.append([np.log(gp._JITTER_BOUNDS[0])])
+    hi.append([np.log(gp._JITTER_BOUNDS[1])])
+    return np.concatenate(lo), np.concatenate(hi)
 
 
 def hyper_from_text(text: str) -> GpHyperparams:

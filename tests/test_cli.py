@@ -124,6 +124,22 @@ class TestConfigParsing:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("after,setting,section", [
+        ("train_iters = 20", "train_lr = 0.05", "method"),
+        ("k_multiple = 2", "k = 10", "is")], ids=["train_lr", "is-k"])
+    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, after, setting,
+                                               section):
+        # the Adam step is fixed at 0.05, and K is always k_multiple x failures
+        cfg = synthetic_config(tmp_path)
+        text = cfg.read_text().replace(after, f"{after}\n{setting}")
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        line = text.splitlines().index(setting) + 1
+        key = setting.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"config error: line {line}: unknown key '{key}' in [{section}]\n")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("[pool]\nn = 10\n\n[bugdet]\nm1 = 5\n")
@@ -208,8 +224,9 @@ class TestConfigParsing:
 
 class TestReadmeConfig:
     """The README's config block and the CLI's key table agree: every key is
-    documented, and every default the README states is the default of the
-    parameter that key fills."""
+    documented and every documented key is accepted, every default the README
+    states is the default of the parameter that key fills, and the prose names
+    exactly the classes whose parameters the keys fill."""
 
     @staticmethod
     def documented():
@@ -238,8 +255,17 @@ class TestReadmeConfig:
         documented = self.documented()
         table = {(section, key) for section, keys in CONFIG_KEYS.items() for key in keys}
         assert table - set(documented) == set()
+        assert {(s, k) for s, k in documented if key_spec(s, k) is None} == set()
         assert any(key_spec(s, k) is not None and k.startswith("cost.")
                    for s, k in documented)
+
+    def test_prose_names_the_owner_classes(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        prose = " ".join(readme.split("### Config format", 1)[1].split("```ini", 1)[0].split())
+        listed = re.search(r"the library parameter it fills \(([^)]*)\)", prose).group(1)
+        owners = {spec.owner.__name__ for keys in CONFIG_KEYS.values()
+                  for spec in keys.values() if spec.owner is not None}
+        assert set(re.findall(r"`(?:\w+\.)?(\w+)`", listed)) == owners
 
     def test_documented_defaults_are_the_parameter_defaults(self):
         documented = self.documented()
@@ -481,26 +507,23 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("method,edit,error", [
         ("bas", ("trials = 50", "trials = 1"), "trials must be >= 2, got 1"),
-        ("bas", ("k_multiple = 2", "k = 0"), "IS sample size K must be >= 1, got 0"),
         ("bas", ("k_multiple = 2", "k_multiple = -1"),
          "k_multiple must be positive and finite, got -1.0"),
         ("bas", ("k_multiple = 2", "k_multiple = 0.01"),
          "IS sample size K must be >= 1, got 0 (k_multiple 0.01 x "),
         ("bas", ("alpha = 2.5", "alpha = -1"), "alpha must be >= 0 and finite, got -1.0"),
+        ("bas", ("alpha = 2.5", "alpha = 30"),
+         "alpha = 30 underflows the score floor: 1e-12 ** alpha is below the smallest "
+         "normal double, so a point with p_n <= 1e-12 would get q = 0; alpha must be "
+         "<= 25.6"),
         ("bas", ("train_iters = 20", "train_iters = -5"), "training iters must be >= 0, got -5"),
-        ("bas", ("train_iters = 20", "train_lr = -0.05"),
-         "training lr must be positive and finite, got -0.05"),
-        ("bas", ("train_iters = 20", "train_lr = 0"),
-         "training lr must be positive and finite, got 0.0"),
-        ("bas", ("train_iters = 20", "train_lr = nan"),
-         "training lr must be positive and finite, got nan"),
         ("bams", ("run = 0", "run = -1"), "run seed must be >= 0, got -1"),
         ("bams", ("trials = 99", "trials = -1"), "trials seed must be >= 0, got -1"),
         ("bams", ("seed = 0\n", "seed = -3\n"), "pool seed must be >= 0, got -3"),
         ("bams", ("kind = synthetic", "kind = synthetic\nnoise_seed = -2"),
          "noise_seed must be >= 0, got -2")],
-        ids=["is-trials", "is-k", "is-k_multiple", "is-K-from-truth", "is-alpha",
-             "train_iters", "train_lr-negative", "train_lr-zero", "train_lr-nan",
+        ids=["is-trials", "is-k_multiple", "is-K-from-truth", "is-alpha",
+             "is-alpha-underflow", "train_iters",
              "seeds-run", "seeds-trials", "pool-seed", "oracle-noise_seed"])
     def test_bad_settings_fail_before_the_run(self, tmp_path, capsys, monkeypatch, method,
                                               edit, error):
@@ -732,6 +755,17 @@ class TestSplittingBoundCommand:
         assert captured.err == f"error: {name} must be positive and finite, got {value}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("mode", [["--target-rv", "0.01"], ["--budget", "100"]],
+                             ids=["target-rv", "budget"])
+    def test_no_splitting_iteration_is_named(self, capsys, mode):
+        # log 0.95 / log 0.9 < 1: every count would print as 0
+        assert main(["splitting-bound", "--p-gamma", "0.95", "--delta", "0.1", *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: p_gamma 0.95 and delta 0.1 give no splitting "
+                                "iteration: K = floor(log p_gamma / log(1 - delta)) = 0; "
+                                "the bound needs p_gamma <= 1 - delta\n")
+        assert captured.out == ""
+
     def test_budget_below_one_base_sample_is_named(self, capsys):
         assert main(["splitting-bound", "--p-gamma", "0.01", "--delta", "0.1",
                      "--budget", "0.5"]) == 1
@@ -821,7 +855,7 @@ class TestGenSynthetic:
             batches = 2
 
             [is]
-            k = 10
+            k_multiple = 2
             trials = 20
 
             [seeds]
@@ -1023,11 +1057,8 @@ class TestScoreReport:
         (("eta = 2.0", "eta = 0.5"), "eta must be >= 1 and finite, got 0.5"),
         (("clusters = 6", "clusters = 0"), "need 1 <= S <= S_hat"),
         (("gamma = 0.5", "gamma = nan"), "gamma must be finite, got nan"),
-        (("train_iters = 200", "train_iters = -5"), "training iters must be >= 0, got -5"),
-        (("train_lr = 0.05", "train_lr = inf"),
-         "training lr must be positive and finite, got inf")],
-        ids=["seeds-run", "m1", "batches", "eta", "clusters", "gamma", "train_iters",
-             "train_lr"])
+        (("train_iters = 200", "train_iters = -5"), "training iters must be >= 0, got -5")],
+        ids=["seeds-run", "m1", "batches", "eta", "clusters", "gamma", "train_iters"])
     def test_run_settings_are_checked_as_for_an_oracle_method(self, tmp_path, capsys,
                                                               edit, error):
         # the same message and exit status as mc, before --out is made
@@ -1045,7 +1076,6 @@ class TestScoreReport:
                 gamma = 0.5
                 clusters = 6
                 eta = 2.0
-                train_lr = 0.05
                 train_iters = 200
                 scores_path = {scores}
                 [budget]

@@ -8,7 +8,6 @@ from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
                           generate_pool, random_acquisition, run_bams_batch,
                           run_experiment)
 from rare_sampler.driver import _cluster_queue, _merge_queues
-from rare_sampler.gp import TrainOptions
 
 from helpers import (naive_select_batch, reference_cluster_queue, reference_merge_queues,
                      selection_arrays)
@@ -33,7 +32,7 @@ def base_config(**kw):
         S_hat=4,
         eta=1.0,
         seed=0,
-        train=TrainOptions(iters=20),
+        train_iters=20,
     )
     args.update(kw)
     return RunConfig(**args)

@@ -41,6 +41,22 @@ class TestImportanceScores:
         with pytest.raises(InvalidInputError):
             importance_scores(FailureField(p=np.array([0.5])), -1.0)
 
+    @pytest.mark.parametrize("alpha", [26.0, 30.0])
+    @pytest.mark.parametrize("p", [[0.0, 1e-13, 1e-12, 0.2, 0.5, 1.0], [1e-13] * 4],
+                             ids=["mixed", "all-below-floor"])
+    def test_alpha_that_underflows_the_floor_rejected(self, p, alpha):
+        # 1e-12 ** 30 is 0: q would be 0 at p <= 1e-12, and nan when every p
+        # is; 1e-12 ** 26 is subnormal and keeps only a few digits
+        with pytest.raises(InvalidInputError, match=rf"alpha = {alpha:g} underflows the "
+                                                    r"score floor.*alpha must be <= 25\.6"):
+            importance_scores(FailureField(p=np.array(p)), alpha)
+
+    @pytest.mark.parametrize("p", [[0.0, 1e-13, 1e-12, 0.2, 0.5, 1.0], [1e-13] * 4],
+                             ids=["mixed", "all-below-floor"])
+    def test_largest_alpha_keeps_every_q_positive(self, p):
+        sv = importance_scores(FailureField(p=np.array(p)), 25.6)
+        assert np.all(sv.q > 0.0) and sv.q.sum() == pytest.approx(1.0)
+
 
 class TestIsRateTrial:
     def test_perfect_sampler_zero_variance(self):
@@ -152,20 +168,20 @@ class TestRepeatedTrials:
 
 
 class TestIsOptions:
-    def test_sample_size_is_k_or_rounded_multiple(self):
+    def test_sample_size_is_the_rounded_multiple(self):
         truth = np.arange(100) < 7
         assert IsOptions().sample_size(truth) == 35
         assert IsOptions(k_multiple=0.5).sample_size(truth) == 4      # round(3.5)
-        assert IsOptions(k=3, k_multiple=0.01).sample_size(truth) == 3
+        assert IsOptions(k_multiple=1 / 7).sample_size(truth) == 1    # any K >= 1
         with pytest.raises(InvalidInputError, match=r"K must be >= 1, got 0 \(k_multiple "
                                                     r"0\.05 x 7 failures\)"):
             IsOptions(k_multiple=0.05).sample_size(truth)
 
     @pytest.mark.parametrize("name,value,message", [
         ("alpha", -1.0, "alpha must be"), ("alpha", np.inf, "alpha must be"),
-        ("alpha", np.nan, "alpha must be"), ("k_multiple", 0.0, "k_multiple must be"),
-        ("k_multiple", np.nan, "k_multiple must be"), ("k", 0, "K must be >= 1"),
-        ("trials", 1, "trials must be >= 2")])
+        ("alpha", np.nan, "alpha must be"), ("alpha", 30.0, "alpha = 30 underflows"),
+        ("k_multiple", 0.0, "k_multiple must be"),
+        ("k_multiple", np.nan, "k_multiple must be"), ("trials", 1, "trials must be >= 2")])
     def test_out_of_range_settings_rejected(self, name, value, message):
         with pytest.raises(InvalidInputError, match=message):
             IsOptions(**{name: value})
@@ -253,6 +269,15 @@ class TestSplittingBound:
                                                     r"one costs 1 \+ delta K = 5\.3 \(K = 43"):
             splitting_bound(0.01, 0.1, budget=budget)
         assert splitting_bound(0.01, 0.1, budget=5.3).base_samples == 1
+
+    @pytest.mark.parametrize("mode", [dict(target_rv=0.01), dict(budget=100.0)],
+                             ids=["target_rv", "budget"])
+    def test_no_splitting_iteration_is_named(self, mode):
+        # log 0.95 / log 0.9 = 0.49, so K = 0 and every count would read 0
+        with pytest.raises(InvalidInputError, match=r"p_gamma 0\.95 and delta 0\.1 give no "
+                                                    r"splitting iteration: K = .* = 0"):
+            splitting_bound(0.95, 0.1, **mode)
+        assert splitting_bound(0.9, 0.1, **mode).iterations == 1
 
     def test_argument_validation(self):
         with pytest.raises(InvalidInputError):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, GpHyperparams,
-                          InvalidInputError, TrainOptions, failure_prob, fit_posterior,
+                          InvalidInputError, failure_prob, fit_posterior,
                           marginal_log_likelihood, posterior_mean_var, train_hyperparameters)
 from rare_sampler import gp
 from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_kernel_matrix,
@@ -13,8 +13,9 @@ from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_ke
 
 from helpers import (dense_mll_reference, dense_posterior_oracle, hyper_from_text,
                      matern25_kernel, multifidelity_kernel, posterior_cross_cov,
-                     random_problem, reference_from_vector,
-                     reference_marginal_log_likelihood, reference_mean_var_norm)
+                     random_problem, reference_from_vector, reference_log_bounds,
+                     reference_marginal_log_likelihood, reference_mean_var_norm,
+                     reference_to_vector)
 
 
 def leveled_problem(level_counts, dim=2, seed=0):
@@ -420,24 +421,24 @@ class TestMarginalLikelihood:
 
 class TestTraining:
     @pytest.mark.parametrize("kwargs,message", [
-        (dict(iters=-5), "iters must be >= 0, got -5"), (dict(lr=0.0), "lr must be positive"),
-        (dict(lr=-0.05), "lr must be positive"), (dict(lr=np.nan), "lr must be positive"),
-        (dict(lr=np.inf), "lr must be positive")])
+        (dict(iters=-5), "iters must be >= 0, got -5")])
     def test_out_of_range_options_rejected(self, kwargs, message):
-        # a negative rate would descend the likelihood, negative iters skip training
+        # negative iters would silently skip training
+        rng = np.random.default_rng(8)
+        pool, log, hyper, _ = random_problem(rng)
         with pytest.raises(InvalidInputError, match=message):
-            TrainOptions(**kwargs)
+            train_hyperparameters(pool, log, hyper, **kwargs)
 
     def test_zero_iterations_returns_init(self):
         rng = np.random.default_rng(8)
         pool, log, hyper, _ = random_problem(rng)
-        out = train_hyperparameters(pool, log, hyper, TrainOptions(iters=0))
+        out = train_hyperparameters(pool, log, hyper, iters=0)
         np.testing.assert_array_equal(out.to_vector(), hyper.to_vector())
 
     def test_best_iterate_never_worse_than_init(self):
         rng = np.random.default_rng(9)
         pool, log, hyper, _ = random_problem(rng, n_train=10)
-        trained = train_hyperparameters(pool, log, hyper, TrainOptions(iters=40))
+        trained = train_hyperparameters(pool, log, hyper, iters=40)
         mll0, _ = marginal_log_likelihood(pool, log, hyper)
         mll1, _ = marginal_log_likelihood(pool, log, trained)
         assert mll1 >= mll0
@@ -455,17 +456,17 @@ class TestTraining:
             log.append(AugmentedInput(i, 0), float(y[i]), 1)
         init = GpHyperparams(np.array([2.0]), 1.0, np.zeros((0, 1)), np.zeros(0),
                              np.zeros(0), 1e-4)
-        trained = train_hyperparameters(pool, log, init, TrainOptions(iters=150))
+        trained = train_hyperparameters(pool, log, init, iters=150)
         assert 0.5 / 3 <= trained.lengthscales[0] <= 0.5 * 3
         assert trained.jitter > 0
 
     def test_matches_training_on_dense_reference(self, monkeypatch):
         rng = np.random.default_rng(14)
         pool, log, hyper, _ = random_problem(rng, n_points=120, n_train=80)
-        opts = TrainOptions(iters=200)
-        shipped = train_hyperparameters(pool, log, hyper, opts)
+        iters = 200
+        shipped = train_hyperparameters(pool, log, hyper, iters)
         monkeypatch.setattr(gp, "marginal_log_likelihood", dense_mll_reference)
-        reference = train_hyperparameters(pool, log, hyper, opts)
+        reference = train_hyperparameters(pool, log, hyper, iters)
         np.testing.assert_allclose(np.exp(shipped.to_vector()),
                                    np.exp(reference.to_vector()), rtol=1e-8)
 
@@ -481,7 +482,7 @@ class TestTraining:
             return shipped(*args, **kwargs)
 
         monkeypatch.setattr(gp, "marginal_log_likelihood", counting)
-        train_hyperparameters(pool, log, hyper, TrainOptions(iters=7))
+        train_hyperparameters(pool, log, hyper, iters=7)
         assert len(calls) == 8
         for args, kwargs in calls:
             assert list(kwargs) == ["work"] and len(args) == 3
@@ -492,15 +493,15 @@ class TestTraining:
                              ids=lambda c: "-".join(map(str, c)))
     def test_workspace_reuse_is_bitwise_neutral(self, monkeypatch, level_counts):
         pool, log, hyper = leveled_problem(level_counts)
-        opts = TrainOptions(iters=30)
-        reused = train_hyperparameters(pool, log, hyper, opts)
+        iters = 30
+        reused = train_hyperparameters(pool, log, hyper, iters)
         shipped = gp.marginal_log_likelihood
 
         def fresh_workspace_each_step(pool, log, hyper, *, work):
             return shipped(pool, log, hyper)
 
         monkeypatch.setattr(gp, "marginal_log_likelihood", fresh_workspace_each_step)
-        fresh = train_hyperparameters(pool, log, hyper, opts)
+        fresh = train_hyperparameters(pool, log, hyper, iters)
         np.testing.assert_array_equal(reused.to_vector(), fresh.to_vector())
 
     def test_workspace_for_another_log_rejected(self):
@@ -530,18 +531,18 @@ class TestTraining:
     def test_matches_per_field_decode_and_listed_gradient(self, monkeypatch, level_counts):
         # bitwise against one exp per field and a gradient gathered in a list
         pool, log, hyper = leveled_problem(level_counts)
-        opts = TrainOptions(iters=60)
-        shipped = train_hyperparameters(pool, log, hyper, opts)
+        iters = 60
+        shipped = train_hyperparameters(pool, log, hyper, iters)
         monkeypatch.setattr(gp, "marginal_log_likelihood", reference_marginal_log_likelihood)
         monkeypatch.setattr(GpHyperparams, "from_vector", reference_from_vector)
-        reference = train_hyperparameters(pool, log, hyper, opts)
+        reference = train_hyperparameters(pool, log, hyper, iters)
         assert shipped.to_vector().tobytes() == reference.to_vector().tobytes()
         assert shipped.to_text() == reference.to_text()
 
     def test_positive_parameters_preserved(self):
         rng = np.random.default_rng(12)
         pool, log, hyper, _ = random_problem(rng)
-        trained = train_hyperparameters(pool, log, hyper, TrainOptions(iters=25))
+        trained = train_hyperparameters(pool, log, hyper, iters=25)
         assert np.all(np.exp(trained.to_vector()) > 0)
 
 
@@ -575,6 +576,20 @@ class TestValidation:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("n_levels", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_log_vector_and_bounds_match_the_per_field_layout(self, dim, n_levels):
+        # bitwise, so hyperparams_batch<k>.txt and the training box stay put
+        rng = np.random.default_rng(100 * dim + n_levels)
+        points = rng.normal(size=(40, dim)) * rng.uniform(0.1, 3.0, dim)
+        points[:, -1] = 0.7 if dim > 1 else points[:, -1]   # a zero-spread column
+        pool = EmbeddingPool(points)
+        hyper = GpHyperparams.defaults(pool, n_levels)
+        hyper = hyper.from_vector(rng.normal(size=hyper.n_params))
+        assert hyper.to_vector().tobytes() == reference_to_vector(hyper).tobytes()
+        for got, want in zip(gp._log_bounds(pool, hyper), reference_log_bounds(pool, hyper)):
+            assert got.tobytes() == want.tobytes()
+
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         _, _, hyper, _ = random_problem(rng, n_levels=3)
