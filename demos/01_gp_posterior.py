@@ -4,9 +4,8 @@ away from data, and the learned noise of a cheap fidelity level."""
 
 import numpy as np
 
-from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
-                          GpHyperparams, fit_posterior, posterior_mean_var,
-                          train_hyperparameters)
+from rare_sampler import (EmbeddingPool, EvaluationLog, GpHyperparams, fit_posterior,
+                          posterior_mean_var, train_hyperparameters)
 
 rng = np.random.default_rng(0)
 pool = EmbeddingPool(rng.uniform(-3, 3, size=(200, 1)))
@@ -19,9 +18,9 @@ def f(x):
 log = EvaluationLog()
 for i in rng.choice(200, 12, replace=False):
     x = pool.points[i, 0]
-    log.append(AugmentedInput(int(i), 0), float(f(x)), batch_index=1)
+    log.append((int(i), 0), float(f(x)), batch_index=1)
 for i in rng.choice(200, 25, replace=False):
-    inp = AugmentedInput(int(i), 1)
+    inp = (int(i), 1)
     if inp not in log:
         x = pool.points[i, 0]
         log.append(inp, float(f(x) + 0.15 * rng.standard_normal()), batch_index=1)

@@ -3,10 +3,9 @@ bound, on a pool small enough for the O(N^2) bivariate-normal sum."""
 
 import numpy as np
 
-from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
-                          GpHyperparams, bivariate_normal_cdf,
-                          estimator_variance_exact, failure_prob, fit_posterior,
-                          variance_upper_bound)
+from rare_sampler import (EmbeddingPool, EvaluationLog, GpHyperparams,
+                          bivariate_normal_cdf, estimator_variance_exact, failure_prob,
+                          fit_posterior, variance_upper_bound)
 
 rng = np.random.default_rng(3)
 pool = EmbeddingPool(rng.standard_normal((40, 2)))
@@ -15,7 +14,7 @@ hyper = GpHyperparams.defaults(pool)
 log = EvaluationLog()
 for i in rng.choice(40, 10, replace=False):
     value = float(np.linalg.norm(pool.points[i] - [1.5, 1.5]))
-    log.append(AugmentedInput(int(i), 0), value, 1)
+    log.append((int(i), 0), value, 1)
 
 state = fit_posterior(pool, log, hyper, gamma=0.8)
 field = failure_prob(state, pool.points)

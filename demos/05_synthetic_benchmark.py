@@ -31,7 +31,7 @@ result = run_experiment(pool, config, oracle)
 levels = result.log.inputs[:, 1]
 print(f"evaluations: {np.sum(levels == 0)} at level 0, {np.sum(levels == 1)} at level 1 "
       f"(total cost {np.asarray(config.fidelities.costs)[levels].sum():.1f})")
-print("batch mean f:", [round(m, 3) for m in result.batch_mean_f()])
+print("batch mean f:", [round(b.mean_f, 3) for b in result.batches])
 
 scores = importance_scores(result.final_field(), alpha=2.5)
 K = 2 * int(truth.sum())

@@ -18,7 +18,7 @@ from .evaluation import (RateReport, ScoreVector, SplittingBound, importance_sco
 from .gp import (GpHyperparams, PosteriorState, fit_posterior, marginal_log_likelihood,
                  posterior_mean_var, train_hyperparameters)
 from .oracles import CsvOracle, ExternalOracle
-from .pool import AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig
+from .pool import EmbeddingPool, EvaluationLog, FidelityConfig
 from .synthetic import (SyntheticOracle, SyntheticSpec, generate_pool,
                         ground_truth_labels, metric_level0)
 

@@ -40,7 +40,7 @@ from scipy.special import owens_t
 from .errors import EmptySelectionError, InvalidInputError, NumericalError
 from .estimator import threshold_scores
 from .gp import PosteriorState, matern25_matrix, mf_kernel_matrix, noise_variances
-from .pool import AugmentedInput, EmbeddingPool, gather_points, input_array
+from .pool import EmbeddingPool, gather_points, input_array
 
 # Schur complements below this fraction of the largest candidate variance
 # mean the candidate is already determined by the pending set.
@@ -330,7 +330,7 @@ class PendingSet:
     def select_next(self):
         """Pick the candidate minimizing the cost-normalized change in J.
 
-        Returns (chosen AugmentedInput, deltaJ) and folds the choice into
+        Returns ((point index, level), deltaJ) and folds the choice into
         the recursion state.  Ties break on lowest point index, then level.
 
         Bounds.  A target's gain from a candidate is beta(t) - beta(t - E),
@@ -380,7 +380,7 @@ class PendingSet:
             best_val, _, best_idx, _ = best
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
-        return AugmentedInput(*self.candidates[best_idx].tolist()), float(delta_j)
+        return tuple(self.candidates[best_idx].tolist()), float(delta_j)
 
     def _apply(self, idx: int) -> None:
         bT, bC = self._stacks()

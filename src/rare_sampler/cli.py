@@ -328,6 +328,9 @@ def cmd_gen_synthetic(args) -> int:
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise InvalidInputError(f"cannot write {path}: {folder} is not a directory")
+    if args.oracle_out and os.path.realpath(args.oracle_out) == os.path.realpath(args.out):
+        raise InvalidInputError(f"--out {args.out} and --oracle-out {args.oracle_out} "
+                                f"name the same file")
     export_pool_csv(pool, spec, args.out)
     if args.oracle_out:
         values = [oracle(i, level) for i in range(pool.n_points) for level in (0, 1)]

@@ -179,9 +179,6 @@ class ExperimentResult:
     batches: list[BatchRecord]
     state: PosteriorState | CeState | None
 
-    def batch_mean_f(self) -> list[float]:
-        return [b.mean_f for b in self.batches]
-
     def final_field(self) -> FailureField:
         """The last batch's failure field: a GP method snapshots one every batch."""
         last = self.batches[-1].field

@@ -107,14 +107,26 @@ class IsOptions:
         return K
 
 
+def _ranked_hits(scores: ScoreVector, truth) -> tuple[np.ndarray, np.ndarray]:
+    """The truth labels as bools and the running failure count down the
+    ranking of the scores, highest first with ties on the lower index.
+    Labels that do not match the scores one to one, or hold no failure,
+    are an error."""
+    truth = np.asarray(truth, dtype=bool)
+    if truth.shape != scores.q.shape:
+        raise InvalidInputError(f"truth labels have shape {truth.shape}, "
+                                f"the scores {scores.q.shape}")
+    if not truth.any():
+        raise InvalidInputError("no failures in the truth labels")
+    return truth, np.cumsum(truth[np.argsort(-scores.scores, kind="stable")])
+
+
 def recall_at_budget(scores: ScoreVector, truth: np.ndarray, K: int) -> float:
     """Fraction of failures among the K highest-scored points (ties by index)."""
-    truth = np.asarray(truth, dtype=bool)
-    n_fail = int(truth.sum())
-    if n_fail == 0:
-        raise InvalidInputError("no failures in the truth labels")
-    order = np.argsort(-scores.scores, kind="stable")
-    return float(truth[order[:K]].sum()) / n_fail
+    if K < 1:
+        raise InvalidInputError(f"budget K must be >= 1, got {K}")
+    hits = _ranked_hits(scores, truth)[1]
+    return float(hits[min(K, hits.size) - 1] / hits[-1])
 
 
 def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
@@ -131,15 +143,13 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
         raise InvalidInputError(f"IS sample size K must be >= 1, got {K}")
     if trials < 2:
         raise InvalidInputError("trials must be >= 2")
-    truth = np.asarray(truth, dtype=bool)
+    truth, ranked = _ranked_hits(scores, truth)
     p_gamma = float(truth.mean())
-    if p_gamma == 0.0:
-        raise InvalidInputError("no failures in the truth labels")
     p_hats = np.empty(trials)
     recalls = np.empty(trials)
     cdf = np.cumsum(scores.q)
     n = truth.size
-    n_fail = int(truth.sum())
+    n_fail = int(ranked[-1])
     for t in range(trials):
         rng = _trial_rng(seed, t)
         idx = _draw(cdf, K, rng)
@@ -154,7 +164,7 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
     return RateReport(
         p_hat_mean=float(p_hats.mean()),
         rv=var / p_gamma**2 if drew_failure else float("nan"),
-        recall=recall_at_budget(scores, truth, K),
+        recall=float(ranked[min(K, n) - 1] / n_fail),
         recall_drawn_mean=float(recalls.mean()),
         se_rv=float(np.sqrt(var_of_var)) / p_gamma**2 if drew_failure else float("nan"),
         se_recall=float(recalls.std(ddof=1)) / np.sqrt(trials),
@@ -170,17 +180,9 @@ def retention_recall_curve(scores: ScoreVector, truth: np.ndarray) -> np.ndarray
     (retention_multiple, recall) rows.  Ties in the scores break on the
     lower point index.
     """
-    truth = np.asarray(truth, dtype=bool)
-    n_fail = int(truth.sum())
-    if n_fail == 0:
-        raise InvalidInputError("retention-recall needs at least one failure")
-    order = np.argsort(-scores.scores, kind="stable")
-    hits = np.cumsum(truth[order])
-    out = np.empty((RETENTION_MULTIPLES.size, 2))
-    for i, t in enumerate(RETENTION_MULTIPLES):
-        k = min(int(np.ceil(t * n_fail)), truth.size)
-        out[i] = (t, hits[k - 1] / n_fail)
-    return out
+    hits = _ranked_hits(scores, truth)[1]
+    k = np.minimum(np.ceil(RETENTION_MULTIPLES * hits[-1]).astype(np.intp), hits.size)
+    return np.column_stack([RETENTION_MULTIPLES, hits[k - 1] / hits[-1]])
 
 
 @dataclass(frozen=True)

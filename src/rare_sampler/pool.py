@@ -5,8 +5,8 @@ The empirical distribution lives on a finite pool of N embedding points.
 Every evaluation target is an augmented input: a (point index, fidelity
 level) pair, where level 0 is the expensive ground-truth simulator and
 higher levels are cheaper, noisier proxies.  The pipeline holds sets of
-them as (n, 2) integer index rows (``input_array``); ``AugmentedInput`` is
-the named pair that callers may pass instead.
+them as (n, 2) integer index rows (``input_array``), and a single one as a
+(point index, level) pair; a message names one as ``point i level l``.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, OracleError
-
-
-class AugmentedInput(NamedTuple):
-    """A pool point paired with the fidelity level it is evaluated at."""
-
-    point_index: int
-    level: int
 
 
 @dataclass(frozen=True)
@@ -83,11 +76,6 @@ class FidelityConfig:
     def n_levels(self) -> int:
         return len(self.costs)
 
-    def cost(self, level: int) -> float:
-        if not 0 <= level < len(self.costs):
-            raise InvalidInputError(f"fidelity level {level} out of range")
-        return self.costs[level]
-
 
 class EvaluationLog:
     """Observed simulator values keyed by augmented input, as arrays:
@@ -111,8 +99,8 @@ class EvaluationLog:
         repeat = np.ones(len(both), dtype=bool)
         repeat[np.unique(both, axis=0, return_index=True)[1]] = False
         if repeat.any():
-            raise InvalidInputError(f"duplicate evaluation of "
-                                    f"{AugmentedInput(*both[repeat.argmax()].tolist())}")
+            i, level = both[repeat.argmax()].tolist()
+            raise InvalidInputError(f"duplicate evaluation of point {i} level {level}")
         return rows
 
     def append(self, inputs, values, batch_index: int) -> None:
@@ -124,8 +112,9 @@ class EvaluationLog:
                                     f"got shape {values.shape}")
         bad = ~np.isfinite(values)
         if bad.any():
+            i, level = rows[bad][0].tolist()
             raise InvalidInputError(f"non-finite observation {float(values[bad][0])!r} at "
-                                    f"{AugmentedInput(*rows[bad][0].tolist())}")
+                                    f"point {i} level {level}")
         self.inputs = np.concatenate([self.inputs, rows])
         self.values = np.append(self.values, values)
         self.batches = np.append(self.batches, np.full(len(rows), batch_index, dtype=np.intp))

@@ -7,7 +7,7 @@ import csv
 import numpy as np
 from scipy.special import ndtr
 
-from rare_sampler import (AugmentedInput, CeState, ClusterAssignment, EmbeddingPool,
+from rare_sampler import (CeState, ClusterAssignment, EmbeddingPool,
                           EvaluationLog, FidelityConfig, GpHyperparams, InvalidInputError,
                           acquisition_J, fit_posterior, gaussian_pdf_scores, kmeans, mc_scores,
                           random_acquisition, scale_points)
@@ -122,7 +122,7 @@ def random_problem(rng, n_points=30, dim=2, n_train=8, n_levels=2, gamma=None,
     chosen = rng.choice(n_points, size=n_train, replace=False)
     for i in chosen:
         lvl = int(rng.integers(0, n_levels))
-        log.append(AugmentedInput(int(i), lvl), float(rng.standard_normal()), 1)
+        log.append((int(i), lvl), float(rng.standard_normal()), 1)
     if gamma is None:
         gamma = float(np.quantile(log.values, 0.3)) if n_train else 0.0
     state = fit_posterior(pool, log, hyper, gamma)
@@ -240,7 +240,7 @@ def dense_mll_reference(pool, log, hyper, *, work=None, extra=0.0):
 def naive_select_batch(state, pool, candidates, costs, targets, budget):
     """From-scratch greedy selection: refactorizes the conditioning covariance
     for every candidate at every step via acquisition_J."""
-    pending: list[AugmentedInput] = []
+    pending: list[tuple[int, int]] = []
     out = []
     total = 0.0
     remaining = list(zip(candidates, np.asarray(costs, dtype=float)))
@@ -250,7 +250,7 @@ def naive_select_batch(state, pool, candidates, costs, targets, budget):
         for cand, cost in remaining:
             j_new = acquisition_J(state, pool, pending + [cand], targets)
             value = min(j_new - j_cur, 0.0) / cost
-            key = (value, cand.point_index, cand.level)
+            key = (value, cand[0], cand[1])
             if best is None or key < best[0]:
                 best = (key, cand, cost, j_new)
         key, cand, cost, j_new = best
@@ -271,7 +271,7 @@ def selection_arrays(items):
 
 
 def reference_merge_queues(queues, m_b):
-    """Algorithm-1 global merge over queues of (AugmentedInput, deltaJ, cost)
+    """Algorithm-1 global merge over queues of ((point, level), deltaJ, cost)
     tuples, one head at a time: the least (deltaJ / cost, point, level) head
     that keeps the batch cost below m_b, the first queue's on a full tie.  A
     head that does not fit blocks its queue.  Returns the merged tuples."""
@@ -286,7 +286,7 @@ def reference_merge_queues(queues, m_b):
             inp, dj, cost = queue[ptrs[qi]]
             if cost_g + cost >= m_b:
                 continue
-            key = (dj / cost, inp.point_index, inp.level)
+            key = (dj / cost, inp[0], inp[1])
             if best is None or key < best[0]:
                 best = (key, qi)
         if best is None:
@@ -340,14 +340,14 @@ def reference_write_csv(path, header, rows) -> None:
 
 
 def reference_cluster_queue(state, pool, members, evaluated, costs_by_level, budget):
-    """One cluster's queue from ``AugmentedInput`` lists: the targets are the
+    """One cluster's queue from (point, level) lists: the targets are the
     members at level 0, the candidates every (member, level) pair not in the
     ``evaluated`` set, point-major; no candidate gives an empty queue."""
     n_levels = len(costs_by_level)
-    targets = [AugmentedInput(int(i), 0) for i in members]
-    candidates = [AugmentedInput(int(i), l) for i in members for l in range(n_levels)
+    targets = [(int(i), 0) for i in members]
+    candidates = [(int(i), l) for i in members for l in range(n_levels)
                   if (int(i), l) not in evaluated]
-    costs = np.array([costs_by_level[c.level] for c in candidates])
+    costs = np.array([costs_by_level[c[1]] for c in candidates])
     return select_batch(state, pool, candidates, costs, targets, budget)
 
 
@@ -430,7 +430,7 @@ def reference_mc_run(pool, oracle, batches, m1, m_b, seed):
         picks = random_acquisition(pool, FidelityConfig((1.0,)), m1 if b == 1 else m_b,
                                    seed=[seed, b], exclude=log.inputs)
         for i, level in picks.tolist():
-            log.evaluate(oracle, AugmentedInput(i, level), b)
+            log.evaluate(oracle, (i, level), b)
     return log, mc_scores(pool.n_points, seed=[seed, 1])
 
 
@@ -458,7 +458,7 @@ def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, 
 
     first = rng.choice(pool.n_points, size=min(m1, pool.n_points), replace=False)
     for i in first:
-        log.evaluate(oracle, AugmentedInput(int(i), 0), 1)
+        log.evaluate(oracle, (int(i), 0), 1)
     state = _elite_fit(pool.points[first], log.values, var_floor)
 
     evaluated = {int(i) for i in first}
@@ -473,7 +473,7 @@ def reference_cross_entropy(pool: EmbeddingPool, oracle, batches: int, m1: int, 
             batch_idx.append(int(np.argmin(d2)))
         if not batch_idx:
             break
-        batch_vals = [log.evaluate(oracle, AugmentedInput(i, 0), b)[0] for i in batch_idx]
+        batch_vals = [log.evaluate(oracle, (i, 0), b)[0] for i in batch_idx]
         evaluated.update(batch_idx)
         state = _elite_fit(pool.points[batch_idx], np.asarray(batch_vals), var_floor)
     return state, gaussian_pdf_scores(state, pool), log
@@ -484,7 +484,7 @@ class ReferencePendingSet(PendingSet):
     the recursion rows in Python lists re-stacked on every call, each pick's
     kernel row rebuilt through ``mf_kernel_matrix``, a bound sweep of two
     matrix-vector products over clipped increments, and a Python loop over
-    each exact-stage block with ``AugmentedInput`` comparisons."""
+    each exact-stage block with (point, level) comparisons."""
 
     def __init__(self, state, pool, targets, candidates, costs):
         super().__init__(state, pool, targets, candidates, costs)
@@ -545,7 +545,7 @@ class ReferencePendingSet(PendingSet):
             # back to the deterministic tie-break
             best = self._lexicographic_best(feas_idx)
             self._apply(best)
-            return AugmentedInput(*self.candidates[best].tolist()), 0.0
+            return tuple(self.candidates[best].tolist()), 0.0
         Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
         Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
 
@@ -574,7 +574,7 @@ class ReferencePendingSet(PendingSet):
                     best_rate = gains[j] / self.costs[c]
         delta_j = min(best_val * self.costs[best_idx], 0.0)
         self._apply(best_idx)
-        return AugmentedInput(*self.candidates[best_idx].tolist()), float(delta_j)
+        return tuple(self.candidates[best_idx].tolist()), float(delta_j)
 
     def _lexicographic_best(self, feas_idx: np.ndarray) -> int:
         keys = [(*self.candidates[i].tolist(), i) for i in feas_idx]

@@ -59,8 +59,9 @@ def panel():
                MKL_NUM_THREADS="1")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    children = [subprocess.Popen([sys.executable, __file__, *map(str, seeds)], env=env,
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    children = [subprocess.Popen([sys.executable, "-W", "error", __file__, *map(str, seeds)],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True)
                 for seeds in (SEEDS[:3], SEEDS[3:])]
     panel = {}
     for child in children:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rare_sampler import (AugmentedInput, EmbeddingPool, EmptySelectionError,
+from rare_sampler import (EmbeddingPool, EmptySelectionError,
                           EvaluationLog, GpHyperparams, InvalidInputError,
                           NumericalError, PendingSet, PosteriorState, acquisition_J,
                           failure_prob, fit_posterior, select_batch,
@@ -46,7 +46,7 @@ class TestForwardPointVariance:
         pool, _, _, state = random_problem(rng, n_points=20, n_train=6)
         field = failure_prob(state, pool.points)
         for i in (0, 5, 19):
-            fpv = forward_point_variance(state, pool, AugmentedInput(i, 0), [])
+            fpv = forward_point_variance(state, pool, (i, 0), [])
             assert fpv == pytest.approx(float(field.h[i]), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -54,14 +54,14 @@ class TestForwardPointVariance:
         rng = np.random.default_rng(100 + seed)
         pool, _, _, state = random_problem(rng, n_points=15, n_train=4,
                                            jitter=1e-300)
-        x = AugmentedInput(int(rng.integers(15)), 0)
+        x = (int(rng.integers(15)), 0)
         assert forward_point_variance(state, pool, x, [x]) <= 1e-9
 
     def test_against_nested_monte_carlo(self):
         # beta is the average of h over future posteriors at the pending sites
         rng = np.random.default_rng(42)
         pool, _, _, state = random_problem(rng, n_points=25, n_train=6)
-        pending = [AugmentedInput(2, 0), AugmentedInput(11, 1), AugmentedInput(17, 0)]
+        pending = [(2, 0), (11, 1), (17, 0)]
         mu_new, cov_new = simulate_conditioned_posteriors(state, pool, pending,
                                                           n_draws=200_000, rng=rng)
         sigma_new = np.sqrt(np.maximum(np.diag(cov_new), 1e-300))
@@ -70,7 +70,7 @@ class TestForwardPointVariance:
             h_draws = p_draws * (1.0 - p_draws)
             mc = h_draws.mean()
             se = h_draws.std(ddof=1) / np.sqrt(len(h_draws))
-            fpv = forward_point_variance(state, pool, AugmentedInput(i, 0), pending)
+            fpv = forward_point_variance(state, pool, (i, 0), pending)
             assert abs(fpv - mc) < max(3 * se, 2e-4), f"point {i}"
 
 
@@ -78,7 +78,7 @@ class TestAcquisitionJ:
     def test_empty_pending_equals_prop1_bound(self):
         rng = np.random.default_rng(7)
         pool, _, _, state = random_problem(rng, n_points=30, n_train=8)
-        targets = [AugmentedInput(i, 0) for i in range(30)]
+        targets = [(i, 0) for i in range(30)]
         field = failure_prob(state, pool.points)
         assert acquisition_J(state, pool, [], targets) == pytest.approx(
             variance_upper_bound(field), abs=1e-12)
@@ -97,7 +97,7 @@ class TestAcquisitionJ:
         # tolerance reflects Cholesky round-off amplified by the sqrt in beta
         rng = np.random.default_rng(8)
         pool, _, _, state = random_problem(rng, n_points=8, n_train=3, jitter=1e-300)
-        targets = [AugmentedInput(i, 0) for i in range(8)]
+        targets = [(i, 0) for i in range(8)]
         j_all = acquisition_J(state, pool, targets, targets)
         assert j_all <= 1e-5
         assert j_all <= 1e-3 * acquisition_J(state, pool, [], targets)
@@ -105,7 +105,7 @@ class TestAcquisitionJ:
     def test_failed_jitter_rescue_raises_numerical_error(self, monkeypatch):
         rng = np.random.default_rng(8)
         pool, _, _, state = random_problem(rng, n_points=8, n_train=3)
-        targets = [AugmentedInput(i, 0) for i in range(8)]
+        targets = [(i, 0) for i in range(8)]
         calls = []
 
         def singular(A):
@@ -120,8 +120,8 @@ class TestAcquisitionJ:
     def test_matches_per_point_computation(self):
         rng = np.random.default_rng(9)
         pool, _, _, state = random_problem(rng, n_points=20, n_train=5)
-        targets = [AugmentedInput(i, 0) for i in range(20)]
-        pending = [AugmentedInput(3, 1), AugmentedInput(12, 0)]
+        targets = [(i, 0) for i in range(20)]
+        pending = [(3, 1), (12, 0)]
         per_point = np.mean([forward_point_variance(state, pool, t, pending)
                              for t in targets])
         assert acquisition_J(state, pool, pending, targets) == pytest.approx(
@@ -132,8 +132,8 @@ class TestAcquisitionJ:
                                                                 n_pending):
         rng = np.random.default_rng(9)
         pool, _, _, state = random_problem(rng, n_points=20, n_train=5)
-        targets = [AugmentedInput(i, 0) for i in range(20)]
-        pending = [AugmentedInput(3, 1), AugmentedInput(12, 0)][:n_pending]
+        targets = [(i, 0) for i in range(20)]
+        pending = [(3, 1), (12, 0)][:n_pending]
         queries = []
         query = PosteriorState.query
 
@@ -150,11 +150,11 @@ class TestAcquisitionJ:
         # J(A + {y}) <= J(A): point variance is concave and conditioning shrinks it
         rng = np.random.default_rng(300 + seed)
         pool, _, _, state = random_problem(rng, n_points=15, n_train=4)
-        targets = [AugmentedInput(i, 0) for i in range(15)]
+        targets = [(i, 0) for i in range(15)]
         pending = []
         for _ in range(4):
             j_before = acquisition_J(state, pool, pending, targets)
-            y = AugmentedInput(int(rng.integers(15)), int(rng.integers(2)))
+            y = (int(rng.integers(15)), int(rng.integers(2)))
             if y in pending:
                 continue
             pending.append(y)
@@ -166,8 +166,8 @@ class TestSelection:
     def test_single_candidate_selected(self):
         rng = np.random.default_rng(10)
         pool, _, _, state = random_problem(rng, n_points=10, n_train=3)
-        targets = [AugmentedInput(i, 0) for i in range(10)]
-        inputs, _, _ = select_batch(state, pool, [AugmentedInput(4, 0)], [1.0], targets,
+        targets = [(i, 0) for i in range(10)]
+        inputs, _, _ = select_batch(state, pool, [(4, 0)], [1.0], targets,
                                     1.0)
         np.testing.assert_array_equal(inputs, [[4, 0]])
 
@@ -178,26 +178,26 @@ class TestSelection:
         hyper = GpHyperparams(np.ones(2), 1.0, np.ones((1, 2)), np.array([0.05]),
                               np.array([0.01]), 1e-8)
         log = EvaluationLog()
-        log.append(AugmentedInput(0, 0), 0.3, 1)
+        log.append((0, 0), 0.3, 1)
         state = fit_posterior(pool, log, hyper, gamma=0.2)
-        targets = [AugmentedInput(0, 0), AugmentedInput(1, 0)]
-        cands = [AugmentedInput(1, 0), AugmentedInput(1, 1)]
+        targets = [(0, 0), (1, 0)]
+        cands = [(1, 0), (1, 1)]
         j0 = acquisition_J(state, pool, [], targets)
         dj = {c: acquisition_J(state, pool, [c], targets) - j0 for c in cands}
         assert dj[cands[0]] < dj[cands[1]] < 0  # level 0 helps more in absolute terms
         assert dj[cands[1]] / 0.1 < dj[cands[0]] / 1.0  # but loses per unit cost
         pending = PendingSet(state, pool, targets, cands, [1.0, 0.1])
         chosen, _ = pending.select_next()
-        assert chosen == AugmentedInput(1, 1)
+        assert chosen == (1, 1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_recursion_matches_naive_reference(self, seed):
         rng = np.random.default_rng(500 + seed)
         pool, log, hyper, state = random_problem(rng, n_points=25, n_train=6)
-        targets = [AugmentedInput(i, 0) for i in range(25)]
-        cands = [AugmentedInput(i, l) for i in range(25) for l in range(2)
-                 if AugmentedInput(i, l) not in log]
-        costs = np.array([1.0 if c.level == 0 else 0.25 for c in cands])
+        targets = [(i, 0) for i in range(25)]
+        cands = [(i, l) for i in range(25) for l in range(2)
+                 if (i, l) not in log]
+        costs = np.array([1.0 if c[1] == 0 else 0.25 for c in cands])
         fast = select_batch(state, pool, cands, costs, targets, budget=2.0)
         naive = selection_arrays(naive_select_batch(state, pool, cands, costs, targets,
                                                     budget=2.0))
@@ -210,10 +210,10 @@ class TestSelection:
         import rare_sampler.acquisition as acq
         rng = np.random.default_rng(11)
         pool, log, hyper, state = random_problem(rng, n_points=40, n_train=8)
-        targets = [AugmentedInput(i, 0) for i in range(40)]
-        cands = [AugmentedInput(i, l) for i in range(40) for l in range(2)
-                 if AugmentedInput(i, l) not in log]
-        costs = np.array([1.0 if c.level == 0 else 0.2 for c in cands])
+        targets = [(i, 0) for i in range(40)]
+        cands = [(i, l) for i in range(40) for l in range(2)
+                 if (i, l) not in log]
+        costs = np.array([1.0 if c[1] == 0 else 0.2 for c in cands])
         fast = select_batch(state, pool, cands, costs, targets, budget=3.0)
         original = acq._BLOCK
         acq._BLOCK = 10**9
@@ -227,9 +227,9 @@ class TestSelection:
     def test_budget_cost_accounting(self):
         rng = np.random.default_rng(12)
         pool, log, _, state = random_problem(rng, n_points=12, n_train=3)
-        targets = [AugmentedInput(i, 0) for i in range(12)]
-        cands = [AugmentedInput(i, 1) for i in range(12)
-                 if AugmentedInput(i, 1) not in log]
+        targets = [(i, 0) for i in range(12)]
+        cands = [(i, 1) for i in range(12)
+                 if (i, 1) not in log]
         costs = np.full(len(cands), 0.3)
         _, _, sel_costs = select_batch(state, pool, cands, costs, targets, budget=1.0)
         total = sum(sel_costs.tolist())
@@ -238,9 +238,9 @@ class TestSelection:
     def test_budget_beyond_supply_returns_everything_ordered(self):
         rng = np.random.default_rng(13)
         pool, log, _, state = random_problem(rng, n_points=8, n_train=2)
-        targets = [AugmentedInput(i, 0) for i in range(8)]
-        cands = [AugmentedInput(i, 0) for i in range(8)
-                 if AugmentedInput(i, 0) not in log]
+        targets = [(i, 0) for i in range(8)]
+        cands = [(i, 0) for i in range(8)
+                 if (i, 0) not in log]
         inputs, _, _ = select_batch(state, pool, cands, np.ones(len(cands)), targets,
                                     budget=100.0)
         assert len(inputs) == len(cands)
@@ -251,7 +251,7 @@ class TestSelection:
         # first step finds nothing to pick, and select_batch returns a dry queue
         rng = np.random.default_rng(14)
         pool, _, _, state = random_problem(rng, n_points=5, n_train=2)
-        targets = [AugmentedInput(i, 0) for i in range(5)]
+        targets = [(i, 0) for i in range(5)]
         pending = PendingSet(state, pool, targets, [], [])
         assert pending.candidates.shape == (0, 2) and pending.TCs.shape[1] == 0
         with pytest.raises(EmptySelectionError):
@@ -264,18 +264,18 @@ class TestSelection:
     def test_non_positive_or_non_finite_budget_rejected(self, budget):
         rng = np.random.default_rng(15)
         pool, _, _, state = random_problem(rng, n_points=5, n_train=2)
-        targets = [AugmentedInput(i, 0) for i in range(5)]
+        targets = [(i, 0) for i in range(5)]
         with pytest.raises(InvalidInputError, match="budget must be positive and finite"):
-            select_batch(state, pool, [AugmentedInput(0, 1)], [0.1], targets, budget)
+            select_batch(state, pool, [(0, 1)], [0.1], targets, budget)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
     def test_non_positive_or_non_finite_cost_rejected(self, bad):
         # NaN passes costs <= 0, so the check asks for 0 < cost < inf
         rng = np.random.default_rng(17)
         pool, _, _, state = random_problem(rng, n_points=6, n_train=2)
-        targets = [AugmentedInput(i, 0) for i in range(6)]
+        targets = [(i, 0) for i in range(6)]
         with pytest.raises(InvalidInputError, match="costs must be positive and finite"):
-            PendingSet(state, pool, targets, [AugmentedInput(0, 1), AugmentedInput(1, 1)],
+            PendingSet(state, pool, targets, [(0, 1), (1, 1)],
                        [0.1, bad])
 
     @pytest.mark.parametrize("targets", [[], np.empty((0, 2), dtype=np.intp)])
@@ -284,15 +284,15 @@ class TestSelection:
         rng = np.random.default_rng(16)
         pool, _, _, state = random_problem(rng, n_points=6, n_train=2)
         with pytest.raises(InvalidInputError, match="target set is empty"):
-            PendingSet(state, pool, targets, [AugmentedInput(0, 1)], [0.1])
+            PendingSet(state, pool, targets, [(0, 1)], [0.1])
 
     def test_target_above_level_0_is_rejected(self):
         pool = EmbeddingPool(np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.7]]))
         hyper = GpHyperparams(np.ones(2), 1.0, np.ones((1, 2)), np.array([0.05]),
                               np.array([0.01]), 1e-8)
         state = fit_posterior(pool, EvaluationLog(), hyper, gamma=0.2)
-        targets = [AugmentedInput(0, 0), AugmentedInput(2, 1), AugmentedInput(1, 0)]
-        cands = [AugmentedInput(1, 0), AugmentedInput(1, 1)]
+        targets = [(0, 0), (2, 1), (1, 0)]
+        cands = [(1, 0), (1, 1)]
         with pytest.raises(InvalidInputError, match="level-0 inputs, got level 1"):
             PendingSet(state, pool, targets, cands, [1.0, 0.1])
 
@@ -300,26 +300,26 @@ class TestSelection:
         # a level-7 candidate of a 2-level GP has no kernel or noise term
         rng = np.random.default_rng(18)
         pool, _, _, state = random_problem(rng, n_points=6, n_train=2)
-        targets = [AugmentedInput(i, 0) for i in range(6)]
+        targets = [(i, 0) for i in range(6)]
         with pytest.raises(InvalidInputError, match=r"fidelity level 7 outside the GP's "
                                                     r"levels 0\.\.1"):
-            PendingSet(state, pool, targets, [AugmentedInput(0, 1), AugmentedInput(1, 7)],
+            PendingSet(state, pool, targets, [(0, 1), (1, 7)],
                        [0.1, 0.1])
 
     def test_pending_input_above_the_gp_levels_is_rejected(self):
         rng = np.random.default_rng(19)
         pool, _, _, state = random_problem(rng, n_points=6, n_train=2)
-        targets = [AugmentedInput(i, 0) for i in range(6)]
+        targets = [(i, 0) for i in range(6)]
         with pytest.raises(InvalidInputError, match=r"fidelity level 2 outside the GP's "
                                                     r"levels 0\.\.1"):
-            acquisition_J(state, pool, [AugmentedInput(0, 0), AugmentedInput(1, 2)], targets)
+            acquisition_J(state, pool, [(0, 0), (1, 2)], targets)
 
     def test_deltaj_nonpositive_and_decreasing_J(self):
         rng = np.random.default_rng(15)
         pool, log, _, state = random_problem(rng, n_points=20, n_train=5)
-        targets = [AugmentedInput(i, 0) for i in range(20)]
-        cands = [AugmentedInput(i, 0) for i in range(20)
-                 if AugmentedInput(i, 0) not in log]
+        targets = [(i, 0) for i in range(20)]
+        cands = [(i, 0) for i in range(20)
+                 if (i, 0) not in log]
         pending = PendingSet(state, pool, targets, cands, np.ones(len(cands)))
         j_prev = pending.J()
         for _ in range(5):
@@ -341,19 +341,19 @@ class TestSelection:
         hyper = GpHyperparams(np.ones(2), 1.0, np.zeros((0, 2)), np.zeros(0),
                               np.zeros(0), 1e-13)
         state = fit_posterior(pool, EvaluationLog(), hyper, gamma=0.0)
-        targets = [AugmentedInput(i, 0) for i in range(5)]
-        cands = [AugmentedInput(0, 0), AugmentedInput(4, 0), AugmentedInput(1, 0)]
+        targets = [(i, 0) for i in range(5)]
+        cands = [(0, 0), (4, 0), (1, 0)]
         pending = PendingSet(state, pool, targets, cands, np.ones(3))
         first, _ = pending.select_next()
         second, _ = pending.select_next()
         chosen = {first, second}
-        assert not {AugmentedInput(0, 0), AugmentedInput(4, 0)} <= chosen
+        assert not {(0, 0), (4, 0)} <= chosen
 
 
 def _problem_candidates(log, n_points, n_levels):
-    cands = [AugmentedInput(i, l) for i in range(n_points) for l in range(n_levels)
-             if AugmentedInput(i, l) not in log]
-    costs = np.array([(1.0, 0.25, 0.1)[c.level] for c in cands])
+    cands = [(i, l) for i in range(n_points) for l in range(n_levels)
+             if (i, l) not in log]
+    costs = np.array([(1.0, 0.25, 0.1)[c[1]] for c in cands])
     return cands, costs
 
 
@@ -369,7 +369,7 @@ class TestTargetPruning:
         rng = np.random.default_rng(1200 + seed)
         pool, log, _, state = random_problem(rng, n_points=40, n_train=8,
                                              n_levels=n_levels, spread=2.0)
-        targets = [AugmentedInput(i, 0) for i in range(40)]
+        targets = [(i, 0) for i in range(40)]
         cands, costs = _problem_candidates(log, 40, n_levels)
         monkeypatch.setattr(acq, "_ROW_TOL", row_tol)
         pruned = PendingSet(state, pool, targets, cands, costs)
@@ -401,9 +401,9 @@ class TestTargetPruning:
                               np.array([0.2]), np.array([0.02]), 1e-8)
         log = EvaluationLog()
         for i in range(18, 24):
-            log.append(AugmentedInput(i, 0), float(rng.standard_normal()), 1)
+            log.append((i, 0), float(rng.standard_normal()), 1)
         state = fit_posterior(pool, log, hyper, float(np.quantile(log.values, 0.3)))
-        targets = [AugmentedInput(i, 0) for i in range(24)]
+        targets = [(i, 0) for i in range(24)]
         cands, costs = _problem_candidates(log, 24, 2)
         pending = PendingSet(state, pool, targets, cands, costs)
         assert pending.dropped_beta == 0.0
@@ -423,7 +423,7 @@ class TestTargetPruning:
         import rare_sampler.estimator as est
         rng = np.random.default_rng(1410 + seed)
         pool, log, _, state = random_problem(rng, n_points=30, n_train=8)
-        targets = [AugmentedInput(i, 0) for i in range(30)]
+        targets = [(i, 0) for i in range(30)]
         cands, costs = _problem_candidates(log, 30, 2)
         sd = np.sqrt(state.mean_var_norm(pool.points, np.zeros(30, dtype=np.intp))[1])
         floor = float(np.median(sd))
@@ -439,7 +439,7 @@ class TestTargetPruning:
     def test_live_count_and_full_target_average(self):
         rng = np.random.default_rng(1400)
         pool, log, _, state = random_problem(rng, n_points=30, n_train=6)
-        targets = [AugmentedInput(i, 0) for i in range(30)]
+        targets = [(i, 0) for i in range(30)]
         cands, costs = _problem_candidates(log, 30, 2)
         pending = PendingSet(state, pool, targets, cands, costs)
         assert pending.n_targets == len(targets)
@@ -451,7 +451,7 @@ class TestTargetPruning:
         # a threshold a thousand standard deviations away leaves no point variance
         rng = np.random.default_rng(1401)
         pool, log, _, state = random_problem(rng, n_points=20, n_train=5, gamma=1e3)
-        targets = [AugmentedInput(i, 0) for i in range(20)]
+        targets = [(i, 0) for i in range(20)]
         cands, costs = _problem_candidates(log, 20, 2)
         pending = PendingSet(state, pool, targets, cands, costs)
         assert pending.n_targets == 20
@@ -500,7 +500,7 @@ def _duplicated_problem(seed, n_levels=2, jitter=1e-6):
                                              n_levels=n_levels, jitter=jitter)
     pool = EmbeddingPool(np.vstack([pool.points, pool.points]))
     state = fit_posterior(pool, log, hyper, state.gamma)
-    targets = [AugmentedInput(i, 0) for i in range(30)]
+    targets = [(i, 0) for i in range(30)]
     cands, costs = _problem_candidates(log, 30, n_levels)
     return pool, log, state, targets, cands, costs
 
@@ -550,7 +550,7 @@ class TestCertifiedBounds:
         rng = np.random.default_rng(1600 + seed)
         pool, log, _, state = random_problem(rng, n_points=40, n_train=8,
                                              n_levels=n_levels, spread=2.0)
-        targets = [AugmentedInput(i, 0) for i in range(40)]
+        targets = [(i, 0) for i in range(40)]
         cands, costs = _problem_candidates(log, 40, n_levels)
         pending = PendingSet(state, pool, targets, cands, costs)
         for _ in range(12):
@@ -594,7 +594,7 @@ class TestStepMatchesReference:
     def test_all_targets_pruned_falls_back_to_lexicographic(self):
         rng = np.random.default_rng(1401)
         pool, log, _, state = random_problem(rng, n_points=20, n_train=5, gamma=1e3)
-        targets = [AugmentedInput(i, 0) for i in range(20)]
+        targets = [(i, 0) for i in range(20)]
         cands, costs = _problem_candidates(log, 20, 2)
         rev = cands[::-1]  # candidate order must not matter to the fallback
         fast = self.assert_same_steps(state, pool, targets, rev, costs[::-1], 5)
@@ -607,7 +607,7 @@ class TestStepMatchesReference:
         rng = np.random.default_rng(1800 + seed)
         pool, log, _, state = random_problem(rng, n_points=30, n_train=6,
                                              n_levels=n_levels)
-        targets = [AugmentedInput(i, 0) for i in range(30)]
+        targets = [(i, 0) for i in range(30)]
         cands, costs = _problem_candidates(log, 30, n_levels)
         fast = self.assert_same_steps(state, pool, targets, cands, costs, 40)
         assert len(fast.selected) == 40 and len(fast._bT) >= 40
@@ -618,7 +618,7 @@ class TestStepMatchesReference:
         rng = np.random.default_rng(1900)
         pool, log, _, state = random_problem(rng, n_points=20, n_train=5)
         cands, costs = _problem_candidates(log, 20, 2)
-        pending = cls(state, pool, [AugmentedInput(i, 0) for i in range(20)], cands, costs)
+        pending = cls(state, pool, [(i, 0) for i in range(20)], cands, costs)
         bT, bC = pending._stacks()
         assert bT.shape == (0, pending.n_live_targets) and bC.shape == (0, len(cands))
 
@@ -630,9 +630,9 @@ class TestCorollaryBound:
         rng = np.random.default_rng(900 + seed)
         pool, _, _, state = random_problem(rng, n_points=20, n_train=5)
         k = int(rng.integers(1, 4))
-        pending = [AugmentedInput(int(i), int(rng.integers(2)))
+        pending = [(int(i), int(rng.integers(2)))
                    for i in rng.choice(20, k, replace=False)]
-        targets = [AugmentedInput(i, 0) for i in range(20)]
+        targets = [(i, 0) for i in range(20)]
         J = acquisition_J(state, pool, pending, targets)
         mu_new, cov_new = simulate_conditioned_posteriors(state, pool, pending,
                                                           n_draws=3000, rng=rng)

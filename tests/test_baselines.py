@@ -34,7 +34,7 @@ class TestRandomAcquisition:
         pool = EmbeddingPool(np.random.default_rng(1).standard_normal((500, 2)))
         fid = FidelityConfig((1.0, 0.1))
         picks = random_acquisition(pool, fid, budget=10.0, seed=2)
-        total = sum(fid.cost(level) for level in picks[:, 1].tolist())
+        total = sum(fid.costs[level] for level in picks[:, 1].tolist())
         assert total >= 10.0
         assert total - min(fid.costs) < 10.0 + 1.0
 

@@ -811,6 +811,16 @@ class TestGenSynthetic:
             f"error: cannot write {bad}: {bad.parent} is not a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
+    @pytest.mark.parametrize("oracle_out", ["p.csv", "./p.csv"])
+    def test_out_and_oracle_out_on_one_file_is_named_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, oracle_out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-synthetic", "--n", "50", "--out", "p.csv",
+                     "--oracle-out", oracle_out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out p.csv and --oracle-out {oracle_out} name the same file\n")
+        assert not list(tmp_path.iterdir())
+
     def test_out_that_is_a_directory_is_named(self, tmp_path, capsys):
         assert main(["gen-synthetic", "--n", "20", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
@@ -1117,8 +1127,8 @@ class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
         src = Path(rare_sampler.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-m", "rare_sampler", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rare_sampler", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: rare-sampler ")
         assert "gen-synthetic" in proc.stdout

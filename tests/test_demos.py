@@ -12,12 +12,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(argv, cwd):
-    """Run a python script from a source checkout: ``src`` leads PYTHONPATH."""
+    """Run a python script from a source checkout, every warning an error:
+    ``src`` leads PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
+from rare_sampler import (EmbeddingPool, EvaluationLog,
                           FidelityConfig, GpHyperparams, InvalidInputError, RunConfig,
                           SyntheticOracle,
                           SyntheticSpec, cluster_with_merges, fit_posterior,
@@ -58,7 +58,7 @@ class TestInitialBatch:
         spec, pool, oracle = small_synthetic(n=500)
         config = base_config(m1=10.0)
         log = initial_log(pool, config, oracle)
-        costs = [config.fidelities.cost(level) for level in log.inputs[:, 1].tolist()]
+        costs = [config.fidelities.costs[level] for level in log.inputs[:, 1].tolist()]
         assert sum(costs) >= 10.0
         assert len(log) > 10  # cheap level stretches the budget
 
@@ -83,15 +83,15 @@ def reference_bams_batch(pool, state, config, log):
     queues = []
     for cid in range(assign.n_clusters):
         members = assign.members(cid)
-        targets = [AugmentedInput(int(i), 0) for i in members]
-        cands = [AugmentedInput(int(i), l) for i in members
+        targets = [(int(i), 0) for i in members]
+        cands = [(int(i), l) for i in members
                  for l in range(config.fidelities.n_levels)
-                 if AugmentedInput(int(i), l) not in evaluated]
+                 if (int(i), l) not in evaluated]
         budget = float(np.ceil(config.eta * config.m_b * len(members) / n))
         if not cands:
             queues.append([])
             continue
-        costs = [config.fidelities.cost(c.level) for c in cands]
+        costs = [config.fidelities.costs[c[1]] for c in cands]
         queue = naive_select_batch(state, pool, cands, costs, targets, budget)
         w = len(members) / n
         queues.append([(inp, dj * w, cost) for inp, dj, cost in queue])
@@ -106,7 +106,7 @@ def reference_bams_batch(pool, state, config, log):
                 continue
             inp, dj, cost = q[ptrs[qi]]
             if cost_g + cost < config.m_b:
-                heads.append(((dj / cost, inp.point_index, inp.level), qi))
+                heads.append(((dj / cost, inp[0], inp[1]), qi))
         if not heads:
             break
         _, qi = min(heads)
@@ -139,33 +139,33 @@ class TestBamsBatch:
         hyper = GpHyperparams.defaults(pool, 2)
         state = fit_posterior(pool, log, hyper, config.gamma)
         inputs, _ = run_bams_batch(pool, state, config, log, 2)
-        assert sum(config.fidelities.cost(l) for l in inputs[:, 1].tolist()) < config.m_b
+        assert sum(config.fidelities.costs[l] for l in inputs[:, 1].tolist()) < config.m_b
 
     def test_budget_equality_does_not_fit(self):
-        queues = [[(AugmentedInput(0, 0), -0.5, 1.0), (AugmentedInput(1, 0), -0.4, 1.0)]]
+        queues = [[((0, 0), -0.5, 1.0), ((1, 0), -0.4, 1.0)]]
         strict = _merge_queues([selection_arrays(q) for q in queues], 2.0)
         assert len(strict[0]) == 1
 
     def test_merge_is_cost_normalized(self):
         # cheap item: good per-cost, worse raw
-        q1 = [(AugmentedInput(0, 1), -0.02, 0.1)]
-        q2 = [(AugmentedInput(1, 0), -0.10, 1.0)]
+        q1 = [((0, 1), -0.02, 0.1)]
+        q2 = [((1, 0), -0.10, 1.0)]
         cn = _merge_queues([selection_arrays(q) for q in (q1, q2)], 5.0)
         np.testing.assert_array_equal(cn[0][0], [0, 1])
 
     def test_blocking_head_blocks_queue(self):
         # first queue's head never fits; its cheaper second item must not leak past it
-        q1 = [(AugmentedInput(0, 0), -0.9, 5.0), (AugmentedInput(1, 1), -0.8, 0.1)]
-        q2 = [(AugmentedInput(2, 1), -0.01, 0.1)]
+        q1 = [((0, 0), -0.9, 5.0), ((1, 1), -0.8, 0.1)]
+        q2 = [((2, 1), -0.01, 0.1)]
         out = _merge_queues([selection_arrays(q) for q in (q1, q2)], 1.0)
         np.testing.assert_array_equal(out[0], [[2, 1]])
 
     def test_merge_ties_break_on_point_then_level(self):
         # three heads with deltaJ / cost = -0.5 exactly, in the reverse of the
         # (point, level) order
-        q1 = [(AugmentedInput(4, 0), -0.5, 1.0)]
-        q2 = [(AugmentedInput(3, 1), -0.125, 0.25)]
-        q3 = [(AugmentedInput(3, 0), -0.5, 1.0)]
+        q1 = [((4, 0), -0.5, 1.0)]
+        q2 = [((3, 1), -0.125, 0.25)]
+        q3 = [((3, 0), -0.5, 1.0)]
         out = _merge_queues([selection_arrays(q) for q in (q1, q2, q3)], 5.0)
         np.testing.assert_array_equal(out[0], [[3, 0], [3, 1], [4, 0]])
 
@@ -185,7 +185,7 @@ class TestBamsBatch:
             for _ in range(int(rng.choice([0, 0, 1, 3, 6]))):
                 point, level = divmod(next(pairs), len(costs))
                 cost = costs[level] * (8.0 if rng.random() < 0.1 else 1.0)
-                queue.append((AugmentedInput(point, level), float(rng.choice(rates)) * cost,
+                queue.append(((point, level), float(rng.choice(rates)) * cost,
                               cost))
             queues.append(queue)
         m_b = float(rng.choice([0.5, 1.5, 3.0, 6.0]))
@@ -251,7 +251,7 @@ class TestExperiment:
             np.testing.assert_array_equal(rec.inputs, log.inputs[log.batches == rec.index])
             assert rec.delta_j.shape == rec.cost.shape == (len(rec.inputs),)
             levels = rec.inputs[:, 1].tolist()
-            assert rec.cost.tolist() == [result.config.fidelities.cost(l) for l in levels]
+            assert rec.cost.tolist() == [result.config.fidelities.costs[l] for l in levels]
 
     @pytest.mark.parametrize("method", ["bams", "bas", "mc-gp", "mcm-gp", "mc", "ce"])
     def test_one_evaluate_call_per_batch(self, method, monkeypatch):
@@ -280,8 +280,8 @@ class TestExperiment:
         spec, pool, oracle = small_synthetic(n=50, seed=8)
         config = base_config(seed=8, batches=3)
         result = run_experiment(pool, config, oracle)
-        assert len(result.batch_mean_f()) == 3
-        assert np.isfinite(result.batch_mean_f()).all()
+        assert len(result.batches) == 3
+        assert np.isfinite([b.mean_f for b in result.batches]).all()
 
     def test_artifact_layout(self, tmp_path):
         spec, pool, oracle = small_synthetic(n=40, seed=9)
@@ -335,7 +335,7 @@ class TestExperiment:
 
 class TestClusterQueueArrays:
     """Queues built from index arrays and an evaluated mask against queues
-    built from AugmentedInput lists and an evaluated set."""
+    built from (point, level) lists and an evaluated set."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("method,costs", [("bas", (1.0,)), ("bams", (1.0, 0.10))])

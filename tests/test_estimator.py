@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog,
+from rare_sampler import (EmbeddingPool, EvaluationLog,
                           InvalidInputError, bivariate_normal_cdf,
                           estimator_variance_exact, failure_prob, fit_posterior,
                           variance_upper_bound)
@@ -102,7 +102,7 @@ def seed0_problem():
     pool = EmbeddingPool(rng.standard_normal((300, 2)))
     log = EvaluationLog()
     for i in rng.choice(300, 15, replace=False):
-        log.append(AugmentedInput(int(i), 0),
+        log.append((int(i), 0),
                    float(np.linalg.norm(pool.points[i] - 1.5)), 1)
     return pool, fit_posterior(pool, log, GpHyperparams.defaults(pool), gamma=0.8)
 
@@ -210,7 +210,7 @@ class TestFailureProb:
     def test_mean_at_threshold_gives_half(self):
         pool = EmbeddingPool(np.array([[0.0, 0.0]]))
         log = EvaluationLog()
-        log.append(AugmentedInput(0, 0), 2.0, 1)
+        log.append((0, 0), 2.0, 1)
         h = GpHyperparams(np.ones(2), 1.0, np.zeros((0, 2)), np.zeros(0), np.zeros(0),
                           jitter=1.0)  # noisy so sigma > 0 at the point
         state = fit_posterior(pool, log, h, gamma=2.0)
@@ -231,8 +231,8 @@ class TestFailureProb:
     def test_evaluated_safe_point_has_zero_probability(self):
         pool = EmbeddingPool(np.array([[0.0, 0.0], [3.0, 3.0]]))
         log = EvaluationLog()
-        log.append(AugmentedInput(0, 0), 5.0, 1)
-        log.append(AugmentedInput(1, 0), 6.0, 1)
+        log.append((0, 0), 5.0, 1)
+        log.append((1, 0), 6.0, 1)
         h = GpHyperparams(np.ones(2), 1.0, np.zeros((0, 2)), np.zeros(0), np.zeros(0),
                           jitter=1e-10)
         state = fit_posterior(pool, log, h, gamma=0.0)
@@ -286,7 +286,7 @@ class TestEstimatorVariance:
     def test_two_identical_points_fully_correlated(self):
         pool = EmbeddingPool(np.array([[0.5, 0.5], [0.5, 0.5]]))
         log = EvaluationLog()
-        log.append(AugmentedInput(0, 0), 1.0, 1)
+        log.append((0, 0), 1.0, 1)
         h = GpHyperparams(np.ones(2), 1.0, np.zeros((0, 2)), np.zeros(0), np.zeros(0),
                           jitter=0.3)
         state = fit_posterior(pool, log, h, gamma=1.0)

@@ -241,6 +241,27 @@ class TestRetentionRecall:
         assert recall_at_budget(sv, truth, 2 * n_fail) == pytest.approx(
             dict((round(t, 3), r) for t, r in curve)[2.0])
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_recall_budget_below_one_rejected(self, K):
+        truth = np.arange(20) == 3
+        with pytest.raises(InvalidInputError, match=f"budget K must be >= 1, got {K}"):
+            recall_at_budget(ScoreVector.from_raw(np.ones(20)), truth, K)
+
+
+class TestTruthMatchesScores:
+    @pytest.mark.parametrize("n_truth", [200, 50], ids=["too-long", "too-short"])
+    @pytest.mark.parametrize("report", [
+        lambda sv, truth: repeated_is_trials(sv, truth, 10, 50, seed=0),
+        lambda sv, truth: recall_at_budget(sv, truth, 10),
+        retention_recall_curve], ids=["is-trials", "recall-at-budget", "curve"])
+    def test_truth_of_another_length_rejected(self, report, n_truth):
+        # 200 labels would weight each hit for N = 200 while the draws cover
+        # only the 100 scored points, a silently biased p_hat
+        truth = np.arange(n_truth) % 100 == 0
+        with pytest.raises(InvalidInputError, match=rf"^truth labels have shape "
+                                                    rf"\({n_truth},\), the scores \(100,\)$"):
+            report(ScoreVector.from_raw(np.ones(100)), truth)
+
 
 class TestSplittingBound:
     def test_reference_case_one(self):

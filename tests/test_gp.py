@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, GpHyperparams,
+from rare_sampler import (EmbeddingPool, EvaluationLog, GpHyperparams,
                           InvalidInputError, failure_prob, fit_posterior,
                           marginal_log_likelihood, posterior_mean_var, train_hyperparameters)
 from rare_sampler import gp
@@ -29,7 +29,7 @@ def leveled_problem(level_counts, dim=2, seed=0):
     points = rng.choice(pool.n_points, size=sum(level_counts), replace=False)
     levels = rng.permutation(np.repeat(np.arange(n_levels), level_counts))
     for i, lvl in zip(points, levels):
-        log.append(AugmentedInput(int(i), int(lvl)), float(rng.standard_normal()), 1)
+        log.append((int(i), int(lvl)), float(rng.standard_normal()), 1)
     return pool, log, hyper
 
 
@@ -122,18 +122,18 @@ class TestMultifidelityKernel:
         self.h = unit_hyper(n_levels=2)
 
     def test_cross_level_drops_discrepancy(self):
-        a, b = AugmentedInput(3, 0), AugmentedInput(3, 1)
+        a, b = (3, 0), (3, 1)
         base = matern25_kernel(self.pool.points[3], self.pool.points[3], self.h)
         assert multifidelity_kernel(a, b, self.pool, self.h) == pytest.approx(base)
 
     def test_same_level_diagonal_adds_discrepancy_and_noise(self):
-        a = AugmentedInput(3, 1)
+        a = (3, 1)
         val = multifidelity_kernel(a, a, self.pool, self.h)
         expected = 1.0 + 0.5 + 0.01 + 1e-6  # base + discrepancy + noise + jitter
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_distinct_points_same_level_sum_of_kernels(self):
-        a, b = AugmentedInput(1, 1), AugmentedInput(7, 1)
+        a, b = (1, 1), (7, 1)
         x, y = self.pool.points[1], self.pool.points[7]
         base = matern25_kernel(x, y, self.h)
         disc = float(matern25_matrix(x[None], y[None], np.ones(2), 0.5)[0, 0])
@@ -141,7 +141,7 @@ class TestMultifidelityKernel:
         assert got == pytest.approx(base + disc, rel=1e-12)
 
     def test_symmetric_in_arguments(self):
-        a, b = AugmentedInput(2, 1), AugmentedInput(9, 0)
+        a, b = (2, 1), (9, 0)
         assert multifidelity_kernel(a, b, self.pool, self.h) == \
             multifidelity_kernel(b, a, self.pool, self.h)
 
@@ -150,7 +150,7 @@ class TestPosterior:
     def test_single_noiseless_observation_interpolates(self):
         pool = EmbeddingPool(np.array([[0.0, 0.0], [2.0, 1.0]]))
         log = EvaluationLog()
-        log.append(AugmentedInput(0, 0), 1.7, 1)
+        log.append((0, 0), 1.7, 1)
         state = fit_posterior(pool, log, unit_hyper(), gamma=0.0)
         mu, var = posterior_mean_var(state, pool.points[:1], np.zeros(1, dtype=int))
         assert mu[0] == pytest.approx(1.7, abs=1e-5)
@@ -159,7 +159,7 @@ class TestPosterior:
     def test_far_query_returns_prior(self):
         pool = EmbeddingPool(np.array([[0.0, 0.0], [100.0, 100.0]]))
         log = EvaluationLog()
-        log.append(AugmentedInput(0, 0), -0.4, 1)
+        log.append((0, 0), -0.4, 1)
         state = fit_posterior(pool, log, unit_hyper(), gamma=0.0)
         mu, var = posterior_mean_var(state, pool.points[1:], np.zeros(1, dtype=int))
         # normalized prior mean de-normalizes to the target mean; prior var is k(x,x)
@@ -244,7 +244,7 @@ class TestPosterior:
         log = EvaluationLog()
         vals = rng.standard_normal(6) * 3.0 + 1.0
         for i, v in enumerate(vals):
-            log.append(AugmentedInput(i, 0), float(v), 1)
+            log.append((i, 0), float(v), 1)
         state = fit_posterior(pool, log, unit_hyper(jitter=1e-10), gamma=0.0)
         mu, var = posterior_mean_var(state, pool.points[:6], np.zeros(6, dtype=int))
         assert np.all(np.abs(mu - vals) <= 1e-4 * vals.std())
@@ -252,10 +252,10 @@ class TestPosterior:
 
     def test_duplicate_input_rejected(self):
         log = EvaluationLog()
-        log.append(AugmentedInput(0, 0), 1.0, 1)
+        log.append((0, 0), 1.0, 1)
         with pytest.raises(InvalidInputError):
-            log.append(AugmentedInput(0, 0), 2.0, 1)
-        log.append(AugmentedInput(0, 1), 2.0, 1)  # other level is fine
+            log.append((0, 0), 2.0, 1)
+        log.append((0, 1), 2.0, 1)  # other level is fine
 
 
 class TestTiledPosterior:
@@ -359,7 +359,7 @@ class TestMarginalLikelihood:
         values[1] = values[0]
         pool, log = EmbeddingPool(points), EvaluationLog()
         for i, lvl in enumerate([0, 0, 1, 0, 1, 1, 0, 1]):
-            log.append(AugmentedInput(i, lvl), float(values[i]), 1)
+            log.append((i, lvl), float(values[i]), 1)
         hyper = unit_hyper(n_levels=2, jitter=1e-20)
         rescues, shipped = [], gp._solve_chol
 
@@ -381,7 +381,7 @@ class TestMarginalLikelihood:
         n = 200
         pool, log = EmbeddingPool(rng.standard_normal((n, 2))), EvaluationLog()
         for i in range(n):
-            log.append(AugmentedInput(i, i % 2), float(rng.standard_normal()), 1)
+            log.append((i, i % 2), float(rng.standard_normal()), 1)
         hyper = unit_hyper(n_levels=2, lengthscales=np.array([0.7, 1.3]))
         tracemalloc.start()
         try:
@@ -406,7 +406,7 @@ class TestMarginalLikelihood:
         pool = EmbeddingPool(np.array([[0.0, 0.0], [0.01, 0.0], [5.0, 5.0]]))
         log = EvaluationLog()
         for i in range(3):
-            log.append(AugmentedInput(i, 0), 1.0, 1)
+            log.append((i, 0), 1.0, 1)
         hyper = unit_hyper(jitter=0.5)
         mll, grad = marginal_log_likelihood(pool, log, hyper)
         assert np.isfinite(mll) and np.all(np.isfinite(grad))
@@ -414,7 +414,7 @@ class TestMarginalLikelihood:
     def test_requires_two_observations(self):
         pool = EmbeddingPool(np.zeros((2, 2)))
         log = EvaluationLog()
-        log.append(AugmentedInput(0, 0), 1.0, 1)
+        log.append((0, 0), 1.0, 1)
         with pytest.raises(InvalidInputError):
             marginal_log_likelihood(pool, log, unit_hyper())
 
@@ -453,7 +453,7 @@ class TestTraining:
         y = np.linalg.cholesky(K + 1e-8 * np.eye(n)) @ rng.standard_normal(n)
         log = EvaluationLog()
         for i in range(n):
-            log.append(AugmentedInput(i, 0), float(y[i]), 1)
+            log.append((i, 0), float(y[i]), 1)
         init = GpHyperparams(np.array([2.0]), 1.0, np.zeros((0, 1)), np.zeros(0),
                              np.zeros(0), 1e-4)
         trained = train_hyperparameters(pool, log, init, iters=150)

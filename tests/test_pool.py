@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import reference_write_csv
-from rare_sampler import (AugmentedInput, EmbeddingPool, EvaluationLog, FidelityConfig,
-                          InvalidInputError, OracleError, random_acquisition)
+from rare_sampler import (CsvOracle, EmbeddingPool, EvaluationLog, FidelityConfig,
+                          InvalidInputError, OracleError, RareSamplerError,
+                          random_acquisition)
 from rare_sampler.pool import CSV_BLOCK_ROWS, gather_points, input_array, write_csv
 
 # floats whose text form the writer must get right: round-trip digits, signed
@@ -76,7 +77,7 @@ class TestWriteCsv:
         log = EvaluationLog()
         rng = np.random.default_rng(1)
         for i in range(40):
-            log.append(AugmentedInput(i, i % 2), float(rng.standard_normal()), 1 + i // 15)
+            log.append((i, i % 2), float(rng.standard_normal()), 1 + i // 15)
         log.write_csv(tmp_path / "got.csv")
         reference_write_csv(tmp_path / "want.csv", ("point_index", "level", "f", "batch"),
                             ((i, level, v, b) for (i, level), v, b
@@ -88,7 +89,7 @@ class TestWriteCsv:
 class TestInputArray:
     def test_pairs_and_arrays_agree(self):
         pool = EmbeddingPool(np.arange(20.0).reshape(10, 2))
-        pairs = [AugmentedInput(3, 1), AugmentedInput(0, 0), (9, 2)]
+        pairs = [(3, 1), (0, 0), (9, 2)]
         arr = input_array(pool, pairs)
         assert arr.dtype == np.intp and arr.shape == (3, 2)
         np.testing.assert_array_equal(arr, [[3, 1], [0, 0], [9, 2]])
@@ -140,7 +141,7 @@ class TestEvaluationLog:
         rows, pairs = EvaluationLog(), EvaluationLog()
         rows.append([(3, 1), (0, 0)], [0.5, -1.0], 1)
         rows.append(np.array([[7, 0]]), [2.0], 2)
-        for inp, value, batch in (((3, 1), 0.5, 1), (AugmentedInput(0, 0), -1.0, 1),
+        for inp, value, batch in (((3, 1), 0.5, 1), ((0, 0), -1.0, 1),
                                   ((7, 0), 2.0, 2)):
             pairs.append(inp, value, batch)
         for log in (rows, pairs):
@@ -158,7 +159,7 @@ class TestEvaluationLog:
         log.append((1, 1), 0.0, 1)
         oracle, calls = self.counting_oracle()
         with pytest.raises(InvalidInputError, match=re.escape(
-                f"duplicate evaluation of {AugmentedInput(*named)}")):
+                "duplicate evaluation of point {} level {}".format(*named))):
             log.evaluate(oracle, rows, 2)
         assert calls == [] and len(log) == 1
 
@@ -189,12 +190,29 @@ class TestEvaluationLog:
     def test_non_finite_value_names_the_input(self):
         log = EvaluationLog()
         with pytest.raises(InvalidInputError, match=r"^non-finite observation nan at "
-                           r"AugmentedInput\(point_index=5, level=1\)$"):
+                           r"point 5 level 1$"):
             log.append([(2, 0), (5, 1)], np.array([1.0, np.nan]), 1)
         with pytest.raises(OracleError, match=r"^oracle returned non-finite value nan at "
                            r"point 5 level 1$"):
             log.evaluate(lambda i, level: np.float64(np.nan), (5, 1), 1)
         assert len(log) == 0
+
+    @pytest.mark.parametrize("act,named", [
+        (lambda log, table: log.evaluate(table, [(3, 0), (7, 1), (3, 0)], 2), (3, 0)),
+        (lambda log, table: log.evaluate(table, [(3, 0), (1, 1)], 2), (1, 1)),
+        (lambda log, table: log.append([(3, 0), (7, 1)], [0.5, np.nan], 2), (7, 1)),
+        (lambda log, table: log.evaluate(lambda i, level: 1 / 0, (7, 1), 2), (7, 1)),
+        (lambda log, table: log.evaluate(lambda i, level: np.inf, (7, 1), 2), (7, 1)),
+        (lambda log, table: log.evaluate(table, [(3, 0), (7, 0)], 2), (7, 0))],
+        ids=["within-batch", "already-logged", "non-finite-append", "oracle-exception",
+             "non-finite-oracle", "csv-oracle-miss"])
+    def test_every_message_names_the_input_as_point_and_level(self, tmp_path, act, named):
+        path = tmp_path / "oracle.csv"
+        path.write_text("point_index,level,f\n3,0,0.5\n7,1,-1.0\n")
+        log = EvaluationLog()
+        log.append((1, 1), 0.0, 1)
+        with pytest.raises(RareSamplerError, match=r"\bpoint {} level {}\b".format(*named)):
+            act(log, CsvOracle(path))
 
 
 class TestRandomAcquisitionExclude:
