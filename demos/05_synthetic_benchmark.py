@@ -8,10 +8,10 @@ item 4); this demo uses N=4000 to finish in a few seconds.
 
 import numpy as np
 
-from rare_sampler import (FidelityConfig, RunConfig, SyntheticOracle, SyntheticSpec,
-                          generate_pool, ground_truth_labels, importance_scores,
-                          recall_at_budget, repeated_is_trials, retention_recall_curve,
-                          run_experiment)
+from rare_sampler import (FidelityConfig, IsOptions, RunConfig, SyntheticOracle,
+                          SyntheticSpec, generate_pool, ground_truth_labels,
+                          importance_scores, recall_at_budget, repeated_is_trials,
+                          retention_recall_curve, run_experiment)
 
 spec = SyntheticSpec(n_points=4000, seed=0)
 pool = generate_pool(spec)
@@ -33,9 +33,11 @@ print(f"evaluations: {np.sum(levels == 0)} at level 0, {np.sum(levels == 1)} at 
       f"(total cost {np.asarray(config.fidelities.costs)[levels].sum():.1f})")
 print("batch mean f:", [round(b.mean_f, 3) for b in result.batches])
 
-scores = importance_scores(result.final_field(), alpha=2.5)
-K = 2 * int(truth.sum())
-report = repeated_is_trials(scores, truth, K, trials=200, seed=1)
+# the rate report as `run` sizes it: K = round(k_multiple x failures)
+is_opts = IsOptions()
+scores = importance_scores(result.final_field(), is_opts.alpha)
+K = is_opts.sample_size(truth)
+report = repeated_is_trials(scores, truth, K, is_opts.trials, seed=1)
 print(f"rate estimate: {report.p_hat_mean:.5f} (true {truth.mean():.5f})")
 print(f"100 x relative variance: {100 * report.rv:.3f}")
 print(f"recall at budget K={K}: {report.recall:.3f} "

@@ -8,12 +8,12 @@ from .clustering import (ClusterAssignment, cluster_with_merges, hausdorff_dista
                          kmeans, scale_points)
 from .driver import (BatchRecord, ExperimentResult, RunConfig, run_bams_batch,
                      run_experiment)
-from .errors import (ConfigError, EmptySelectionError, InvalidInputError,
-                     NumericalError, OracleError, RareSamplerError)
+from .errors import (ConfigError, InvalidInputError, NumericalError, OracleError,
+                     RareSamplerError)
 from .estimator import (FailureField, bivariate_normal_cdf, estimator_variance_exact,
                         failure_prob, variance_upper_bound)
-from .evaluation import (RateReport, ScoreVector, SplittingBound, importance_scores,
-                         recall_at_budget, repeated_is_trials,
+from .evaluation import (IsOptions, RateReport, ScoreVector, SplittingBound,
+                         importance_scores, recall_at_budget, repeated_is_trials,
                          retention_recall_curve, splitting_bound)
 from .gp import (GpHyperparams, PosteriorState, fit_posterior, marginal_log_likelihood,
                  posterior_mean_var, train_hyperparameters)

@@ -37,10 +37,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import owens_t
 
-from .errors import EmptySelectionError, InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError
 from .estimator import threshold_scores
 from .gp import PosteriorState, matern25_matrix, mf_kernel_matrix, noise_variances
-from .pool import EmbeddingPool, gather_points, input_array
+from .pool import EmbeddingPool, check_budget, gather_points, input_array
 
 # Schur complements below this fraction of the largest candidate variance
 # mean the candidate is already determined by the pending set.
@@ -136,8 +136,8 @@ class PendingSet:
     variance beta(s, 1) of the pruned ones.  A pick's prior covariance with
     every candidate is its row of ``mf_kernel_matrix``, the posterior's own
     kernel, so a candidate level outside the GP's levels is an error.  An
-    empty candidate set is zero columns: the first ``select_next`` raises
-    ``EmptySelectionError``.
+    empty candidate set is zero columns: the first ``select_next`` returns
+    None.
     """
 
     def __init__(self, state: PosteriorState, pool: EmbeddingPool, targets,
@@ -331,7 +331,8 @@ class PendingSet:
         """Pick the candidate minimizing the cost-normalized change in J.
 
         Returns ((point index, level), deltaJ) and folds the choice into
-        the recursion state.  Ties break on lowest point index, then level.
+        the recursion state, or None once no feasible candidate is left.
+        Ties break on lowest point index, then level.
 
         Bounds.  A target's gain from a candidate is beta(t) - beta(t - E),
         with t = t_hat and E = R^2 / h the candidate's projection increment
@@ -350,7 +351,7 @@ class PendingSet:
         """
         feas = ~self._mask & (self.h_C > self._h_floor)
         if not np.any(feas):
-            raise EmptySelectionError("candidate set exhausted")
+            return None
         feas_idx = np.flatnonzero(feas)
 
         beta = self._beta_cur()
@@ -412,13 +413,9 @@ def select_batch(state: PosteriorState, pool: EmbeddingPool, candidates, costs,
     (m,) arrays.  Exhausting the candidates returns the partial selection,
     an empty one when the candidate set is empty or exhausted at the start.
     """
-    if not 0.0 < budget < np.inf:
-        raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
+    check_budget(budget)
     pending = PendingSet(state, pool, targets, candidates, costs)
     delta_j = []
-    while pending.total_cost < budget:
-        try:
-            delta_j.append(pending.select_next()[1])
-        except EmptySelectionError:
-            break
+    while pending.total_cost < budget and (step := pending.select_next()) is not None:
+        delta_j.append(step[1])
     return pending.selected, np.array(delta_j), pending.selected_costs

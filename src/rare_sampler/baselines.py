@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .evaluation import ScoreVector
-from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, input_array, read_csv
+from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, check_budget, input_array, read_csv
 
 CE_ELITES = 5
 CE_VAR_FLOOR_REL = 1e-6
@@ -32,8 +32,7 @@ def random_acquisition(pool: EmbeddingPool, fidelities: FidelityConfig,
     (n, 2) array) in one seeded permutation; an exhausted pool returns the
     partial selection.
     """
-    if not 0.0 < budget < np.inf:
-        raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
+    check_budget(budget)
     rng = np.random.default_rng(seed)
     excluded = input_array(pool, exclude)
     n = pool.n_points
@@ -83,6 +82,7 @@ def ce_picks(pool: EmbeddingPool, log: EvaluationLog, budget: float,
     rows in draw order: uniform ones for an empty log, else draws from the
     log's elite Gaussian, each snapped to the nearest pool point not yet
     evaluated; fewer once every point is evaluated."""
+    check_budget(budget)
     gauss, m = elite_gaussian(pool, log), math.ceil(budget)
     if gauss is None:
         picks = rng.choice(pool.n_points, size=min(m, pool.n_points), replace=False).tolist()

@@ -237,11 +237,16 @@ def _report(out_dir, method, scores, truth, K: int, trials: int, seed) -> None:
 
 
 def _make_out_dir(path) -> None:
+    """Make --out; an existing one must be empty, or old files would mix in."""
     try:
         os.makedirs(path, exist_ok=True)
+        used = os.listdir(path)
     except OSError as exc:
         raise InvalidInputError(f"cannot make the artifact directory {path}: "
                                 f"{exc.strerror}") from None
+    if used:
+        raise InvalidInputError(f"the artifact directory {path} is not empty; "
+                                f"run writes only into a new or empty one")
 
 
 def cmd_run(args) -> int:

@@ -166,18 +166,10 @@ def hausdorff_distance(A: np.ndarray, B: np.ndarray) -> float:
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise InvalidInputError("Hausdorff distance needs nonempty sets")
+    # lazy: a top-level scipy.spatial import adds about 37 ms to every import
+    from scipy.spatial.distance import directed_hausdorff
 
-    def directed(X, Y):
-        # direct differences, chunked: exact zero for coincident points
-        worst = 0.0
-        step = max(1, int(4e6 // max(Y.shape[0] * Y.shape[1], 1)))
-        for s in range(0, X.shape[0], step):
-            diff = X[s:s + step, None, :] - Y[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            worst = max(worst, float(d2.min(axis=1).max()))
-        return worst
-
-    return float(np.sqrt(max(directed(A, B), directed(B, A))))
+    return float(max(directed_hausdorff(A, B)[0], directed_hausdorff(B, A)[0]))
 
 
 def cluster_with_merges(pool: EmbeddingPool, hyper: GpHyperparams, S: int,

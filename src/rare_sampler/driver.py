@@ -39,7 +39,7 @@ class RunConfig:
     m_b: float = 15.0
     batches: int = 3
     S: int = 6
-    S_hat: int | None = None          # defaults to 2 * S
+    S_hat: int | None = None          # None resolves to 2 * S
     eta: float = 2.0
     seed: int = 0
     train_iters: int = 200            # Adam steps per training; 0 trains nothing
@@ -59,7 +59,9 @@ class RunConfig:
             raise InvalidInputError(f"run seed must be >= 0, got {self.seed}")
         if self.train_iters < 0:
             raise InvalidInputError(f"training iters must be >= 0, got {self.train_iters}")
-        if self.S < 1 or (self.S_hat is not None and self.S_hat < self.S):
+        if self.S_hat is None:
+            object.__setattr__(self, "S_hat", 2 * self.S)
+        if not 1 <= self.S <= self.S_hat:
             raise InvalidInputError("need 1 <= S <= S_hat")
         if self.method not in ORACLE_METHODS:
             raise InvalidInputError(f"driver method must be one of {ORACLE_METHODS}, "
@@ -75,17 +77,13 @@ class RunConfig:
                 f"level costs {cheapest:g}, and an adaptive batch's cost must "
                 f"stay below m_b")
 
-    @property
-    def s_hat_effective(self) -> int:
-        return self.S_hat if self.S_hat is not None else 2 * self.S
-
     def check_pool(self, n_points: int) -> None:
         """Reject an S_hat above the pool size when the run clusters the pool
         (an adaptive method with a second batch), before any oracle call."""
         if (self.method in _ADAPTIVE_METHODS and self.batches > 1
-                and self.s_hat_effective > n_points):
+                and self.S_hat > n_points):
             raise InvalidInputError(
-                f"initial_clusters S_hat = {self.s_hat_effective} exceeds the pool "
+                f"initial_clusters S_hat = {self.S_hat} exceeds the pool "
                 f"size N = {n_points}; an adaptive batch needs S <= S_hat <= N")
 
 
@@ -113,8 +111,7 @@ def run_bams_batch(pool: EmbeddingPool, state: PosteriorState, config: RunConfig
     Returns (inputs, delta_j) in merge order, delta_j scaled to the pool-wide
     objective (cluster values weighted by N_s / N).
     """
-    assign = cluster_with_merges(pool, state.hyper, config.S,
-                                 config.s_hat_effective,
+    assign = cluster_with_merges(pool, state.hyper, config.S, config.S_hat,
                                  seed=[config.seed, batch_index])
     n = pool.n_points
     evaluated = np.zeros((n, config.fidelities.n_levels), dtype=bool)

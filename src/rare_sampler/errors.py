@@ -13,10 +13,6 @@ class NumericalError(RareSamplerError, RuntimeError):
     """A linear-algebra or optimization step failed beyond recovery."""
 
 
-class EmptySelectionError(RareSamplerError):
-    """A selection step was asked to pick from an empty candidate set."""
-
-
 class OracleError(RareSamplerError):
     """An oracle evaluation failed; the message names the offending request."""
 

@@ -95,11 +95,15 @@ class GpHyperparams:
 
     # -- log-space flattening (order matters for the optimizer) --------------
 
-    def to_vector(self) -> np.ndarray:
+    def _values(self) -> np.ndarray:
+        """Every value in ``param_names`` order."""
         fid = np.column_stack([self.fid_lengthscales, self.fid_signal_var,
                                self.fid_noise_var])  # per level, as from_vector reads it
-        return np.log(np.concatenate([self.lengthscales, [self.signal_var], fid.ravel(),
-                                      [self.jitter]]))
+        return np.concatenate([self.lengthscales, [self.signal_var], fid.ravel(),
+                               [self.jitter]])
+
+    def to_vector(self) -> np.ndarray:
+        return np.log(self._values())
 
     def from_vector(self, vec: np.ndarray) -> "GpHyperparams":
         vec = np.asarray(vec, dtype=np.float64)
@@ -124,9 +128,8 @@ class GpHyperparams:
     # -- flat text serialization ---------------------------------------------
 
     def to_text(self) -> str:
-        vals = np.exp(self.to_vector())
-        lines = [f"{k} = {format(v, '.17g')}" for k, v in zip(self.param_names(), vals)]
-        return "\n".join(lines) + "\n"
+        """One ``name = value`` line per parameter, at 17 significant digits."""
+        return "".join(f"{k} = {v:.17g}\n" for k, v in zip(self.param_names(), self._values()))
 
 
 # ---------------------------------------------------------------------------

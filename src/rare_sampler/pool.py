@@ -171,11 +171,20 @@ def input_array(pool: EmbeddingPool | None, inputs) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidInputError(f"augmented inputs must be (point, level) pairs, "
                                 f"got shape {arr.shape}")
-    if arr[:, 0].min() < 0 or (pool is not None and arr[:, 0].max() >= pool.n_points):
-        raise InvalidInputError("point index out of pool bounds")
+    outside = (arr[:, 0] < 0) | (arr[:, 0] >= pool.n_points if pool is not None else False)
+    if outside.any():
+        i, level = arr[outside.argmax()]
+        span = f"; the pool holds points 0..{pool.n_points - 1}" if pool is not None else ""
+        raise InvalidInputError(f"point index out of pool bounds: point {i} level {level}{span}")
     if arr[:, 1].min() < 0:
         raise InvalidInputError(f"fidelity level must be >= 0, got {arr[:, 1].min()}")
     return arr
+
+
+def check_budget(budget: float) -> None:
+    """Reject a budget that is not positive and finite; NaN compares false."""
+    if not 0.0 < budget < np.inf:
+        raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
 
 
 def gather_points(pool: EmbeddingPool, inputs) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
-from rare_sampler import EmptySelectionError, PendingSet, select_batch
+from rare_sampler import PendingSet, select_batch
 from rare_sampler import acquisition, gp
 from rare_sampler.acquisition import _BLOCK, _beta_slope, point_variance_beta
 from rare_sampler.baselines import CE_ELITES, CE_VAR_FLOOR_REL
@@ -506,7 +506,7 @@ class ReferencePendingSet(PendingSet):
     def select_next(self):
         feas = ~self._mask & (self.h_C > self._h_floor)
         if not np.any(feas):
-            raise EmptySelectionError("candidate set exhausted")
+            return None
         feas_idx = np.flatnonzero(feas)
 
         beta = self._beta_cur()

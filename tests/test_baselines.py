@@ -4,7 +4,7 @@ import pytest
 from rare_sampler import (CeState, EmbeddingPool, EvaluationLog, FidelityConfig, RunConfig,
                           elite_gaussian, gaussian_pdf_scores, mc_scores,
                           random_acquisition, run_experiment)
-from rare_sampler.baselines import scores_from_csv
+from rare_sampler.baselines import ce_picks, scores_from_csv
 from rare_sampler.errors import InvalidInputError, OracleError
 
 from helpers import reference_cross_entropy, reference_mc_run
@@ -136,6 +136,18 @@ class TestCrossEntropy:
         _, _, log = run_ce(pool, oracle, batches=3, m1=15, m_b=8, seed=6)
         inputs = log.inputs[:, 0].tolist()
         assert len(inputs) == len(set(inputs))
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_budget_rejected(self, budget):
+        # checked as random_acquisition and select_batch check it, with an
+        # empty log (uniform picks) and a fitted Gaussian alike
+        pool, oracle = self.blob_pool_and_oracle(seed=4)
+        log = EvaluationLog()
+        for _ in range(2):
+            with pytest.raises(InvalidInputError,
+                               match=rf"^budget must be positive and finite, got {budget!r}$"):
+                ce_picks(pool, log, budget, np.random.default_rng(0))
+            log.evaluate(oracle, ce_picks(pool, log, 10.0, np.random.default_rng(0)), 1)
 
     @pytest.mark.parametrize("good_calls", [0, 15], ids=["first-batch", "later-batch"])
     def test_oracle_failure_names_the_input(self, good_calls):

@@ -493,6 +493,25 @@ class TestRunCommand:
             f"error: cannot make the artifact directory {out}: File exists\n")
         assert out.read_text() == "keep"
 
+    def test_out_that_holds_files_is_refused(self, tmp_path, capsys):
+        # an existing empty folder is taken; a rerun into a run's folder is
+        # refused before any oracle call, so no stale batch file can stay
+        # beside a new log.csv
+        cfg = synthetic_config(tmp_path, method="mc-gp")
+        cfg.write_text(cfg.read_text().replace("batches = 2", "batches = 3"))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "selected_batch3.csv" in before
+        cfg.write_text(cfg.read_text().replace("batches = 3", "batches = 2"))
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the artifact directory {out} is not empty; run writes only "
+            f"into a new or empty one\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_m_b_that_fits_no_pick_is_an_error(self, tmp_path, capsys):
         # bas evaluates level 0 at cost 1, so m_b = 1 would leave every
         # adaptive batch empty
@@ -1194,6 +1213,21 @@ class TestExternalOracle:
         script = tmp_path / "dead.py"
         script.write_text("import sys\nsys.exit(3)\n")
         with ExternalOracle(f"{sys.executable} -u {script}", timeout=5.0) as oracle:
-            time.sleep(0.3)
-            with pytest.raises(OracleError):
+            oracle._proc.wait(timeout=5)
+            with pytest.raises(OracleError, match=(
+                    r"^oracle process exited with code 3 before request 'EVAL 0 0'$")):
+                oracle(0, 0)
+
+    @pytest.mark.parametrize("body,message", [
+        ("sys.stdin.readline()", r"oracle exited \(code 0\) during 'EVAL 0 0'"),
+        ("for line in sys.stdin:\n    print('OK abc', flush=True)",
+         r"malformed oracle value 'OK abc' for 'EVAL 0 0'"),
+        ("for line in sys.stdin:\n    print('HELLO', flush=True)",
+         r"malformed oracle response 'HELLO' for 'EVAL 0 0'"),
+    ], ids=["exit-after-request", "bad-value", "bad-response"])
+    def test_bad_reply_names_request(self, tmp_path, body, message):
+        script = tmp_path / "bad.py"
+        script.write_text(f"import sys\n{body}\n")
+        with ExternalOracle(f"{sys.executable} -u {script}", timeout=5.0) as oracle:
+            with pytest.raises(OracleError, match=f"^{message}$"):
                 oracle(0, 0)

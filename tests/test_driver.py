@@ -75,8 +75,7 @@ def reference_bams_batch(pool, state, config, log):
     """Straight-line simulation of the clustered batch: queues via the naive
     from-scratch selector, then the literal merge loop; returns the selection
     arrays."""
-    assign = cluster_with_merges(pool, state.hyper, config.S,
-                                 config.s_hat_effective,
+    assign = cluster_with_merges(pool, state.hyper, config.S, config.S_hat,
                                  seed=[config.seed, 2])
     evaluated = set(map(tuple, log.inputs.tolist()))
     n = pool.n_points
@@ -317,8 +316,8 @@ class TestExperiment:
         log = initial_log(pool, config, oracle)
         hyper = GpHyperparams.defaults(pool, 2)
         state = fit_posterior(pool, log, hyper, config.gamma)
-        assign = cluster_with_merges(pool, state.hyper, config.S,
-                                     config.s_hat_effective, seed=[config.seed, 2])
+        assign = cluster_with_merges(pool, state.hyper, config.S, config.S_hat,
+                                     seed=[config.seed, 2])
         from rare_sampler.driver import _cluster_queue
         evaluated = np.zeros((pool.n_points, 2), dtype=bool)
         for i, level in log.inputs.tolist():
@@ -346,7 +345,7 @@ class TestClusterQueueArrays:
         log = initial_log(pool, config, oracle)
         state = fit_posterior(pool, log, GpHyperparams.defaults(pool, len(costs)),
                               config.gamma)
-        assign = cluster_with_merges(pool, state.hyper, config.S, config.s_hat_effective,
+        assign = cluster_with_merges(pool, state.hyper, config.S, config.S_hat,
                                      seed=[seed, 2])
         evaluated = np.zeros((pool.n_points, len(costs)), dtype=bool)
         for i, level in log.inputs.tolist():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -595,6 +596,16 @@ class TestSerialization:
         _, _, hyper, _ = random_problem(rng, n_levels=3)
         back = hyper_from_text(hyper.to_text())
         np.testing.assert_allclose(back.to_vector(), hyper.to_vector(), rtol=1e-15)
+
+    def test_text_prints_the_values_used(self):
+        # exp(log v) != v for this lengthscale, which a bams-mf run trained
+        v = 1.8380017921659109
+        assert np.exp(np.log(v)) != v
+        pool = EmbeddingPool(np.random.default_rng(15).standard_normal((10, 2)))
+        hyper = replace(GpHyperparams.defaults(pool, 2), lengthscales=np.array([v, 0.5]))
+        text = hyper.to_text()
+        assert "lengthscale.0 = 1.8380017921659109\n" in text
+        assert hyper_from_text(text).lengthscales[0] == v
 
     def test_documented_keys_present(self):
         rng = np.random.default_rng(14)

@@ -110,6 +110,11 @@ class TestInputArray:
         pool = EmbeddingPool(np.zeros((5, 2)))
         with pytest.raises(InvalidInputError, match="out of pool bounds"):
             input_array(pool, [(0, 0), (index, 0)])
+        # the first offending row is named, with the pool's index range
+        with pytest.raises(InvalidInputError, match=(
+                rf"^point index out of pool bounds: point {index} level 1; "
+                r"the pool holds points 0\.\.4$")):
+            input_array(pool, [(0, 0), (index, 1), (-2, 0), (7, 0)])
 
 
     @pytest.mark.parametrize("with_pool", [True, False], ids=["pool", "no-pool"])
@@ -117,6 +122,10 @@ class TestInputArray:
         pool = EmbeddingPool(np.zeros((5, 2))) if with_pool else None
         with pytest.raises(InvalidInputError, match="out of pool bounds"):
             input_array(pool, [(0, 0), (-1, 0)])
+        span = "; the pool holds points 0\\.\\.4" if with_pool else ""
+        with pytest.raises(InvalidInputError,
+                           match=rf"^point index out of pool bounds: point -3 level 1{span}$"):
+            input_array(pool, [(0, 0), (-3, 1)])
         with pytest.raises(InvalidInputError, match=r"^fidelity level must be >= 0, got -2$"):
             input_array(pool, [(0, 0), (1, -2)])
 
