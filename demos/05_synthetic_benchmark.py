@@ -28,10 +28,12 @@ config = RunConfig(
     seed=0,
 )
 result = run_experiment(pool, config, oracle)
-levels = result.log.inputs[:, 1]
+log = result.log  # batch k's evaluations are its rows log.batches == k
+levels = log.inputs[:, 1]
 print(f"evaluations: {np.sum(levels == 0)} at level 0, {np.sum(levels == 1)} at level 1 "
       f"(total cost {np.asarray(config.fidelities.costs)[levels].sum():.1f})")
-print("batch mean f:", [round(b.mean_f, 3) for b in result.batches])
+print("batch mean f:", [round(float(log.values[log.batches == k].mean()), 3)
+                        for k in range(1, config.batches + 1)])
 
 # the rate report as `run` sizes it: K = round(k_multiple x failures)
 is_opts = IsOptions()

@@ -35,6 +35,7 @@ targets and move by at most ``dropped_beta / n_targets``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import owens_t
 
 from .errors import InvalidInputError, NumericalError
@@ -117,7 +118,7 @@ def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
     mp, ml, Vp, L = _pending_solve(state, pool, pending)
     cross = (mf_kernel_matrix(mp, ml, tp[live], tl[live], state.hyper)
              - Vp.T @ Vt[:, live])
-    v = np.linalg.solve(L, cross)
+    v = solve_triangular(L, cross, lower=True)
     t_hat = 1.0 - np.einsum("ij,ij->j", v, v) / var[live]
     return float(point_variance_beta(s[live], t_hat).sum()) / len(targets)
 

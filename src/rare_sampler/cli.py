@@ -182,8 +182,15 @@ def _build_fidelities(cfg: _Config) -> FidelityConfig:
 
 def _load_pool_csv(path):
     """Read a pool CSV in the gen-synthetic layout: coordinates from the
-    columns x0..x<d-1> and truth_f_level0 (None when absent), all by name."""
+    columns x0..x<d-1> and truth_f_level0 (None when absent), all by name.
+    Row order is the point id, so an index column must read 0..N-1."""
     table = read_csv(path)
+    if "index" in table.header:
+        index = np.array(table.column("index", integer=True))
+        r = int(np.argmax(index != np.arange(index.size)))
+        if index[r] != r:
+            raise ConfigError(f"{path} line {table.lines[r]}: index {index[r]}, expected "
+                              f"{r}; the index column must read 0..N-1 down the rows")
     dims = sorted(int(h[1:]) for h in table.header if h[:1] == "x" and h[1:].isdigit())
     if not dims or dims != list(range(len(dims))):
         raise ConfigError(f"{path} line 1: coordinate columns must be exactly "
@@ -236,11 +243,10 @@ def _report(out_dir, method, scores, truth, K: int, trials: int, seed) -> None:
               file=sys.stderr)
 
 
-def _make_out_dir(path) -> None:
-    """Make --out; an existing one must be empty, or old files would mix in."""
+def _refuse_used_out_dir(path) -> None:
+    """An existing --out directory must be empty, or old files would mix in."""
     try:
-        os.makedirs(path, exist_ok=True)
-        used = os.listdir(path)
+        used = os.path.isdir(path) and os.listdir(path)
     except OSError as exc:
         raise InvalidInputError(f"cannot make the artifact directory {path}: "
                                 f"{exc.strerror}") from None
@@ -249,8 +255,18 @@ def _make_out_dir(path) -> None:
                                 f"run writes only into a new or empty one")
 
 
+def _make_out_dir(path) -> None:
+    """Make --out, once the run has refused a used one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot make the artifact directory {path}: "
+                                f"{exc.strerror}") from None
+
+
 def cmd_run(args) -> int:
     cfg = _Config(parse_config(args.config))
+    _refuse_used_out_dir(args.out)
     method = cfg.value("method", "name", required=True)
     pool, truth_f, spec = _build_pool(cfg)
     gamma = spec.gamma if spec else cfg.value("method", "gamma", required=True)

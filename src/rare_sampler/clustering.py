@@ -107,11 +107,11 @@ def _by_label(labels: np.ndarray, k: int):
 def kmeans(points: np.ndarray, k: int, seed) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding on pre-scaled points.
 
-    Converges when assignments stabilize or after 100 iterations (sooner,
-    with the same result, once they cycle); an emptied cluster, in id
-    order, is re-seeded to the point farthest from its center.  Each
-    center is the mean of its points' rows gathered in point order, the
-    array ``points[labels == j]``, so it is bitwise that array's mean.
+    Converges when assignments stabilize or after 100 iterations; an
+    emptied cluster, in id order, is re-seeded to the point farthest from
+    its center.  Each center is the mean of its points' rows gathered in
+    point order, the array ``points[labels == j]``, so it is bitwise that
+    array's mean.
     """
     return ClusterAssignment(_relabel(_lloyd(points, k, seed)[0]))
 
@@ -127,12 +127,7 @@ def _lloyd(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sum(points * points, axis=1)[:, None]
     centers = _kmeans_pp_init(points, twice, norms, k, rng)
     labels = np.full(n, -1, dtype=np.intp)
-    # an iteration's labels and centers depend only on the centers it starts
-    # from: once those repeat, the loop cycles, so whole periods are skipped
-    started = {}
-    it = 0
-    while it < _KMEANS_MAX_ITER:
-        start = centers.tobytes()
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = _sq_dists_to(twice, norms, centers)
         new_labels = np.argmin(d2, axis=1)
         order, starts, ends = _by_label(new_labels, k)
@@ -145,10 +140,6 @@ def _lloyd(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        period = it - started.setdefault(start, it)  # 0 on a first visit
-        if period:
-            it += (_KMEANS_MAX_ITER - 1 - it) // period * period
-        it += 1
     return labels, centers
 
 

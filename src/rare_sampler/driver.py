@@ -22,7 +22,7 @@ from .errors import InvalidInputError
 from .estimator import FailureField, failure_prob
 from .evaluation import ScoreVector, importance_scores
 from .gp import GpHyperparams, PosteriorState, fit_posterior, train_hyperparameters
-from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, write_csv
+from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, open_artifact, write_csv
 
 _ADAPTIVE_METHODS = ("bams", "bas")
 ORACLE_METHODS = _ADAPTIVE_METHODS + ("mc-gp", "mcm-gp", "mc", "ce")
@@ -156,11 +156,8 @@ def _merge_queues(queues, m_b: float):
 
 @dataclass
 class BatchRecord:
-    index: int
-    inputs: np.ndarray              # (m, 2) (point index, level) rows, in selection order
-    delta_j: np.ndarray             # (m,) pool-scaled deltaJ; NaN for random and ce picks
-    cost: np.ndarray                # (m,) cost of each pick
-    mean_f: float
+    index: int                      # k: the batch's picks are the log rows batches == k
+    delta_j: np.ndarray             # pool-scaled deltaJ per logged row; NaN unless adaptive
     field: FailureField | None      # None for mc and ce
     hyper: GpHyperparams | None     # None for mc and ce
 
@@ -197,17 +194,19 @@ class ExperimentResult:
         batch still gets its header-only selected_batch<k>.csv."""
         os.makedirs(out_dir, exist_ok=True)
         self.log.write_csv(os.path.join(out_dir, "log.csv"))
+        costs = np.asarray(self.config.fidelities.costs)
         for rec in self.batches:
             k = rec.index
+            inputs = self.log.inputs[self.log.batches == k]
             write_csv(os.path.join(out_dir, f"selected_batch{k}.csv"),
                       ("point_index", "level", "deltaJ", "cost"),
-                      (rec.inputs[:, 0], rec.inputs[:, 1], rec.delta_j, rec.cost))
+                      (inputs[:, 0], inputs[:, 1], rec.delta_j, costs[inputs[:, 1]]))
             if rec.field is not None:
                 write_csv(os.path.join(out_dir, f"scores_batch{k}.csv"),
                           ("point_index", "p_n", "h_n"),
                           (np.arange(rec.field.p.size), rec.field.p, rec.field.h))
             if rec.hyper is not None:
-                with open(os.path.join(out_dir, f"hyperparams_batch{k}.txt"), "w") as fh:
+                with open_artifact(os.path.join(out_dir, f"hyperparams_batch{k}.txt")) as fh:
                     fh.write(rec.hyper.to_text())
 
 
@@ -217,16 +216,14 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
     Batch 1 spends m1 and each later batch m_b on the method's picks: a ce
     batch from the one stream [seed, 1], an adaptive batch (bams, bas after
     batch 1) or a random batch from the stream [seed, b] ([seed, 0] for a GP
-    method's batch 1).  The loop alone evaluates the picks, prices them at
-    their level's cost and records them, with delta_j NaN unless the batch
-    is adaptive.  A GP method then retrains, refits and snapshots its
-    failure field."""
+    method's batch 1).  The loop alone evaluates the picks, which logs them,
+    and records their delta_j, NaN unless the batch is adaptive.  A GP
+    method then retrains, refits and snapshots its failure field."""
     config.check_pool(pool.n_points)
-    fidelities = config.fidelities
     gp = config.method not in ("mc", "ce")
     ce_rng = np.random.default_rng([config.seed, 1])
     log = EvaluationLog()
-    hyper = GpHyperparams.defaults(pool, fidelities.n_levels) if gp else None
+    hyper = GpHyperparams.defaults(pool, config.fidelities.n_levels) if gp else None
     state = snapshot = None
     records = []
     for b in range(1, config.batches + 1):
@@ -237,20 +234,17 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
         elif adaptive:
             inputs, delta_j = run_bams_batch(pool, state, config, log, b)
         else:
-            inputs = random_acquisition(pool, fidelities, budget, exclude=log.inputs,
+            inputs = random_acquisition(pool, config.fidelities, budget, exclude=log.inputs,
                                         seed=[config.seed, 0 if b == 1 and gp else b])
         log.evaluate(oracle, inputs, b)
         if not adaptive:
             delta_j = np.full(len(inputs), np.nan)
-        cost = np.asarray(fidelities.costs)[inputs[:, 1]]
         if gp:
             if len(log) >= 2:
                 hyper = train_hyperparameters(pool, log, hyper, config.train_iters)
             state = fit_posterior(pool, log, hyper, config.gamma)
             snapshot = failure_prob(state, pool.points)
-        vals = log.values[log.batches == b]
-        mean_f = float(vals.mean()) if vals.size else float("nan")
-        records.append(BatchRecord(b, inputs, delta_j, cost, mean_f, snapshot, hyper))
+        records.append(BatchRecord(b, delta_j, snapshot, hyper))
     return ExperimentResult(config=config, pool=pool, log=log, batches=records,
                             state=elite_gaussian(pool, log) if config.method == "ce"
                             else state)

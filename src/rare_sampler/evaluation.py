@@ -57,15 +57,6 @@ def importance_scores(field, alpha: float) -> ScoreVector:
     return ScoreVector.from_raw(np.maximum(field.p, SCORE_FLOOR) ** alpha, floor=0.0)
 
 
-def _trial_rng(seed, trial_index: int) -> np.random.Generator:
-    # documented counter scheme: stream t of root seed r is default_rng([r, t])
-    return np.random.default_rng([seed, trial_index])
-
-
-def _draw(q_cdf: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    return np.searchsorted(q_cdf, rng.random(K), side="right")
-
-
 @dataclass(frozen=True)
 class RateReport:
     """Aggregated importance-sampling trials for one method run."""
@@ -151,8 +142,8 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
     n = truth.size
     n_fail = int(ranked[-1])
     for t in range(trials):
-        rng = _trial_rng(seed, t)
-        idx = _draw(cdf, K, rng)
+        # documented counter scheme: stream t of root seed r is default_rng([r, t])
+        idx = np.searchsorted(cdf, np.random.default_rng([seed, t]).random(K), side="right")
         hits = truth[idx]
         p_hats[t] = np.where(hits, 1.0 / (n * scores.q[idx]), 0.0).mean()
         recalls[t] = len(set(idx[hits].tolist())) / n_fail

@@ -197,23 +197,27 @@ def gather_points(pool: EmbeddingPool, inputs) -> tuple[np.ndarray, np.ndarray]:
 CSV_BLOCK_ROWS = 4096
 
 
+def open_artifact(path):
+    """Open an artifact file for writing, its lines written as given; a file
+    that cannot be opened is an InvalidInputError naming the path."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_csv(path, header, columns) -> None:
     """Write a CSV artifact from one sequence per column: a header line, then
     one line per row, every line ending in \\r\\n.  Integer columns print as
     decimal ints, float columns at 17 significant digits (``%.17g``, an exact
     round trip, with ``nan``, ``inf``, ``-inf`` and ``-0``) and any other
     column as str, unquoted, so its cells must hold no comma, quote or line
-    break.  Each block of CSV_BLOCK_ROWS rows is formatted by one ``%`` call.
-    A file that cannot be opened is an InvalidInputError naming the path."""
+    break.  Each block of CSV_BLOCK_ROWS rows is formatted by one ``%`` call."""
     cols = [np.asarray(c) for c in columns]
     kinds = [col.dtype.kind for col in cols]
     row = ",".join("%d" if k in "iu" else "%.17g" if k == "f" else "%s"
                    for k in kinds) + "\r\n"
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from None
-    with fh:
+    with open_artifact(path) as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
             block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in cols]

@@ -713,6 +713,22 @@ class TestCommandOracleRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         self.assert_exited(pid_file)
 
+    def test_used_out_is_refused_before_the_oracle_starts(self, tmp_path, capsys):
+        # the child writes its pid file when it starts: a refused rerun
+        # starts no child and leaves the folder as it was
+        cfg, pid_file = self.config(tmp_path, "mc", "value")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        pid_file.unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the artifact directory {out} is not empty; run writes only "
+            f"into a new or empty one\n")
+        assert not pid_file.exists()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("command", ["/nonexistent/oracle-binary", ""])
     def test_unstartable_command_is_named(self, tmp_path, capsys, command):
         cfg = synthetic_config(tmp_path, method="mc")
@@ -923,6 +939,41 @@ class TestPoolCsv:
         pool, truth = _load_pool_csv(path)
         np.testing.assert_array_equal(pool.points, [[1.5], [2.5]])
         assert truth is None
+
+    def test_index_column_must_read_row_order(self, tmp_path, capsys):
+        # row order is the point id of the oracle table: a pool sorted by x0
+        # is refused, the pool as written runs, and so does one without index
+        pool_csv, oracle_csv = tmp_path / "pool.csv", tmp_path / "oracle.csv"
+        assert main(["gen-synthetic", "--n", "300", "--out", str(pool_csv),
+                     "--oracle-out", str(oracle_csv)]) == 0
+        with open(pool_csv, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        by_x0 = sorted(rows, key=lambda row: float(row[header.index("x0")]))
+        first = next(r for r, row in enumerate(by_x0) if int(row[0]) != r)
+        dropped = [[cell for name, cell in zip(header, row) if name != "index"]
+                   for row in [header] + rows]
+        tables = {"sorted": [header] + by_x0, "as-written": [header] + rows,
+                  "no-index": dropped}
+        cfg = tmp_path / "run.cfg"
+        for name, table in tables.items():
+            path = tmp_path / f"{name}.csv"
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(table)
+            cfg.write_text(f"[pool]\nsource = csv\npath = {path}\n"
+                           f"[method]\nname = mc\ngamma = 0.56\n"
+                           f"[oracle]\nkind = csv\npath = {oracle_csv}\n")
+            capsys.readouterr()
+            code = main(["run", str(cfg), "--out", str(tmp_path / f"out-{name}")])
+            if name == "sorted":
+                assert code == 2
+                assert capsys.readouterr().err == (
+                    f"config error: {path} line {first + 2}: index {by_x0[first][0]}, "
+                    f"expected {first}; the index column must read 0..N-1 down the rows\n")
+                assert not (tmp_path / f"out-{name}").exists()
+            else:
+                assert code == 0, name
+        assert ((tmp_path / "out-as-written" / "log.csv").read_bytes()
+                == (tmp_path / "out-no-index" / "log.csv").read_bytes())
 
     @pytest.mark.parametrize("text,message", [
         ("index,x0,x1,truth_f_level0\n0,1,2,0.3\n1,1,2\n", r"line 3: 3 cells, header has 4"),

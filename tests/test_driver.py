@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -241,16 +243,20 @@ class TestExperiment:
             np.testing.assert_array_equal(result.log.inputs, init)
 
     @pytest.mark.parametrize("method", ["bams", "bas", "mc-gp", "mcm-gp", "mc", "ce"])
-    def test_batch_records_hold_the_logged_rows(self, method):
+    def test_batch_records_hold_the_logged_rows(self, method, tmp_path):
+        # a record holds one delta_j per logged row of its batch, and its
+        # selected_batch<k>.csv holds those rows, each priced at its level
         spec, pool, oracle = small_synthetic(n=60, seed=11)
         result = run_experiment(pool, base_config(seed=11, batches=3, method=method), oracle)
-        log = result.log
+        result.save(tmp_path)
+        log, costs = result.log, result.config.fidelities.costs
         for rec in result.batches:
-            assert rec.inputs.dtype == np.intp
-            np.testing.assert_array_equal(rec.inputs, log.inputs[log.batches == rec.index])
-            assert rec.delta_j.shape == rec.cost.shape == (len(rec.inputs),)
-            levels = rec.inputs[:, 1].tolist()
-            assert rec.cost.tolist() == [result.config.fidelities.costs[l] for l in levels]
+            rows = log.inputs[log.batches == rec.index].tolist()
+            assert rec.delta_j.shape == (len(rows),)
+            with open(tmp_path / f"selected_batch{rec.index}.csv", newline="") as fh:
+                saved = [(int(r["point_index"]), int(r["level"]), float(r["cost"]))
+                         for r in csv.DictReader(fh)]
+            assert saved == [(i, level, costs[level]) for i, level in rows]
 
     @pytest.mark.parametrize("method", ["bams", "bas", "mc-gp", "mcm-gp", "mc", "ce"])
     def test_one_evaluate_call_per_batch(self, method, monkeypatch):
@@ -269,18 +275,12 @@ class TestExperiment:
                              S_hat=2)
         result = run_experiment(pool, config, oracle)
         assert calls == [1, 2, 3, 4]
-        assert [len(rec.inputs) > 0 for rec in result.batches] == [True, True, True, False]
+        logged = [bool(np.any(result.log.batches == k)) for k in calls]
+        assert logged == [True, True, True, False]
 
     def test_single_fidelity_methods_drop_extra_levels(self):
         config = base_config(method="bas")
         assert config.fidelities.n_levels == 1
-
-    def test_mean_f_recorded_per_batch(self):
-        spec, pool, oracle = small_synthetic(n=50, seed=8)
-        config = base_config(seed=8, batches=3)
-        result = run_experiment(pool, config, oracle)
-        assert len(result.batches) == 3
-        assert np.isfinite([b.mean_f for b in result.batches]).all()
 
     def test_artifact_layout(self, tmp_path):
         spec, pool, oracle = small_synthetic(n=40, seed=9)
@@ -293,6 +293,15 @@ class TestExperiment:
             assert (tmp_path / name).exists(), name
         header = (tmp_path / "log.csv").read_text().splitlines()[0]
         assert header == "point_index,level,f,batch"
+
+    @pytest.mark.parametrize("name", ["scores_batch1.csv", "hyperparams_batch1.txt"])
+    def test_artifact_that_cannot_be_written_is_named(self, tmp_path, name):
+        spec, pool, oracle = small_synthetic(n=40, seed=9)
+        result = run_experiment(pool, base_config(seed=9), oracle)
+        (tmp_path / name).mkdir()
+        with pytest.raises(InvalidInputError) as exc:
+            result.save(tmp_path)
+        assert str(exc.value) == f"cannot write {tmp_path / name}: Is a directory"
 
     @pytest.mark.parametrize("method", ["bams", "bas"])
     def test_more_initial_clusters_than_points_rejected_before_batch_1(self, method):
