@@ -333,7 +333,9 @@ class PendingSet:
 
         Returns ((point index, level), deltaJ) and folds the choice into
         the recursion state, or None once no feasible candidate is left.
-        Ties break on lowest point index, then level.
+        Ties break on lowest point index, then level: with no live target all
+        feasible candidates survive at gain 0, no block stops the scan (0 < 0
+        is false), and the least (point, level) wins at deltaJ = +0.0.
 
         Bounds.  A target's gain from a candidate is beta(t) - beta(t - E),
         with t = t_hat and E = R^2 / h the candidate's projection increment
@@ -358,29 +360,23 @@ class PendingSet:
         beta = self._beta_cur()
         Lg, Ug = self._gain_bounds(beta)
         scale = float(Ug[feas_idx].max(initial=0.0))
-        if scale == 0.0:
-            # nothing can improve J (always so with no live targets): the
-            # deterministic tie-break, at a change of exactly 0
-            best_idx = int(feas_idx[np.argmin(self._rank[feas_idx])])
-            best_val = 0.0
-        else:
-            Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
-            Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
-            threshold = float(Lm[feas_idx].max())
-            surv = feas_idx[Um[feas_idx] >= threshold]
-            order = surv[np.argsort(-Um[surv], kind="stable")]
+        Um = (Ug * 1.02 + 1e-7 * scale) / self.costs
+        Lm = np.maximum(Lg * 0.98 - 1e-7 * scale, 0.0) / self.costs
+        threshold = float(Lm[feas_idx].max())
+        surv = feas_idx[Um[feas_idx] >= threshold]
+        order = surv[np.argsort(-Um[surv], kind="stable")]
 
-            # the running best is the least (value, rank) pair; ranks are
-            # distinct, so the tuple comparison never reaches the column
-            beta_sum = beta.sum()
-            best = self._block_best(order[:_BLOCK], beta_sum)
-            for s0 in range(_BLOCK, order.size, _BLOCK):
-                block = order[s0:s0 + _BLOCK]
-                if float(Um[block[0]]) < best[3]:
-                    break
-                best = min(best, self._block_best(block, beta_sum))
-            best_val, _, best_idx, _ = best
-        delta_j = min(best_val * self.costs[best_idx], 0.0)
+        # the running best is the least (value, rank) pair; ranks are
+        # distinct, so the tuple comparison never reaches the column
+        beta_sum = beta.sum()
+        best = self._block_best(order[:_BLOCK], beta_sum)
+        for s0 in range(_BLOCK, order.size, _BLOCK):
+            block = order[s0:s0 + _BLOCK]
+            if float(Um[block[0]]) < best[3]:
+                break
+            best = min(best, self._block_best(block, beta_sum))
+        best_val, _, best_idx, _ = best
+        delta_j = best_val * self.costs[best_idx] + 0.0  # a zero gain's -0.0 to +0.0
         self._apply(best_idx)
         return tuple(self.candidates[best_idx].tolist()), float(delta_j)
 

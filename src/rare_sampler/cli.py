@@ -244,7 +244,9 @@ def _report(out_dir, method, scores, truth, K: int, trials: int, seed) -> None:
 
 
 def _refuse_used_out_dir(path) -> None:
-    """An existing --out directory must be empty, or old files would mix in."""
+    """An existing --out must be an empty directory, or old files would mix in."""
+    if os.path.lexists(path) and not os.path.isdir(path):
+        raise InvalidInputError(f"cannot make the artifact directory {path}: File exists")
     try:
         used = os.path.isdir(path) and os.listdir(path)
     except OSError as exc:

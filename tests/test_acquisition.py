@@ -457,7 +457,7 @@ class TestTargetPruning:
         assert pending.J() == 0.0
         for expected in sorted(cands)[:3]:
             chosen, dj = pending.select_next()
-            assert chosen == expected and dj == 0.0
+            assert chosen == expected and dj == 0.0 and not np.signbit(dj)
 
 
 class TestScaledRows:
@@ -588,14 +588,25 @@ class TestStepMatchesReference:
         assert fast.selected[0, 0] < 15
 
     def test_all_targets_pruned_falls_back_to_lexicographic(self):
-        rng = np.random.default_rng(1401)
-        pool, log, _, state = random_problem(rng, n_points=20, n_train=5, gamma=1e3)
-        targets = [(i, 0) for i in range(20)]
-        cands, costs = _problem_candidates(log, 20, 2)
-        rev = cands[::-1]  # candidate order must not matter to the fallback
-        fast = self.assert_same_steps(state, pool, targets, rev, costs[::-1], 5)
-        assert fast.n_live_targets == 0
-        np.testing.assert_array_equal(fast.selected, sorted(cands)[:5])
+        # 20 points give one exact-stage block of candidates; 120 give more
+        # than _BLOCK, so in reverse order the least (point, level) sits in
+        # the last block and no block may stop the zero-gain scan
+        import rare_sampler.acquisition as acq
+        for n_points in (20, 120):
+            rng = np.random.default_rng(1401)
+            pool, log, _, state = random_problem(rng, n_points=n_points, n_train=5,
+                                                 gamma=1e3)
+            targets = [(i, 0) for i in range(n_points)]
+            cands, costs = _problem_candidates(log, n_points, 2)
+            assert (len(cands) > acq._BLOCK) == (n_points == 120)
+            rev = cands[::-1]  # candidate order must not matter to the zero-gain pick
+            fast = self.assert_same_steps(state, pool, targets, rev, costs[::-1], 5)
+            assert fast.n_live_targets == 0
+            np.testing.assert_array_equal(fast.selected, sorted(cands)[:5])
+            pending = PendingSet(state, pool, targets, rev, costs[::-1])
+            for _ in range(5):
+                _, dj = pending.select_next()
+                assert dj == 0.0 and not np.signbit(dj)
 
     @pytest.mark.parametrize("n_levels", [2, 3])
     @pytest.mark.parametrize("seed", range(2))

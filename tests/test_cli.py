@@ -729,6 +729,17 @@ class TestCommandOracleRun:
         assert not pid_file.exists()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_out_that_is_a_file_is_refused_before_the_oracle_starts(self, tmp_path,
+                                                                     capsys):
+        cfg, pid_file = self.config(tmp_path, "mc", "value")
+        out = tmp_path / "out"
+        out.write_bytes(b"keep\n")
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot make the artifact directory {out}: File exists\n")
+        assert not pid_file.exists()
+        assert out.read_bytes() == b"keep\n"
+
     @pytest.mark.parametrize("command", ["/nonexistent/oracle-binary", ""])
     def test_unstartable_command_is_named(self, tmp_path, capsys, command):
         cfg = synthetic_config(tmp_path, method="mc")
