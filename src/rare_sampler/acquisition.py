@@ -14,8 +14,13 @@ the cost-normalized decrease of J.
 ``PendingSet`` takes its targets' and candidates' posterior mean, variance
 and whitened cross-kernels from ``PosteriorState.query`` (zero rows for the
 prior) and maintains the projections for every (target, candidate) pair
-through rank-one updates, starting from zero pending rows, so a full greedy
-step costs O(|T| * |C|) instead of a fresh factorization per candidate.
+through rank-one updates, starting from zero pending rows, instead of a
+fresh factorization per candidate.  Step k recomputes the residuals from
+the k recursion rows (bT^T bC, in the sweep and the exact stage), so it
+costs O((c + k) * |T| * |C|), c the per-cell work of the bounds and the
+Chebyshev pass.  The k term is small at the k a queue reaches (11.4 ns
+per cell-step at k < 5, 13.0 ns at k >= 40, bams at N = 3000 on a 2-vCPU
+Xeon), and a rank-one residual downdate, which drops it, measured slower.
 Because beta is concave in t_hat with beta(s, 0) = 0, each candidate's gain
 admits certified tangent (lower) and chord (upper) bounds that are linear in
 the projection increment; the selector evaluates the exact gain only for
@@ -27,9 +32,9 @@ adds between 0 and beta(s, 1) to any candidate's gain at every step of the
 queue, so ``PendingSet`` drops, once at set-up, every target with
 beta(s, 1) == 0 (a deterministic one, scored s = +-inf by
 ``threshold_scores``, among them) and then the smallest-beta targets that
-together hold at most ``_ROW_TOL`` of the total (``dropped_beta``).  Each step then costs
-O(|T_live| * |C|).  J and deltaJ stay averages over all ``n_targets``
-targets and move by at most ``dropped_beta / n_targets``.
+together hold at most ``_ROW_TOL`` of the total (``dropped_beta``).  Step
+k then costs O((c + k) * |T_live| * |C|).  J and deltaJ stay averages over
+all ``n_targets`` targets and move by at most ``dropped_beta / n_targets``.
 """
 
 from __future__ import annotations
@@ -79,10 +84,21 @@ def _beta_slope(s, t_hat):
     return np.where(t > 1e-14, out, 0.0)
 
 
-def _pending_solve(state: PosteriorState, pool: EmbeddingPool, pending):
-    """The pending inputs' points, levels and whitened cross-kernel Vp, from
-    one posterior query, and the Cholesky factor of their conditioning
-    covariance (with white noise)."""
+def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
+                  targets) -> float:
+    """Average forward-looking point variance over the target inputs.
+
+    With an empty pending set this equals the average point variance, the
+    upper bound on the current estimator variance.  With no live target J
+    is +0.0, but the pending covariance is still factorized: one that is not
+    positive definite even with 1e-10 extra jitter raises NumericalError.
+    """
+    if len(targets) == 0:
+        raise InvalidInputError("target set is empty")
+    tp, tl = gather_points(pool, targets)
+    mu, var, Vt = state.query(tp, tl)
+    s, live = threshold_scores(state, mu, var)
+    # an empty pending set has zero rows: v is (0, n) and t_hat exactly 1
     mp, ml = gather_points(pool, pending)
     Vp = state.query(mp, ml)[2]
     A = mf_kernel_matrix(mp, ml, mp, ml, state.hyper) - Vp.T @ Vp
@@ -97,25 +113,6 @@ def _pending_solve(state: PosteriorState, pool: EmbeddingPool, pending):
             raise NumericalError(
                 f"pending-set covariance of {len(pending)} inputs is not positive "
                 f"definite even with 1e-10 extra jitter") from exc
-    return mp, ml, Vp, L
-
-
-def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
-                  targets) -> float:
-    """Average forward-looking point variance over the target inputs.
-
-    With an empty pending set this equals the average point variance, the
-    upper bound on the current estimator variance.
-    """
-    if len(targets) == 0:
-        raise InvalidInputError("target set is empty")
-    tp, tl = gather_points(pool, targets)
-    mu, var, Vt = state.query(tp, tl)
-    s, live = threshold_scores(state, mu, var)
-    if not np.any(live):
-        return 0.0
-    # an empty pending set has zero rows: v is (0, n) and t_hat exactly 1
-    mp, ml, Vp, L = _pending_solve(state, pool, pending)
     cross = (mf_kernel_matrix(mp, ml, tp[live], tl[live], state.hyper)
              - Vp.T @ Vt[:, live])
     v = solve_triangular(L, cross, lower=True)
@@ -132,13 +129,13 @@ class PendingSet:
     level) rows or as sequences of such pairs; ``candidates`` keeps the
     candidate array, ``selected`` the picks in order as (k, 2) rows of it
     and ``selected_costs`` their costs.  The recursion adds one pending input
-    at a time in O(|T_live| * |C|): ``n_live_targets`` of the ``n_targets``
-    targets stay after pruning, and ``dropped_beta`` is the summed point
-    variance beta(s, 1) of the pruned ones.  A pick's prior covariance with
-    every candidate is its row of ``mf_kernel_matrix``, the posterior's own
-    kernel, so a candidate level outside the GP's levels is an error.  An
-    empty candidate set is zero columns: the first ``select_next`` returns
-    None.
+    at a time, step k in O((c + k) * |T_live| * |C|) (module docstring):
+    ``n_live_targets`` of the ``n_targets`` targets stay after pruning, and
+    ``dropped_beta`` is the summed point variance beta(s, 1) of the pruned
+    ones.  A pick's prior covariance with every candidate is its row of
+    ``mf_kernel_matrix``, the posterior's own kernel, so a candidate level
+    outside the GP's levels is an error.  An empty candidate set is zero
+    columns: the first ``select_next`` returns None.
     """
 
     def __init__(self, state: PosteriorState, pool: EmbeddingPool, targets,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import select_batch
-from .baselines import (CeState, ce_picks, elite_gaussian, gaussian_pdf_scores,
-                        mc_scores, random_acquisition)
+from .baselines import (ce_picks, elite_gaussian, gaussian_pdf_scores, mc_scores,
+                        random_acquisition)
 from .clustering import cluster_with_merges
 from .errors import InvalidInputError
 from .estimator import FailureField, failure_prob
@@ -164,14 +164,13 @@ class BatchRecord:
 
 @dataclass
 class ExperimentResult:
-    """Full run log: evaluations, per-batch selections, fields, and the final
-    state: the posterior of a GP method, the Gaussian of ce, None for mc."""
+    """Full run log: evaluations and per-batch selections, fields and
+    hyperparameters; the final posterior and the ce Gaussian refit from it."""
 
     config: RunConfig
     pool: EmbeddingPool
     log: EvaluationLog
     batches: list[BatchRecord]
-    state: PosteriorState | CeState | None
 
     def final_field(self) -> FailureField:
         """The last batch's failure field: a GP method snapshots one every batch."""
@@ -186,7 +185,7 @@ class ExperimentResult:
         if self.config.method == "mc":
             return mc_scores(self.pool.n_points, seed=[self.config.seed, 1])
         if self.config.method == "ce":
-            return gaussian_pdf_scores(self.state, self.pool)
+            return gaussian_pdf_scores(elite_gaussian(self.pool, self.log), self.pool)
         return importance_scores(self.final_field(), alpha)
 
     def save(self, out_dir) -> None:
@@ -245,6 +244,4 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
             state = fit_posterior(pool, log, hyper, config.gamma)
             snapshot = failure_prob(state, pool.points)
         records.append(BatchRecord(b, delta_j, snapshot, hyper))
-    return ExperimentResult(config=config, pool=pool, log=log, batches=records,
-                            state=elite_gaussian(pool, log) if config.method == "ce"
-                            else state)
+    return ExperimentResult(config, pool, log, records)

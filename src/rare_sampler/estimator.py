@@ -35,29 +35,25 @@ def bivariate_normal_cdf(a, b, r):
         raise InvalidInputError("correlation must lie in [-1, 1]")
     out = np.empty(a_arr.shape, dtype=np.float64)
     one = np.abs(r_arr) == 1.0
-    if np.any(one):
-        pos = one & (r_arr > 0)
-        out[pos] = ndtr(np.minimum(a_arr, b_arr))[pos]
-        neg = one & (r_arr < 0)
-        out[neg] = np.maximum(0.0, ndtr(a_arr) + ndtr(b_arr) - 1.0)[neg]
-    rest = ~one
-    if np.any(rest):
-        h, k, rho = a_arr[rest], b_arr[rest], r_arr[rest]
-        c = np.sqrt((1.0 - rho) * (1.0 + rho))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a_h, a_k = (k - rho * h) / (h * c), (h - rho * k) / (k * c)
-        # T(+-inf, a) = 0; T(0, a) = atan(a)/(2 pi), so a zero argument takes
-        # a = sign(other) inf, or (1 - rho)/c when both are zero
-        both = (h == 0.0) & (k == 0.0)
-        a_h = np.where(h == 0.0, np.copysign(np.inf, k), a_h)
-        a_k = np.where(k == 0.0, np.copysign(np.inf, h), a_k)
-        a_h[both] = a_k[both] = ((1.0 - rho) / c)[both]
-        a_h[np.isinf(h)] = a_k[np.isinf(k)] = 0.0
-        lo, hi = np.minimum(h, k), np.maximum(h, k)
-        # delta = 1/2 enters as Phi(hi)/2 - 1/2 = -Phi(-hi)/2, exact in the far tail
-        phi_hi = np.where((lo < 0.0) & (hi >= 0.0), -ndtr(-hi), ndtr(hi))
-        out[rest] = np.clip(0.5 * ndtr(lo) + 0.5 * phi_hi - owens_t(h, a_h)
-                            - owens_t(k, a_k), 0.0, 1.0)
+    pos, neg, rest = one & (r_arr > 0), one & (r_arr < 0), ~one
+    out[pos] = ndtr(np.minimum(a_arr[pos], b_arr[pos]))
+    out[neg] = np.maximum(0.0, ndtr(a_arr[neg]) + ndtr(b_arr[neg]) - 1.0)
+    h, k, rho = a_arr[rest], b_arr[rest], r_arr[rest]
+    c = np.sqrt((1.0 - rho) * (1.0 + rho))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_h, a_k = (k - rho * h) / (h * c), (h - rho * k) / (k * c)
+    # T(+-inf, a) = 0; T(0, a) = atan(a)/(2 pi), so a zero argument takes
+    # a = sign(other) inf, or (1 - rho)/c when both are zero
+    both = (h == 0.0) & (k == 0.0)
+    a_h = np.where(h == 0.0, np.copysign(np.inf, k), a_h)
+    a_k = np.where(k == 0.0, np.copysign(np.inf, h), a_k)
+    a_h[both] = a_k[both] = ((1.0 - rho) / c)[both]
+    a_h[np.isinf(h)] = a_k[np.isinf(k)] = 0.0
+    lo, hi = np.minimum(h, k), np.maximum(h, k)
+    # delta = 1/2 enters as Phi(hi)/2 - 1/2 = -Phi(-hi)/2, exact in the far tail
+    phi_hi = np.where((lo < 0.0) & (hi >= 0.0), -ndtr(-hi), ndtr(hi))
+    out[rest] = np.clip(0.5 * ndtr(lo) + 0.5 * phi_hi - owens_t(h, a_h)
+                        - owens_t(k, a_k), 0.0, 1.0)
     if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(r) == 0:
         return float(out)
     return out

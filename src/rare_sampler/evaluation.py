@@ -67,7 +67,6 @@ class RateReport:
     recall_drawn_mean: float   # mean fraction of distinct failures drawn per trial
     se_rv: float
     se_recall: float
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,6 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
         recall_drawn_mean=float(recalls.mean()),
         se_rv=float(np.sqrt(var_of_var)) / p_gamma**2 if drew_failure else float("nan"),
         se_recall=float(recalls.std(ddof=1)) / np.sqrt(trials),
-        trials=trials,
     )
 
 

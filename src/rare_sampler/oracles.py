@@ -50,7 +50,6 @@ class ExternalOracle:
         if not 0.0 < timeout < math.inf:
             raise InvalidInputError(
                 f"oracle timeout must be positive and finite, got {timeout!r}")
-        self.command = command
         self.timeout = timeout
         self._lock = threading.Lock()
         try:

@@ -116,6 +116,31 @@ class TestAcquisitionJ:
             acquisition_J(state, pool, targets[:2], targets)
         assert calls == [(2, 2), (2, 2)]  # the plain attempt, then the one rescue
 
+    def test_no_live_target_gives_positive_zero(self, monkeypatch):
+        # a floor above every sd makes every target deterministic: the general
+        # path sums beta over zero live columns, which is +0.0
+        import rare_sampler.estimator as est
+        rng = np.random.default_rng(8)
+        pool, _, _, state = random_problem(rng, n_points=8, n_train=3)
+        targets = [(i, 0) for i in range(8)]
+        monkeypatch.setattr(est, "SIGMA_FLOOR", 1e300)
+        j = acquisition_J(state, pool, [(1, 0), (5, 1)], targets)
+        assert j == 0.0 and not np.signbit(j)
+
+    def test_no_live_target_still_factorizes_the_pending_set(self, monkeypatch):
+        import rare_sampler.estimator as est
+        rng = np.random.default_rng(8)
+        pool, _, _, state = random_problem(rng, n_points=8, n_train=3)
+        targets = [(i, 0) for i in range(8)]
+        monkeypatch.setattr(est, "SIGMA_FLOOR", 1e300)
+
+        def singular(A):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        with pytest.raises(NumericalError, match="pending-set covariance of 2 inputs"):
+            acquisition_J(state, pool, targets[:2], targets)
+
     def test_matches_per_point_computation(self):
         rng = np.random.default_rng(9)
         pool, _, _, state = random_problem(rng, n_points=20, n_train=5)

@@ -19,7 +19,7 @@ def run_method(pool, oracle, method, batches, m1, m_b, seed):
 def run_ce(pool, oracle, batches, m1, m_b, seed):
     """ce through the experiment loop: (final CeState, final scores, log)."""
     result = run_method(pool, oracle, "ce", batches, m1, m_b, seed)
-    return result.state, result.scores(alpha=2.5), result.log
+    return elite_gaussian(pool, result.log), result.scores(alpha=2.5), result.log
 
 
 class TestRandomAcquisition:

@@ -6,7 +6,8 @@ import pytest
 from rare_sampler import (EmbeddingPool, EvaluationLog,
                           FidelityConfig, GpHyperparams, InvalidInputError, RunConfig,
                           SyntheticOracle,
-                          SyntheticSpec, cluster_with_merges, fit_posterior,
+                          SyntheticSpec, cluster_with_merges, elite_gaussian,
+                          failure_prob, fit_posterior, gaussian_pdf_scores,
                           generate_pool, random_acquisition, run_bams_batch,
                           run_experiment)
 from rare_sampler.driver import _cluster_queue, _merge_queues
@@ -257,6 +258,15 @@ class TestExperiment:
                 saved = [(int(r["point_index"]), int(r["level"]), float(r["cost"]))
                          for r in csv.DictReader(fh)]
             assert saved == [(i, level, costs[level]) for i, level in rows]
+        # the result holds no final state: a GP method's posterior refits from
+        # the log and the last hyperparameters, the ce Gaussian from the log
+        if method == "ce":
+            want = gaussian_pdf_scores(elite_gaussian(pool, log), pool).q
+            assert result.scores(2.5).q.tobytes() == want.tobytes()
+        elif method != "mc":
+            state = fit_posterior(pool, log, result.batches[-1].hyper, result.config.gamma)
+            p = failure_prob(state, pool.points).p
+            assert p.tobytes() == result.final_field().p.tobytes()
 
     @pytest.mark.parametrize("method", ["bams", "bas", "mc-gp", "mcm-gp", "mc", "ce"])
     def test_one_evaluate_call_per_batch(self, method, monkeypatch):

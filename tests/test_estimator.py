@@ -61,6 +61,25 @@ class TestBivariateNormalCdf:
             2 * std_normal_cdf(0.5) - 1.0, abs=1e-14)
         assert bivariate_normal_cdf(-1.0, -1.0, -1.0) == 0.0
 
+    @pytest.mark.parametrize("mix", ["mixed", "all_perfect", "none_perfect"])
+    def test_array_call_matches_scalar_calls(self, mix):
+        # one array call splits the entries into r = 1, r = -1 and the rest;
+        # each entry keeps the bits of its own scalar call, empty parts included
+        rng = np.random.default_rng(19)
+        n = 60
+        a = rng.uniform(-3, 3, n)
+        b = rng.uniform(-3, 3, n)
+        a[:12] = [0.0, 0.0, np.inf, -np.inf, 0.0, np.inf, -np.inf, 1.3, 0.0, -2.0,
+                  np.inf, -0.5]
+        b[:12] = [0.0, 1.1, 0.4, 0.4, -np.inf, np.inf, -np.inf, 0.0, -0.7, np.inf,
+                  -1.0, -np.inf]
+        r = {"mixed": rng.choice([1.0, -1.0, 0.0, 0.5, -0.8, 0.99], n),
+             "all_perfect": rng.choice([1.0, -1.0], n),
+             "none_perfect": rng.uniform(-0.999, 0.999, n)}[mix]
+        got = bivariate_normal_cdf(a, b, r)
+        want = np.array([bivariate_normal_cdf(x, y, c) for x, y, c in zip(a, b, r)])
+        assert got.tobytes() == want.tobytes()
+
     def test_out_of_range_correlation_rejected(self):
         with pytest.raises(InvalidInputError):
             bivariate_normal_cdf(0.0, 0.0, 1.01)
