@@ -349,10 +349,9 @@ class PendingSet:
         gain, in blocks of ``_BLOCK`` in falling upper-bound order, until no
         later block can win.
         """
-        feas = ~self._mask & (self.h_C > self._h_floor)
-        if not np.any(feas):
+        feas_idx = np.flatnonzero(~self._mask & (self.h_C > self._h_floor))
+        if not feas_idx.size:
             return None
-        feas_idx = np.flatnonzero(feas)
 
         beta = self._beta_cur()
         Lg, Ug = self._gain_bounds(beta)

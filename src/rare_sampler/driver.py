@@ -214,10 +214,10 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
 
     Batch 1 spends m1 and each later batch m_b on the method's picks: a ce
     batch from the one stream [seed, 1], an adaptive batch (bams, bas after
-    batch 1) or a random batch from the stream [seed, b] ([seed, 0] for a GP
-    method's batch 1).  The loop alone evaluates the picks, which logs them,
-    and records their delta_j, NaN unless the batch is adaptive.  A GP
-    method then retrains, refits and snapshots its failure field."""
+    batch 1) or a random batch from the stream [seed, b] ([seed, 0] for
+    batch 1).  The loop alone evaluates the picks, which logs them, and
+    records their delta_j, NaN unless the batch is adaptive.  A GP method
+    then retrains, refits and snapshots its failure field."""
     config.check_pool(pool.n_points)
     gp = config.method not in ("mc", "ce")
     ce_rng = np.random.default_rng([config.seed, 1])
@@ -234,7 +234,7 @@ def run_experiment(pool: EmbeddingPool, config: RunConfig, oracle) -> Experiment
             inputs, delta_j = run_bams_batch(pool, state, config, log, b)
         else:
             inputs = random_acquisition(pool, config.fidelities, budget, exclude=log.inputs,
-                                        seed=[config.seed, 0 if b == 1 and gp else b])
+                                        seed=[config.seed, 0 if b == 1 else b])
         log.evaluate(oracle, inputs, b)
         if not adaptive:
             delta_j = np.full(len(inputs), np.nan)

@@ -3,7 +3,7 @@ multilevel-splitting cost bound.
 
 The rate estimator draws K i.i.d. pool indices from the normalized score
 distribution q and reweights hits by (1/N)/q(i), which keeps the estimate
-unbiased for any strictly positive q.  Discovery is tracked two ways: the
+unbiased for any positive q.  Discovery is tracked two ways: the
 fraction of distinct failures among the drawn indices, and the
 deterministic coverage of failures inside the K top-scored points (the
 retention-recall curve evaluated at budget K).

@@ -37,7 +37,7 @@ _QUERY_TILE = 2048
 class GpHyperparams:
     """Kernel hyperparameters for the multifidelity GP.
 
-    All values are strictly positive and are optimized in log space.
+    All values are positive and finite and are optimized in log space.
     ``fid_*`` arrays describe the discrepancy GPs of levels 1..L in order;
     they are empty in the single-fidelity case.
     """
@@ -56,19 +56,18 @@ class GpHyperparams:
         fn = np.atleast_1d(np.asarray(self.fid_noise_var, dtype=np.float64))
         if fl.shape[0] != fs.size or fs.size != fn.size:
             raise InvalidInputError("inconsistent per-fidelity hyperparameter shapes")
-        # one min() per array group; NaN compares false, so it is rejected too
-        for name, arr in (("lengthscales", ls), ("fid_lengthscales", fl),
-                          ("fid_signal_var", fs), ("fid_noise_var", fn)):
-            if not arr.min(initial=np.inf) > 0.0:
-                raise InvalidInputError(f"{name} must be strictly positive")
-        if not (self.signal_var > 0.0 and self.jitter > 0.0):
-            raise InvalidInputError("signal_var and jitter must be strictly positive")
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "fid_lengthscales", fl)
         object.__setattr__(self, "fid_signal_var", fs)
         object.__setattr__(self, "fid_noise_var", fn)
         object.__setattr__(self, "signal_var", float(self.signal_var))
         object.__setattr__(self, "jitter", float(self.jitter))
+        values = self._values()
+        ok = (values > 0.0) & (values < np.inf)  # NaN fails both
+        if not ok.all():
+            i = int(np.argmin(ok))  # the first bad entry
+            raise InvalidInputError(f"{self.param_names()[i]} must be positive and finite, "
+                                    f"got {float(values[i])!r}")
 
     @property
     def dim(self) -> int:
@@ -303,8 +302,7 @@ def _solve_chol(K_noisy: np.ndarray, signal_var: float):
     """Cholesky with an escalating diagonal rescue; raises NumericalError at the cap."""
     for extra in _JITTER_LADDER:
         try:
-            L = cholesky(K_noisy + extra * signal_var * np.eye(len(K_noisy)) if extra
-                         else K_noisy, lower=True)
+            L = cholesky(K_noisy + extra * signal_var * np.eye(len(K_noisy)), lower=True)
             return L, extra * signal_var
         except np.linalg.LinAlgError:
             continue
@@ -431,7 +429,7 @@ def marginal_log_likelihood(pool: EmbeddingPool, log: EvaluationLog,
     lss = [hyper.lengthscales, *hyper.fid_lengthscales]
     sigs = [hyper.signal_var, *hyper.fid_signal_var]
     parts = [_matern_pairs(D, ls, sig) for (_, _, D), ls, sig in zip(work.levels, lss, sigs)]
-    k_sum = parts[0][0].copy() if len(parts) > 1 else parts[0][0]
+    k_sum = parts[0][0].copy()
     for (_, pos, _), (k, _) in zip(work.levels[1:], parts[1:]):
         k_sum[pos] += k
     # K's diagonal takes one value per level

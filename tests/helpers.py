@@ -422,13 +422,13 @@ def reference_cluster_with_merges(pool, hyper, S, S_hat, seed) -> ClusterAssignm
 
 
 def reference_mc_run(pool, oracle, batches, m1, m_b, seed):
-    """The mc method as its own loop: every batch b a level-0 random batch
-    from the stream [seed, b], then seeded random scores from [seed, 1].
-    Returns (EvaluationLog, ScoreVector)."""
+    """The mc method as its own loop: batch 1 a level-0 random batch from
+    the stream [seed, 0] and every later batch b one from [seed, b], then
+    seeded random scores from [seed, 1].  Returns (EvaluationLog, ScoreVector)."""
     log = EvaluationLog()
     for b in range(1, batches + 1):
         picks = random_acquisition(pool, FidelityConfig((1.0,)), m1 if b == 1 else m_b,
-                                   seed=[seed, b], exclude=log.inputs)
+                                   seed=[seed, 0 if b == 1 else b], exclude=log.inputs)
         for i, level in picks.tolist():
             log.evaluate(oracle, (i, level), b)
     return log, mc_scores(pool.n_points, seed=[seed, 1])

@@ -8,7 +8,7 @@ from rare_sampler import (EmbeddingPool, EvaluationLog,
                           SyntheticOracle,
                           SyntheticSpec, cluster_with_merges, elite_gaussian,
                           failure_prob, fit_posterior, gaussian_pdf_scores,
-                          generate_pool, random_acquisition, run_bams_batch,
+                          generate_pool, mc_scores, random_acquisition, run_bams_batch,
                           run_experiment)
 from rare_sampler.driver import _cluster_queue, _merge_queues
 
@@ -229,18 +229,20 @@ class TestExperiment:
         np.testing.assert_array_equal(bams.log.inputs, mcm.log.inputs)
 
     def test_seed_streams(self):
-        # mc draws batch b from [seed, b], batch 1 included; the GP methods
-        # share batch 1 from [seed, 0]
+        # every random method draws batch 1 from [seed, 0] and a later random
+        # batch b from [seed, b]; mc still ranks from [seed, 1], a stream no
+        # batch of it draws
         spec, pool, oracle = small_synthetic(n=60, seed=7)
         level0 = FidelityConfig((1.0,))
         mc = run_experiment(pool, base_config(seed=7, method="mc"), oracle)
-        first = random_acquisition(pool, level0, 6.0, seed=[7, 1])
+        first = random_acquisition(pool, level0, 6.0, seed=[7, 0])
         second = random_acquisition(pool, level0, 3.0, seed=[7, 2], exclude=first)
         np.testing.assert_array_equal(mc.log.inputs, np.concatenate([first, second]))
-        init = random_acquisition(pool, base_config().fidelities, 6.0, seed=[7, 0])
-        for method in ("bams", "mcm-gp"):
-            result = run_experiment(pool, base_config(seed=7, batches=1, method=method),
-                                    oracle)
+        assert mc.scores(2.5).q.tobytes() == mc_scores(pool.n_points, seed=[7, 1]).q.tobytes()
+        for method in ("mc-gp", "mcm-gp", "bams", "bas"):
+            config = base_config(seed=7, batches=1, method=method)
+            init = random_acquisition(pool, config.fidelities, 6.0, seed=[7, 0])
+            result = run_experiment(pool, config, oracle)
             np.testing.assert_array_equal(result.log.inputs, init)
 
     @pytest.mark.parametrize("method", ["bams", "bas", "mc-gp", "mcm-gp", "mc", "ce"])

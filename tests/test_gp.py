@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -548,9 +549,16 @@ class TestTraining:
 
 
 class TestValidation:
-    FIELDS = ("lengthscales", "fid_lengthscales", "fid_signal_var", "fid_noise_var")
+    # each array field's last entry, named as hyperparams_batch<k>.txt names it
+    FIELDS = {"lengthscales": "lengthscale.1", "fid_lengthscales": "fid2.lengthscale.1",
+              "fid_signal_var": "fid2.signal_var", "fid_noise_var": "fid2.noise_var"}
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    @staticmethod
+    def message(name, bad):
+        return f"^{re.escape(f'{name} must be positive and finite, got {float(bad)!r}')}$"
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf],
+                             ids=["zero", "negative", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", FIELDS)
     def test_each_field_rejects_non_positive_entries(self, field, bad):
         good = unit_hyper(n_levels=3)
@@ -558,13 +566,14 @@ class TestValidation:
         value.flat[-1] = bad
         args = {f: getattr(good, f) for f in self.FIELDS}
         args[field] = value
-        with pytest.raises(InvalidInputError, match=f"^{field} must be strictly positive$"):
+        with pytest.raises(InvalidInputError, match=self.message(self.FIELDS[field], bad)):
             GpHyperparams(signal_var=1.0, jitter=1e-6, **args)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf],
+                             ids=["zero", "negative", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["signal_var", "jitter"])
     def test_scalars_reject_non_positive_values(self, field, bad):
-        with pytest.raises(InvalidInputError, match="signal_var and jitter"):
+        with pytest.raises(InvalidInputError, match=self.message(field, bad)):
             unit_hyper(n_levels=2, **{field: bad})
 
     @pytest.mark.parametrize("n_levels", [1, 2, 3])
