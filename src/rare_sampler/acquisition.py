@@ -43,9 +43,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import owens_t
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError
 from .estimator import threshold_scores
-from .gp import PosteriorState, matern25_matrix, mf_kernel_matrix, noise_variances
+from .gp import (PosteriorState, _solve_chol, matern25_matrix, mf_kernel_matrix,
+                 noise_variances)
 from .pool import EmbeddingPool, check_budget, gather_points, input_array
 
 # Schur complements below this fraction of the largest candidate variance
@@ -90,8 +91,8 @@ def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
 
     With an empty pending set this equals the average point variance, the
     upper bound on the current estimator variance.  With no live target J
-    is +0.0, but the pending covariance is still factorized: one that is not
-    positive definite even with 1e-10 extra jitter raises NumericalError.
+    is +0.0, but ``gp._solve_chol`` still factorizes the pending covariance
+    (rungs 0 and 1e-10): one that neither rescues raises NumericalError.
     """
     if len(targets) == 0:
         raise InvalidInputError("target set is empty")
@@ -103,16 +104,8 @@ def acquisition_J(state: PosteriorState, pool: EmbeddingPool, pending,
     Vp = state.query(mp, ml)[2]
     A = mf_kernel_matrix(mp, ml, mp, ml, state.hyper) - Vp.T @ Vp
     A[np.diag_indices_from(A)] += noise_variances(ml, state.hyper)
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        A[np.diag_indices_from(A)] += 1e-10 * max(state.hyper.signal_var, 1.0)
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"pending-set covariance of {len(pending)} inputs is not positive "
-                f"definite even with 1e-10 extra jitter") from exc
+    L, _ = _solve_chol(A, max(state.hyper.signal_var, 1.0), (0.0, 1e-10),
+                       f"pending-set covariance of {len(pending)} inputs")
     cross = (mf_kernel_matrix(mp, ml, tp[live], tl[live], state.hyper)
              - Vp.T @ Vt[:, live])
     v = solve_triangular(L, cross, lower=True)

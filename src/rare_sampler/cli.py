@@ -13,7 +13,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -21,10 +21,10 @@ import numpy as np
 from .baselines import scores_from_csv
 from .driver import ORACLE_METHODS, RunConfig, run_experiment
 from .errors import ConfigError, InvalidInputError, RareSamplerError
-from .evaluation import (IsOptions, repeated_is_trials, retention_recall_curve,
-                         splitting_bound)
+from .evaluation import (IsOptions, RateReport, repeated_is_trials,
+                         retention_recall_curve, splitting_bound)
 from .oracles import CsvOracle, ExternalOracle
-from .pool import EmbeddingPool, FidelityConfig, read_csv, write_csv
+from .pool import EmbeddingPool, FidelityConfig, make_artifact_dir, read_csv, write_csv
 from .synthetic import (SyntheticOracle, SyntheticSpec, export_pool_csv,
                         generate_pool, ground_truth_labels, metric_level0)
 
@@ -231,9 +231,8 @@ def _report(out_dir, method, scores, truth, K: int, trials: int, seed) -> None:
     """Write rate_report.csv and retention_recall.csv and print the summary."""
     report = repeated_is_trials(scores, truth, K, trials, seed=seed)
     write_csv(os.path.join(out_dir, "rate_report.csv"),
-              ("method", "p_hat_mean", "rv", "recall", "se_rv", "se_recall"),
-              [[method], [report.p_hat_mean], [report.rv], [report.recall],
-               [report.se_rv], [report.se_recall]])
+              ("method", *(f.name for f in fields(RateReport))),
+              [[method], *([v] for v in astuple(report))])
     write_csv(os.path.join(out_dir, "retention_recall.csv"),
               ("retention_multiple", "recall"), retention_recall_curve(scores, truth).T)
     print(f"{method}: p_hat={report.p_hat_mean:.6g} 100rv={100 * report.rv:.4g} "
@@ -255,15 +254,6 @@ def _refuse_used_out_dir(path) -> None:
     if used:
         raise InvalidInputError(f"the artifact directory {path} is not empty; "
                                 f"run writes only into a new or empty one")
-
-
-def _make_out_dir(path) -> None:
-    """Make --out, once the run has refused a used one."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot make the artifact directory {path}: "
-                                f"{exc.strerror}") from None
 
 
 def cmd_run(args) -> int:
@@ -290,7 +280,7 @@ def cmd_run(args) -> int:
     if method == "external-scores":
         scores = scores_from_csv(cfg.value("method", "scores_path", required=True),
                                  pool.n_points)
-        _make_out_dir(args.out)
+        make_artifact_dir(args.out)
     else:
         try:
             run_cfg.check_pool(pool.n_points)
@@ -300,7 +290,7 @@ def cmd_run(args) -> int:
             raise ConfigError(f"line {cv.line}: {exc}" if cv else str(exc)) from None
         oracle = _build_oracle(cfg, pool, spec, run_cfg.fidelities.n_levels)
         try:
-            _make_out_dir(args.out)
+            make_artifact_dir(args.out)
             result = run_experiment(pool, run_cfg, oracle)
         finally:
             if isinstance(oracle, ExternalOracle):

@@ -22,7 +22,8 @@ from .errors import InvalidInputError
 from .estimator import FailureField, failure_prob
 from .evaluation import ScoreVector, importance_scores
 from .gp import GpHyperparams, PosteriorState, fit_posterior, train_hyperparameters
-from .pool import EmbeddingPool, EvaluationLog, FidelityConfig, open_artifact, write_csv
+from .pool import (EmbeddingPool, EvaluationLog, FidelityConfig, make_artifact_dir,
+                   open_artifact, write_csv)
 
 _ADAPTIVE_METHODS = ("bams", "bas")
 ORACLE_METHODS = _ADAPTIVE_METHODS + ("mc-gp", "mcm-gp", "mc", "ce")
@@ -191,7 +192,7 @@ class ExperimentResult:
     def save(self, out_dir) -> None:
         """Write the documented artifact layout into a directory; an empty
         batch still gets its header-only selected_batch<k>.csv."""
-        os.makedirs(out_dir, exist_ok=True)
+        make_artifact_dir(out_dir)
         self.log.write_csv(os.path.join(out_dir, "log.csv"))
         costs = np.asarray(self.config.fidelities.costs)
         for rec in self.batches:

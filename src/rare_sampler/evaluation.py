@@ -59,14 +59,16 @@ def importance_scores(field, alpha: float) -> ScoreVector:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Aggregated importance-sampling trials for one method run."""
+    """Aggregated importance-sampling trials for one method run; the fields,
+    in order, are rate_report.csv's columns after ``method``: add new ones last."""
 
     p_hat_mean: float
     rv: float
     recall: float              # failures covered by the K top-scored points
-    recall_drawn_mean: float   # mean fraction of distinct failures drawn per trial
     se_rv: float
-    se_recall: float
+    se_recall: float           # trial SE of recall_drawn_mean
+    recall_drawn_mean: float   # mean fraction of distinct failures drawn per trial
+    rv_exact: float            # the relative variance of p_hat that q implies
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,10 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
     by the squared true rate; its standard error uses the fourth-moment
     variance of the sample variance.  When no trial draws a failure, every
     p_hat is 0 and their spread says nothing about the sampler's error, so
-    rv and se_rv are NaN.
+    rv and se_rv are NaN.  rv_exact is the relative variance the draws
+    estimate, from q and the truth labels alone: one draw weighs a failure
+    i by 1/(N q_i), so Var(p_hat) = (sum over failures of 1/(N^2 q_i) - p^2) / K,
+    which is inf when a failure has q = 0.
     """
     if K < 1:
         raise InvalidInputError(f"IS sample size K must be >= 1, got {K}")
@@ -151,13 +156,16 @@ def repeated_is_trials(scores: ScoreVector, truth: np.ndarray, K: int,
     m4 = float((centered**4).mean())
     var_of_var = max(m4 - var**2 * (trials - 3) / (trials - 1), 0.0) / trials
     drew_failure = bool(p_hats.any())
+    with np.errstate(divide="ignore", over="ignore"):
+        second_moment = float((1.0 / scores.q[truth]).sum()) / n**2
     return RateReport(
         p_hat_mean=float(p_hats.mean()),
         rv=var / p_gamma**2 if drew_failure else float("nan"),
         recall=float(ranked[min(K, n) - 1] / n_fail),
-        recall_drawn_mean=float(recalls.mean()),
         se_rv=float(np.sqrt(var_of_var)) / p_gamma**2 if drew_failure else float("nan"),
-        se_recall=float(recalls.std(ddof=1)) / np.sqrt(trials),
+        se_recall=float(recalls.std(ddof=1) / np.sqrt(trials)),
+        recall_drawn_mean=float(recalls.mean()),
+        rv_exact=(second_moment - p_gamma**2) / (K * p_gamma**2),
     )
 
 

@@ -298,17 +298,21 @@ class PosteriorState:
         return mf_kernel_matrix(pa, la, pb, lb, self.hyper) - Va.T @ Vb
 
 
-def _solve_chol(K_noisy: np.ndarray, signal_var: float):
-    """Cholesky with an escalating diagonal rescue; raises NumericalError at the cap."""
-    for extra in _JITTER_LADDER:
+def _solve_chol(K_noisy: np.ndarray, scale: float, ladder=_JITTER_LADDER,
+                what: str = "training covariance"):
+    """The one Cholesky rescue: the lower factor of K_noisy + extra * scale * I
+    at the first ``extra`` in ``ladder`` that factorizes, and that jitter, or a
+    NumericalError naming ``what`` and the last rung.  ``fit_posterior`` and
+    the MLL's fallback take ``_JITTER_LADDER`` and the signal variance,
+    ``acquisition_J`` (0, 1e-10) and max(signal variance, 1)."""
+    for extra in ladder:
         try:
-            L = cholesky(K_noisy + extra * signal_var * np.eye(len(K_noisy)), lower=True)
-            return L, extra * signal_var
+            L = cholesky(K_noisy + extra * scale * np.eye(len(K_noisy)), lower=True)
+            return L, extra * scale
         except np.linalg.LinAlgError:
             continue
-    raise NumericalError(
-        "training covariance is not positive definite even with jitter 1e-2 * signal"
-    )
+    raise NumericalError(f"{what} is not positive definite even with jitter "
+                         f"{ladder[-1]:g} * {scale:.6g}")
 
 
 def fit_posterior(pool: EmbeddingPool, log: EvaluationLog, hyper: GpHyperparams,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -204,6 +205,16 @@ def open_artifact(path):
         return open(path, "w", newline="")
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def make_artifact_dir(path) -> None:
+    """Make an artifact directory and its parents; one that cannot be made is
+    an InvalidInputError naming the path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot make the artifact directory {path}: "
+                                f"{exc.strerror}") from None
 
 
 def write_csv(path, header, columns) -> None:

@@ -6,6 +6,7 @@ from rare_sampler import (EmbeddingPool, EvaluationLog, GpHyperparams, InvalidIn
                           NumericalError, PendingSet, PosteriorState, acquisition_J,
                           failure_prob, fit_posterior, select_batch,
                           variance_upper_bound)
+from rare_sampler import gp
 from rare_sampler.acquisition import point_variance_beta
 from rare_sampler.estimator import SIGMA_FLOOR, bivariate_normal_cdf
 
@@ -107,11 +108,11 @@ class TestAcquisitionJ:
         targets = [(i, 0) for i in range(8)]
         calls = []
 
-        def singular(A):
+        def singular(A, lower):
             calls.append(A.shape)
             raise np.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        monkeypatch.setattr(gp, "cholesky", singular)
         with pytest.raises(NumericalError, match="pending-set covariance of 2 inputs"):
             acquisition_J(state, pool, targets[:2], targets)
         assert calls == [(2, 2), (2, 2)]  # the plain attempt, then the one rescue
@@ -134,10 +135,10 @@ class TestAcquisitionJ:
         targets = [(i, 0) for i in range(8)]
         monkeypatch.setattr(est, "SIGMA_FLOOR", 1e300)
 
-        def singular(A):
+        def singular(A, lower):
             raise np.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        monkeypatch.setattr(gp, "cholesky", singular)
         with pytest.raises(NumericalError, match="pending-set covariance of 2 inputs"):
             acquisition_J(state, pool, targets[:2], targets)
 

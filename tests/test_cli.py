@@ -600,13 +600,16 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("method", ["mc", "ce"])
     def test_no_failure_drawn_reports_nan_rv(self, tmp_path, capsys, method):
-        # one failure in a 600-point pool and K = 2: no IS trial draws it
+        # one failure in a 600-point pool and K = 2: no IS trial draws it, but
+        # its q is positive, so the exact relative variance is finite
+        rv_exact = {"mc": "194.05405034471096", "ce": "687.85655804998328"}[method]
         cfg = synthetic_config(tmp_path, method=method, n=600)
         cfg.write_text(cfg.read_text().replace("seed = 0\n", "seed = 3\n", 1))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert (out / "rate_report.csv").read_text() == (
-            f"method,p_hat_mean,rv,recall,se_rv,se_recall\n{method},0,nan,0,nan,0\n")
+            "method,p_hat_mean,rv,recall,se_rv,se_recall,recall_drawn_mean,rv_exact\n"
+            f"{method},0,nan,0,nan,0,0,{rv_exact}\n")
         captured = capsys.readouterr()
         assert f"{method}: p_hat=0 100rv=nan recall@K=0\n" in captured.out
         assert captured.err == f"{method}: no IS trial drew a failure; rv and se_rv are nan\n"

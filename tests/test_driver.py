@@ -315,6 +315,15 @@ class TestExperiment:
             result.save(tmp_path)
         assert str(exc.value) == f"cannot write {tmp_path / name}: Is a directory"
 
+    def test_artifact_directory_that_cannot_be_made_is_named(self, tmp_path):
+        spec, pool, oracle = small_synthetic(n=40, seed=9)
+        result = run_experiment(pool, base_config(seed=9), oracle)
+        (tmp_path / "a_file").write_text("")
+        out = tmp_path / "a_file" / "out"
+        with pytest.raises(InvalidInputError) as exc:
+            result.save(out)
+        assert str(exc.value) == f"cannot make the artifact directory {out}: Not a directory"
+
     @pytest.mark.parametrize("method", ["bams", "bas"])
     def test_more_initial_clusters_than_points_rejected_before_batch_1(self, method):
         _, pool, oracle = small_synthetic(n=30)

@@ -137,6 +137,32 @@ class TestRepeatedTrials:
         assert report.p_hat_mean == 0.0
         assert np.isnan(report.rv) and np.isnan(report.se_rv)
         assert report.recall_drawn_mean == 0.0
+        # a failure the sampler can never draw: p_hat is biased and rv_exact inf
+        assert report.rv_exact == np.inf
+
+    @pytest.mark.parametrize("K", [1, 8])
+    def test_rv_exact_matches_enumeration(self, K):
+        # one draw is y_i = truth_i / (N q_i) with probability q_i, and p_hat
+        # averages K independent draws
+        rng = np.random.default_rng(5)
+        truth = rng.random(50) < 0.1
+        truth[7] = True
+        sv = ScoreVector.from_raw(rng.random(50) + 0.01)
+        y = np.where(truth, 1.0 / (50 * sv.q), 0.0)
+        var = float(np.sum(sv.q * (y - truth.mean()) ** 2)) / K
+        report = repeated_is_trials(sv, truth, K=K, trials=2, seed=0)
+        assert report.rv_exact == pytest.approx(var / truth.mean() ** 2, rel=1e-12)
+
+    def test_sampled_rv_agrees_with_rv_exact(self):
+        # q within a factor 3 of uniform bounds the weights, so the sampled
+        # rv's standard error is a fair yardstick
+        rng = np.random.default_rng(7)
+        truth = rng.random(300) < 0.05
+        truth[3] = True
+        sv = ScoreVector.from_raw(rng.uniform(1.0, 3.0, 300))
+        report = repeated_is_trials(sv, truth, K=20, trials=4000, seed=11)
+        assert abs(report.rv - report.rv_exact) < 4 * report.se_rv
+        assert report.se_rv < 0.1 * report.rv_exact
 
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(2)

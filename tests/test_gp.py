@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from rare_sampler import (EmbeddingPool, EvaluationLog, GpHyperparams,
-                          InvalidInputError, failure_prob, fit_posterior,
+                          InvalidInputError, NumericalError, failure_prob, fit_posterior,
                           marginal_log_likelihood, posterior_mean_var, train_hyperparameters)
 from rare_sampler import gp
 from rare_sampler.gp import (SQRT5, _ROW_BLOCK, _MllWork, matern25_matrix, mf_kernel_matrix,
@@ -33,6 +33,20 @@ def leveled_problem(level_counts, dim=2, seed=0):
     for i, lvl in zip(points, levels):
         log.append((int(i), int(lvl)), float(rng.standard_normal()), 1)
     return pool, log, hyper
+
+
+def record_failed_rungs(monkeypatch):
+    """Make every Cholesky of ``_solve_chol`` fail; the returned list collects
+    the jitter each attempt added, read off the first diagonal entry."""
+    diags, tried = [], []
+
+    def singular(A, lower):
+        diags.append(A[0, 0])
+        tried.append(A[0, 0] - diags[0])
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(gp, "cholesky", singular)
+    return tried
 
 
 def unit_hyper(d=2, n_levels=1, **kw):
@@ -157,6 +171,16 @@ class TestPosterior:
         mu, var = posterior_mean_var(state, pool.points[:1], np.zeros(1, dtype=int))
         assert mu[0] == pytest.approx(1.7, abs=1e-5)
         assert var[0] < 1e-5
+
+    def test_exhausted_jitter_ladder_raises_numerical_error(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        pool, log, _, _ = random_problem(rng, n_points=10, n_train=6, n_levels=1)
+        tried = record_failed_rungs(monkeypatch)
+        with pytest.raises(NumericalError, match="^" + re.escape(
+                "training covariance is not positive definite even with "
+                "jitter 0.01 * 1.5") + "$"):
+            fit_posterior(pool, log, unit_hyper(signal_var=1.5), gamma=0.0)
+        np.testing.assert_allclose(tried, 1.5 * np.array(gp._JITTER_LADDER), atol=1e-12)
 
     def test_far_query_returns_prior(self):
         pool = EmbeddingPool(np.array([[0.0, 0.0], [100.0, 100.0]]))
@@ -377,6 +401,24 @@ class TestMarginalLikelihood:
         ref_mll, ref_grad = dense_mll_reference(pool, log, hyper, extra=rescues[0])
         np.testing.assert_allclose(mll, ref_mll, rtol=1e-9)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-9)
+
+    def test_exhausted_jitter_ladder_raises_numerical_error(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        pool, log, _, _ = random_problem(rng, n_points=10, n_train=6, n_levels=1)
+        hyper = unit_hyper(signal_var=1.5)
+        potrf_calls, tried = [], record_failed_rungs(monkeypatch)
+
+        def failing_potrf(K, **kw):
+            potrf_calls.append(K.shape)
+            return K, 1
+
+        monkeypatch.setattr(gp, "dpotrf", failing_potrf)
+        with pytest.raises(NumericalError, match="^" + re.escape(
+                "training covariance is not positive definite even with "
+                "jitter 0.01 * 1.5") + "$"):
+            marginal_log_likelihood(pool, log, hyper)
+        assert potrf_calls == [(6, 6)]
+        np.testing.assert_allclose(tried, 1.5 * np.array(gp._JITTER_LADDER), atol=1e-12)
 
     def test_peak_memory_of_one_workspace_and_call(self):
         rng = np.random.default_rng(0)
