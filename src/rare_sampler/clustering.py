@@ -6,10 +6,7 @@ dimension by the trained level-0 lengthscale makes Euclidean distance a
 cheap stand-in for kernel distance.  K-means first over-segments into
 S_hat > S clusters; the smallest cluster is then repeatedly merged into
 its nearest neighbor under the Hausdorff set distance until at most S
-remain.  The merges work on the points ordered by k-means label: a merged
-cluster is a list of contiguous k-means blocks, and each merge builds its
-distance block in row tiles of a fixed byte budget and reduces each tile
-per k-means block.
+remain.
 """
 
 from __future__ import annotations
@@ -23,11 +20,6 @@ from .gp import GpHyperparams
 from .pool import EmbeddingPool
 
 _KMEANS_MAX_ITER = 100
-
-# Bytes of one float32 distance tile of a merge: the smallest cluster's rows
-# are taken this many bytes' worth of pool columns at a time, so a merge's
-# working memory is this budget plus O(N), not |A| x N.
-_MERGE_TILE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -59,16 +51,12 @@ def scale_points(pool: EmbeddingPool, hyper: GpHyperparams) -> np.ndarray:
     return pool.points / hyper.lengthscales
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """|p|^2 - 2 p.c + |c|^2 in one output array, in the order of the plain
-    expression, so every entry is bitwise equal to it."""
-    return _sq_dists_to(2.0 * points, np.sum(points * points, axis=1)[:, None], centers)
-
-
 def _sq_dists_to(twice_points: np.ndarray, point_norms: np.ndarray,
                  centers: np.ndarray) -> np.ndarray:
-    """``_sq_dists`` from 2 * points and the (n, 1) squared point norms, which
-    k-means computes once for all its distance passes."""
+    """|p|^2 - 2 p.c + |c|^2 in one output array, in the order of the plain
+    expression, so every entry is bitwise equal to it; from 2 * points and
+    the (n, 1) squared point norms, which k-means computes once for all its
+    distance passes."""
     out = np.matmul(twice_points, centers.T)
     np.subtract(point_norms, out, out=out)
     out += np.sum(centers * centers, axis=1)[None, :]
@@ -157,7 +145,8 @@ def hausdorff_distance(A: np.ndarray, B: np.ndarray) -> float:
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise InvalidInputError("Hausdorff distance needs nonempty sets")
-    # lazy: a top-level scipy.spatial import adds about 37 ms to every import
+    # lazy: importing scipy.spatial takes about 60 ms and 4.3 MB of RSS (2-vCPU
+    # Xeon), which runs that never cluster need not pay
     from scipy.spatial.distance import directed_hausdorff
 
     return float(max(directed_hausdorff(A, B)[0], directed_hausdorff(B, A)[0]))
@@ -169,56 +158,20 @@ def cluster_with_merges(pool: EmbeddingPool, hyper: GpHyperparams, S: int,
     Hausdorff-nearest neighbor until at most S remain (fewer only when
     k-means returns fewer than S clusters on a pool with repeated points).
 
-    Ties (smallest size, nearest distance) break on lowest cluster id.
-    The points are sorted by k-means label once, so each k-means cluster is
-    a contiguous block and a merged cluster is a list of blocks.  Each merge
-    computes float32 squared distances from the smallest cluster to all
-    points, in tiles of its rows of about ``_MERGE_TILE_BYTES``, and
-    reduces them per k-means block with ``reduceat``: row minima
-    (|A| x S_hat) per tile, a running minimum over the tiles of the column
-    minima (N), and the maxima of those per block (S_hat).  Min and max are
-    exact, so every comparison sees the values an untiled, per-neighbor
-    pass over the same distances would.
+    Ties (smallest size, nearest distance) break on lowest cluster id.  A
+    cluster is an index array into the scaled points, and a merge takes
+    ``hausdorff_distance`` from the smallest cluster to each other one.
     """
     if not 1 <= S <= S_hat <= pool.n_points:
         raise InvalidInputError("need 1 <= S <= S_hat <= N")
     z = scale_points(pool, hyper)
-    block_of = kmeans(z, S_hat, seed).labels
-    z32 = z[np.argsort(block_of, kind="stable")].astype(np.float32)
-    counts = np.bincount(block_of)
-    # dense labels: every block is nonempty, so starts rise strictly
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    tile = max(1, _MERGE_TILE_BYTES // (4 * len(z32)))  # float32 rows per tile
-    groups: dict[int, list[int]] = {j: [j] for j in range(counts.size)}
+    labels = kmeans(z, S_hat, seed).labels
+    groups = {j: np.flatnonzero(labels == j) for j in range(labels.max() + 1)}
     while len(groups) > S:
-        smallest = min(groups, key=lambda c: (int(counts[groups[c]].sum()), c))
-        a = np.concatenate([z32[starts[b]:ends[b]] for b in groups[smallest]])
-        # squared distances preserve the min/max ordering; sqrt only at the end
-        row_min = np.empty((len(a), counts.size), dtype=np.float32)
-        col_min = np.full(len(z32), np.inf, dtype=np.float32)
-        cuts = list(range(0, len(a), tile)) + [len(a)]
-        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-            # a one-row product takes numpy's matrix-vector path, whose last
-            # bits differ from the GEMM's: the previous tile takes the row
-            del cuts[-2]
-        for r0, r1 in zip(cuts[:-1], cuts[1:]):
-            d2 = _sq_dists(a[r0:r1], z32)
-            np.maximum(d2, 0.0, out=d2)
-            row_min[r0:r1] = np.minimum.reduceat(d2, starts, axis=1)
-            np.minimum(col_min, d2.min(axis=0), out=col_min)
-            del d2  # free this tile before the next one allocates its own
-        col_max = np.maximum.reduceat(col_min, starts)
-        best = None
-        for cid, blocks in groups.items():
-            if cid == smallest:
-                continue
-            dist2 = max(float(row_min[:, blocks].min(axis=1).max()),
-                        float(col_max[blocks].max()))
-            if best is None or (dist2, cid) < best:
-                best = (dist2, cid)
-        groups[best[1]] += groups.pop(smallest)
-    group_of = np.empty(counts.size, dtype=np.intp)
-    for cid, blocks in groups.items():
-        group_of[blocks] = cid
-    return ClusterAssignment(_relabel(group_of[block_of]))
+        a = groups.pop(min(groups, key=lambda c: (len(groups[c]), c)))
+        za = z[a]
+        nearest = min(groups, key=lambda c: (hausdorff_distance(za, z[groups[c]]), c))
+        groups[nearest] = np.concatenate([groups[nearest], a])
+    for cid, members in groups.items():
+        labels[members] = cid
+    return ClusterAssignment(_relabel(labels))

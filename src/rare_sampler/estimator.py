@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr, owens_t
 
 from .errors import InvalidInputError
-from .gp import PosteriorState
+from .gp import PosteriorState, mf_kernel_matrix
 from .pool import EmbeddingPool
 
 # sigma below this (normalized units) is treated as deterministic
@@ -114,12 +114,12 @@ def estimator_variance_exact(state: PosteriorState, pool: EmbeddingPool) -> floa
     """
     n = pool.n_points
     levels = np.zeros(n, dtype=np.intp)
-    mu, var = state.mean_var_norm(pool.points, levels)
+    mu, var, V = state.query(pool.points, levels)
     s, live = threshold_scores(state, mu, var)
     p = ndtr(s)
     h = p * (1.0 - p)
-    pts, lv, sd = pool.points[live], levels[live], np.sqrt(var[live])
-    cov = state.cross_cov_norm(pts, lv, pts, lv)
+    pts, lv, sd, V = pool.points[live], levels[live], np.sqrt(var[live]), V[:, live]
+    cov = mf_kernel_matrix(pts, lv, pts, lv, state.hyper) - V.T @ V
     iu, ju = np.triu_indices(len(lv), k=1)
     rho = np.clip(cov[iu, ju] / (sd[iu] * sd[ju]), -1.0, 1.0)
     joint = bivariate_normal_cdf(s[live][iu], s[live][ju], rho)

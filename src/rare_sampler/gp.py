@@ -169,11 +169,10 @@ def matern25_matrix(A: np.ndarray, B: np.ndarray, lengthscales: np.ndarray,
     working memory needs it and the results were checked: the pool-scale
     queries of ``PosteriorState.mean_var_norm``, one GEMM per query tile (at
     2048 rows a few entries in a million move by one ulp, and the failure
-    field's p came out bitwise equal), and the merges' float32 distance
-    tiles in ``clustering`` (bitwise equal for tiles of two rows or more).
-    ``PendingSet``'s base block stays one GEMM: built per candidate chunk,
-    it moved selection gains in their last bits.  A pick's kernel row is one
-    row of ``mf_kernel_matrix`` against every candidate, a one-row GEMM.
+    field's p came out bitwise equal).  ``PendingSet``'s base block stays
+    one GEMM: built per candidate chunk, it moved selection gains in their
+    last bits.  A pick's kernel row is one row of ``mf_kernel_matrix``
+    against every candidate, a one-row GEMM.
     """
     a = A / lengthscales
     b = B / lengthscales

@@ -386,10 +386,19 @@ def reference_kmeans(points, k, seed):
     return labels, centers
 
 
+def reference_hausdorff(A, B) -> float:
+    """Symmetric Hausdorff distance by brute force over every pair: float64
+    coordinate differences, squared and summed in coordinate order."""
+    d2 = np.zeros((len(A), len(B)))
+    for k in range(A.shape[1]):
+        d2 += (A[:, k, None] - B[None, :, k]) ** 2
+    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+
+
 def reference_cluster_with_merges(pool, hyper, S, S_hat, seed) -> ClusterAssignment:
-    """The merge loop over per-group index arrays: one distance block from the
-    smallest group to all points per merge, sliced per neighbor by column
-    gathers.  Ties (smallest size, nearest distance) break on lowest id."""
+    """The merge loop over per-group index arrays for S_hat - S merges, with
+    brute-force Hausdorff distances.  Ties (smallest size, nearest distance)
+    break on lowest id."""
     if not 1 <= S <= S_hat <= pool.n_points:
         raise InvalidInputError("need 1 <= S <= S_hat <= N")
     z = scale_points(pool, hyper)
@@ -397,22 +406,17 @@ def reference_cluster_with_merges(pool, hyper, S, S_hat, seed) -> ClusterAssignm
     labels = assign.labels.copy()
     groups: dict[int, np.ndarray] = {j: np.flatnonzero(labels == j)
                                      for j in range(assign.n_clusters)}
-    z32 = z.astype(np.float32)
     for _ in range(S_hat - S):
         sizes = sorted((len(idx), cid) for cid, idx in groups.items())
         smallest = sizes[0][1]
-        a_idx = groups[smallest]
-        # squared distances preserve the min/max ordering; sqrt only at the end
-        d2 = np.maximum(reference_sq_dists(z32[a_idx], z32), 0.0)
-        col_min = d2.min(axis=0)
+        za = z[groups[smallest]]
         best = None
         for cid, idx in groups.items():
             if cid == smallest:
                 continue
-            dist2 = max(float(d2[:, idx].min(axis=1).max()),
-                        float(col_min[idx].max()))
-            if best is None or (dist2, cid) < best:
-                best = (dist2, cid)
+            dist = reference_hausdorff(za, z[idx])
+            if best is None or (dist, cid) < best:
+                best = (dist, cid)
         target = best[1]
         groups[target] = np.sort(np.concatenate([groups[target], groups[smallest]]))
         del groups[smallest]

@@ -1217,6 +1217,18 @@ class TestModuleEntryPoint:
         assert proc.stdout.startswith("usage: rare-sampler ")
         assert "gen-synthetic" in proc.stdout
 
+    def test_import_leaves_scipy_spatial_and_optimize_unloaded(self):
+        # runs that never cluster (mc, mcm-gp, ce) must not pay for them
+        src = Path(rare_sampler.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, rare_sampler, rare_sampler.cli; "
+                "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestCsvOracle:
     def test_missing_value_names_request(self, tmp_path):

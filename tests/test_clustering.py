@@ -8,7 +8,7 @@ from helpers import reference_cluster_with_merges, reference_kmeans, reference_s
 from rare_sampler import (EmbeddingPool, GpHyperparams, InvalidInputError,
                           cluster_with_merges, hausdorff_distance, kmeans,
                           scale_points)
-from rare_sampler.clustering import ClusterAssignment, _lloyd, _relabel, _sq_dists
+from rare_sampler.clustering import ClusterAssignment, _lloyd, _relabel, _sq_dists_to
 
 
 def hyper_with_lengthscales(ls):
@@ -43,14 +43,12 @@ class TestScalePoints:
 
 
 class TestSqDists:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bitwise_equal_to_expression(self, dtype):
+    def test_bitwise_equal_to_expression(self):
         rng = np.random.default_rng(12)
         for n, m, d in [(1, 1, 1), (7, 40, 1), (300, 500, 2), (64, 1000, 3)]:
-            p = (rng.standard_normal((n, d)) * 3).astype(dtype)
-            c = (rng.standard_normal((m, d)) * 3).astype(dtype)
-            got = _sq_dists(p, c)
-            assert got.dtype == dtype
+            p = rng.standard_normal((n, d)) * 3
+            c = rng.standard_normal((m, d)) * 3
+            got = _sq_dists_to(2.0 * p, np.sum(p * p, axis=1)[:, None], c)
             np.testing.assert_array_equal(got, reference_sq_dists(p, c))
 
 
@@ -255,63 +253,23 @@ class TestClusterWithMerges:
                 got = cluster_with_merges(pool, h, S=S, S_hat=S_hat, seed=k)
                 np.testing.assert_array_equal(got.labels, want.labels)
 
-    @pytest.mark.parametrize("rows", [1, 7, 64])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_row_tiles_give_the_same_labels(self, monkeypatch, d, rows):
-        # a merge's distance tiles hold `rows` rows of the smallest cluster
-        n = 1000
-        rng = np.random.default_rng(700 + d)
-        h = hyper_with_lengthscales(rng.uniform(0.3, 3.0, d))
-        raw = rng.standard_normal((n, d)) * 2.0
-        monkeypatch.setattr(clustering, "_MERGE_TILE_BYTES", 4 * n * rows)
-        for points in (raw, np.round(raw, 1)):
-            pool = EmbeddingPool(points)
-            for k, (S, S_hat) in enumerate(self.MERGE_CASES[n]):
-                want = reference_cluster_with_merges(pool, h, S, S_hat, seed=k)
-                got = cluster_with_merges(pool, h, S=S, S_hat=S_hat, seed=k)
-                np.testing.assert_array_equal(got.labels, want.labels)
-
-    def test_peak_memory_is_one_distance_tile(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        pool = EmbeddingPool(rng.standard_normal((6000, 2)))
-        h = hyper_with_lengthscales([0.7, 1.3])
-        block_rows = []
-
-        def recording_sq_dists(points, centers):
-            if points.dtype == np.float32:
-                block_rows.append(points.shape[0])
-            return _sq_dists(points, centers)
-
-        monkeypatch.setattr(clustering, "_sq_dists", recording_sq_dists)
-        tracemalloc.start()
-        try:
-            cluster_with_merges(pool, h, S=6, S_hat=12, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        tile = clustering._MERGE_TILE_BYTES // (4 * pool.n_points)
-        # six merges, some in several tiles; a trailing single row joins the
-        # tile before it
-        assert len(block_rows) > 6
-        assert max(block_rows) <= tile + 1
-        assert peak <= 1.25 * max(block_rows) * pool.n_points * 4
-
-    def test_merge_memory_stays_within_the_tile_budget(self):
-        rng = np.random.default_rng(14)
-        n = 8000
-        pool = EmbeddingPool(rng.standard_normal((n, 2)))
+    @pytest.mark.parametrize("n, S, S_hat, seed", [(6000, 6, 12, 13), (8000, 2, 4, 14),
+                                                  (20000, 6, 12, 15)])
+    def test_merge_memory_per_pool_point(self, n, S, S_hat, seed):
+        # the scaled points, k-means distances and labels, and the two
+        # clusters a merge compares: O(N) with a small constant.  An |A| x N
+        # distance block of the smallest cluster would take thousands of
+        # bytes per point
+        pool = EmbeddingPool(np.random.default_rng(seed).standard_normal((n, 2)))
         h = hyper_with_lengthscales([0.7, 1.3])
         tracemalloc.start()
         try:
-            assign = cluster_with_merges(pool, h, S=2, S_hat=4, seed=0)
+            assign = cluster_with_merges(pool, h, S=S, S_hat=S_hat, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert assign.n_clusters == 2
-        # one distance tile plus O(N): scaled points, k-means distances and
-        # labels, sort orders and the column minima; a whole |A| x N block
-        # of the smaller cluster (about 2000 rows) took 64 MB
-        assert peak <= clustering._MERGE_TILE_BYTES + 128 * n
+        assert assign.n_clusters == S
+        assert peak <= 400 * n
 
     def test_bad_cluster_counts_rejected(self):
         pool = EmbeddingPool(np.random.default_rng(0).standard_normal((10, 2)))
@@ -371,8 +329,8 @@ class TestShortKmeans:
 
 class TestMergeTieBreaks:
     """Tight groups on an integer lattice, with unit lengthscales: every
-    squared distance is a small dyadic number, exact in float32, so the ties
-    below are exact."""
+    squared distance is a small dyadic number, computed exactly, so the ties
+    below are exact.  The last test moves one group off the lattice."""
 
     CROSS = np.array([[0.0, 0.0], [0.25, 0.0], [-0.25, 0.0], [0.0, 0.25], [0.0, -0.25]])
 
@@ -414,6 +372,13 @@ class TestMergeTieBreaks:
         second = (-first[0], 0)
         assert self.merged([first, second, (0, 0)], [8, 8, 5], S=2) == {
             frozenset([0, 2]), frozenset([1])}
+
+
+    def test_nearer_neighbor_wins_below_float32_resolution(self):
+        # group 2 is 10 from group 1 and 10 + 1e-7 from group 0: the same
+        # distance in float32, so only float64 distances merge it into group 1
+        assert self.merged([(10 + 1e-7, 0), (-10, 0), (0, 0)], [8, 8, 5], S=2) == {
+            frozenset([0]), frozenset([1, 2])}
 
 
 class TestRelabel:

@@ -328,6 +328,23 @@ class TestEstimatorVariance:
         se = mc_var * np.sqrt(2.0 / (len(p_hats) - 1)) * 3  # rough 3-SE band
         assert abs(exact - mc_var) < max(se, 3e-5)
 
+    def test_one_posterior_query_of_the_pool(self, monkeypatch):
+        # mu, var and the whitened cross-kernel of every point come from one
+        # query, not one for the field and two for the covariance
+        from rare_sampler.gp import PosteriorState
+        rows = []
+        query = PosteriorState.query
+
+        def recording_query(self, points, levels):
+            rows.append(len(levels))
+            return query(self, points, levels)
+
+        monkeypatch.setattr(PosteriorState, "query", recording_query)
+        pool, _, _, state = random_problem(np.random.default_rng(25), n_points=40,
+                                           n_train=6)
+        assert 0.0 < estimator_variance_exact(state, pool) <= 0.25
+        assert rows == [40]
+
     def test_bounded_by_quarter_and_nonnegative(self):
         rng = np.random.default_rng(22)
         for seed in range(5):
